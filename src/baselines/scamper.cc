@@ -1,7 +1,6 @@
 #include "baselines/scamper.h"
 
 #include <algorithm>
-#include <array>
 
 #include "core/targets.h"
 #include "net/icmp.h"
@@ -15,13 +14,14 @@ constexpr util::Nanos kIdleStep = 10 * util::kMillisecond;
 
 Scamper::Scamper(const ScamperConfig& config, core::ScanRuntime& runtime)
     : config_(config),
-      runtime_(runtime),
       codec_(config.vantage),
-      timeouts_(std::max<util::Nanos>(config.probe_timeout / 32, 1)) {
-  sink_ = [this](std::span<const std::byte> packet, util::Nanos arrival) {
-    on_packet(packet, arrival);
-  };
-}
+      sender_(
+          runtime,
+          [this](std::span<const std::byte> packet, util::Nanos arrival) {
+            on_packet(packet, arrival);
+          },
+          result_, config_.telemetry, config_.collect_probe_log),
+      timeouts_(std::max<util::Nanos>(config.probe_timeout / 32, 1)) {}
 
 std::uint32_t Scamper::target_of(std::uint32_t prefix_offset) const noexcept {
   if (config_.target_override != nullptr &&
@@ -51,31 +51,23 @@ void Scamper::admit_next() {
   }
 }
 
-void Scamper::send_probe(std::uint32_t index, TraceState& state) {
-  std::array<std::byte, core::ProbeCodec::kMaxProbeSize> buffer;
-  const std::size_t size =
-      codec_.encode_udp(net::Ipv4Address(state.destination), state.ttl,
-                        /*preprobe=*/false, runtime_.now(), buffer);
-  if (size == 0) return;
-  const obs::ScanTelemetry& tel = config_.telemetry;
-  if (runtime_.try_send(std::span<const std::byte>(buffer.data(), size))) {
-    ++result_.probes_sent;
-    tel.count(tel.ids.probes_sent);
-    if (config_.collect_probe_log) {
-      result_.probe_log.push_back(
-          {runtime_.now(), state.destination, state.ttl});
-    }
-  } else {
-    // A probe lost at the sender behaves like one lost in flight: the
-    // timeout below retries it (within budget) or advances past the hop.
-    ++result_.send_failures;
-    if (tel.ids.resilience) tel.count(tel.ids.send_failures);
-  }
-  if (tel.tracer != nullptr) tel.tick(runtime_.now());
+// A probe lost at the sender behaves like one lost in flight: its timeout
+// retries it (within budget) or advances past the hop.
+void Scamper::send_probe(std::uint32_t index, TraceState& state,
+                         std::uint8_t flags) {
+  const net::Ipv4Address target(state.destination);
+  const std::uint8_t ttl = state.ttl;
+  const bool staged = sender_.stage(
+      state.destination, ttl, flags,
+      [&](util::Nanos send_time, std::span<std::byte> slot) {
+        return codec_.encode_udp(target, ttl, /*preprobe=*/false, send_time,
+                                 slot);
+      });
+  if (!staged) return;
   state.awaiting = true;
   ++state.attempts;
   ++state.probe_token;
-  timeouts_.schedule(runtime_.now() + config_.probe_timeout,
+  timeouts_.schedule(sender_.now() + config_.probe_timeout,
                      {index, state.probe_token});
 }
 
@@ -166,15 +158,15 @@ core::ScanResult Scamper::run() {
   permutation_ = &permutation;
   admit_cursor_ = 0;
 
-  const util::Nanos start = runtime_.now();
+  const util::Nanos start = sender_.now();
   config_.telemetry.begin_phase(obs::ScanPhase::kMain, start);
   admit_next();
 
   while (!active_.empty()) {
-    runtime_.drain(sink_);
+    sender_.drain_point();
 
     // Expire outstanding probes whose response never came.
-    timeouts_.expire_due(runtime_.now(), [this](const Timeout& timeout) {
+    timeouts_.expire_due(sender_.now(), [this](const Timeout& timeout) {
       const auto it = active_.find(timeout.index);
       if (it == active_.end() || !it->second.awaiting ||
           it->second.probe_token != timeout.token) {
@@ -184,15 +176,12 @@ core::ScanResult Scamper::run() {
       state.awaiting = false;
       if (state.attempts <= config_.max_retries) {
         // Budget left: re-probe the same hop before moving on.
-        ++result_.retransmits;
-        const obs::ScanTelemetry& tel = config_.telemetry;
-        if (tel.ids.resilience) tel.count(tel.ids.retransmits);
-        send_probe(timeout.index, state);
+        send_probe(timeout.index, state, core::ProbeSender::kRetransmit);
         return;
       }
       ++result_.probe_timeouts;
       if (config_.telemetry.ids.resilience) {
-        config_.telemetry.count(config_.telemetry.ids.probe_timeouts);
+        sender_.count(config_.telemetry.ids.probe_timeouts);
       }
       state.attempts = 0;
       if (state.phase == Phase::kForward) {
@@ -206,11 +195,11 @@ core::ScanResult Scamper::run() {
     if (ready_.empty()) {
       // Everything in flight: idle towards the earliest timeout, in small
       // steps so arriving responses resume probing promptly.
-      util::Nanos wake = runtime_.now() + kIdleStep;
+      util::Nanos wake = sender_.now() + kIdleStep;
       if (const auto deadline = timeouts_.next_deadline()) {
-        wake = std::min(wake, std::max(*deadline, runtime_.now()));
+        wake = std::min(wake, std::max(*deadline, sender_.now()));
       }
-      runtime_.idle_until(wake, sink_);
+      sender_.idle_until(wake);
       continue;
     }
 
@@ -221,9 +210,9 @@ core::ScanResult Scamper::run() {
     }
   }
 
-  runtime_.idle_until(runtime_.now() + util::kSecond, sink_);
-  result_.scan_time = runtime_.now() - start;
-  config_.telemetry.finish(runtime_.now());
+  sender_.idle_until(sender_.now() + util::kSecond);
+  result_.scan_time = sender_.now() - start;
+  config_.telemetry.finish(sender_.now());
   permutation_ = nullptr;
   return result_;
 }

@@ -15,6 +15,11 @@
 // `redundancy_pause_high`), is suspended between `redundancy_pause_high`
 // and `redundancy_pause_low` (the flat 14..6 region of the blue curve), and
 // resumes in full below `redundancy_pause_low` (the plunge at 6).
+//
+// Probes go out through a core::ProbeSender.  Scamper does batch: admission
+// readies a whole window of destinations at once, and the loop sends every
+// ready destination's probe before its next drain, so the sender gathers
+// them into full batches (DESIGN.md §11).
 
 #pragma once
 
@@ -24,6 +29,7 @@
 #include <vector>
 
 #include "core/probe_codec.h"
+#include "core/probe_sender.h"
 #include "core/result.h"
 #include "core/runtime.h"
 #include "net/ipv4.h"
@@ -60,13 +66,6 @@ struct ScamperConfig {
   std::uint64_t target_seed = 42;
   bool collect_routes = true;
   bool collect_probe_log = false;
-
-  /// Accepted for API symmetry with Tracer/Yarrp (DESIGN.md §11) but a
-  /// no-op: Scamper's state machine has at most one outstanding probe per
-  /// destination and every send is gated on the previous response or
-  /// timeout, so there is never a second probe to gather into a batch.
-  /// The engine always runs the scalar cadence regardless of this flag.
-  bool batch_probes = true;
   const std::vector<std::uint32_t>* target_override = nullptr;
 
   /// Scan telemetry (DESIGN.md §7); default-disabled.  Scamper's windowed
@@ -112,15 +111,16 @@ class Scamper {
   void step(std::uint32_t index);       ///< send the next probe or finish
   void advance_forward(TraceState& state, bool responded, bool reached);
   void advance_backward(TraceState& state, bool responded, bool known);
-  void send_probe(std::uint32_t index, TraceState& state);
+  /// `flags` are ProbeSender's per-probe bookkeeping.
+  void send_probe(std::uint32_t index, TraceState& state,
+                  std::uint8_t flags = 0);
   void on_packet(std::span<const std::byte> packet, util::Nanos arrival);
   void finish(std::uint32_t index);
 
   ScamperConfig config_;
-  core::ScanRuntime& runtime_;
   core::ProbeCodec codec_;
   core::ScanResult result_;
-  core::ScanRuntime::Sink sink_;
+  core::ProbeSender sender_;
 
   std::unordered_map<std::uint32_t, TraceState> active_;  // by prefix offset
   std::deque<std::uint32_t> ready_;

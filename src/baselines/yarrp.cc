@@ -1,8 +1,5 @@
 #include "baselines/yarrp.h"
 
-#include <array>
-#include <bit>
-
 #include "core/targets.h"
 #include "net/checksum.h"
 #include "net/icmp.h"
@@ -11,11 +8,14 @@
 namespace flashroute::baselines {
 
 Yarrp::Yarrp(const YarrpConfig& config, core::ScanRuntime& runtime)
-    : config_(config), runtime_(runtime), codec_(config.vantage) {
-  sink_ = [this](std::span<const std::byte> packet, util::Nanos arrival) {
-    on_packet(packet, arrival);
-  };
-}
+    : config_(config),
+      codec_(config.vantage),
+      sender_(
+          runtime,
+          [this](std::span<const std::byte> packet, util::Nanos arrival) {
+            on_packet(packet, arrival);
+          },
+          result_, config_.telemetry, config_.collect_probe_log) {}
 
 std::uint32_t Yarrp::target_of(std::uint32_t prefix_offset) const noexcept {
   if (config_.target_override != nullptr &&
@@ -27,78 +27,20 @@ std::uint32_t Yarrp::target_of(std::uint32_t prefix_offset) const noexcept {
                              config_.first_prefix + prefix_offset);
 }
 
-void Yarrp::send_probe(std::uint32_t destination, std::uint8_t ttl) {
-  std::array<std::byte, core::ProbeCodec::kMaxProbeSize> buffer;
-  std::size_t size = 0;
-  if (config_.probe_type == YarrpConfig::ProbeType::kTcpAck) {
-    size = codec_.encode_tcp(net::Ipv4Address(destination), ttl,
-                             runtime_.now(), buffer);
-  } else {
-    size = codec_.encode_udp(net::Ipv4Address(destination), ttl,
-                             /*preprobe=*/false, runtime_.now(), buffer);
-  }
-  if (size == 0) return;
-  const obs::ScanTelemetry& tel = config_.telemetry;
-  if (!runtime_.try_send(std::span<const std::byte>(buffer.data(), size))) {
-    // Yarrp is stateless by design: a probe lost at the sender is simply a
-    // silent hop — no state to retry from (the contrast the resilience
-    // bench measures).
-    ++result_.send_failures;
-    if (tel.ids.resilience) tel.count(tel.ids.send_failures);
-    if (tel.tracer != nullptr) tel.tick(runtime_.now());
-    return;
-  }
-  ++result_.probes_sent;
-  tel.count(tel.ids.probes_sent);
-  if (tel.tracer != nullptr) tel.tick(runtime_.now());
-  if (config_.collect_probe_log) {
-    result_.probe_log.push_back({runtime_.now(), destination, ttl});
-  }
-}
-
-// Template-encodes one probe into the gather batch.  The encode timestamp
-// is send_time_of(k) — the instant a scalar loop's pre-send now() would
-// read for the k-th staged probe — so batched packets are byte-identical
-// to their scalar twins; the telemetry tick is replayed at flush with the
-// post-send instant send_time_of(k+1), matching the scalar stream.
-void Yarrp::stage_probe(std::uint32_t destination, std::uint8_t ttl) {
-  const std::uint32_t k = batch_.count();
-  std::size_t size = 0;
-  if (config_.probe_type == YarrpConfig::ProbeType::kTcpAck) {
-    size = codec_.encode_tcp(net::Ipv4Address(destination), ttl,
-                             runtime_.send_time_of(k), batch_.slot());
-  } else {
-    size = codec_.encode_udp(net::Ipv4Address(destination), ttl,
-                             /*preprobe=*/false, runtime_.send_time_of(k),
-                             batch_.slot());
-  }
-  if (size == 0) return;
-  batch_ticks_[k] = runtime_.send_time_of(k + 1);
-  batch_.commit(size);
-}
-
-// Submits the gathered block, replays the per-probe bookkeeping a scalar
-// loop would have interleaved (counters and telemetry ticks in send order),
-// and drains the responses that came due across the block.  The batch
-// budget guarantees every drain a scalar loop would have run between these
-// probes was empty, so the replayed stream is byte-identical.
-void Yarrp::flush_batch() {
-  if (batch_.empty()) return;
-  const std::uint64_t ok = runtime_.try_send_batch(batch_);
-  const obs::ScanTelemetry& tel = config_.telemetry;
-  const auto sent = static_cast<std::uint64_t>(std::popcount(ok));
-  result_.probes_sent += sent;
-  result_.send_failures += batch_.count() - sent;
-  for (std::uint32_t k = 0; k < batch_.count(); ++k) {
-    if ((ok >> k) & 1) {
-      tel.count(tel.ids.probes_sent);
-    } else if (tel.ids.resilience) {
-      tel.count(tel.ids.send_failures);
-    }
-    if (tel.tracer != nullptr) tel.tick(batch_ticks_[k]);
-  }
-  batch_.clear();
-  runtime_.drain_batch(sink_);
+// Yarrp is stateless by design: a probe lost at the sender is simply a
+// silent hop — no state to retry from (the contrast the resilience bench
+// measures).
+FR_HOT void Yarrp::send_probe(std::uint32_t destination, std::uint8_t ttl) {
+  const net::Ipv4Address target(destination);
+  const bool tcp = config_.probe_type == YarrpConfig::ProbeType::kTcpAck;
+  sender_.stage(destination, ttl, 0,
+                [&](util::Nanos send_time, std::span<std::byte> slot) {
+                  return tcp ? codec_.encode_tcp(target, ttl, send_time, slot)
+                             : codec_.encode_udp(target, ttl,
+                                                 /*preprobe=*/false,
+                                                 send_time, slot);
+                });
+  sender_.drain_point();
 }
 
 core::ScanResult Yarrp::run() {
@@ -109,16 +51,10 @@ core::ScanResult Yarrp::run() {
   result_.trigger_ttl.assign(n, 0);
   dest_done_.assign(n, false);
   last_new_interface_.assign(
-      static_cast<std::size_t>(config_.protected_hops) + 1, runtime_.now());
+      static_cast<std::size_t>(config_.protected_hops) + 1, sender_.now());
 
-  const util::Nanos start = runtime_.now();
+  const util::Nanos start = sender_.now();
   config_.telemetry.begin_phase(obs::ScanPhase::kMain, start);
-
-  // Pure stateless mode batches; fill mode and neighborhood protection
-  // consume response feedback mid-walk, so they keep the scalar cadence.
-  batch_mode_ = config_.batch_probes && config_.protected_hops == 0 &&
-                !config_.fill_mode && !config_.collect_probe_log;
-  batch_.clear();
 
   // The ZMap-inspired walk: a keyed bijection over every (prefix, TTL)
   // combination, generated on the fly — no target list in memory (§2).
@@ -135,37 +71,25 @@ core::ScanResult Yarrp::run() {
     const std::uint32_t destination = target_of(prefix_offset);
     if (net::is_probe_excluded(net::Ipv4Address(destination))) continue;
 
-    if (batch_mode_) {
-      // Yarrp drains after every probe, so the flush threshold is exactly
-      // the runtime's budget: every scalar drain the batch skips is
-      // provably empty (no pending arrival, no intra-batch response can
-      // come due inside the window).
-      if (!batch_.empty() && batch_.count() >= batch_budget_) flush_batch();
-      if (batch_.empty()) batch_budget_ = runtime_.batch_budget();
-      stage_probe(destination, ttl);
-      continue;
-    }
-
     if (config_.protected_hops > 0 && ttl <= config_.protected_hops &&
-        runtime_.now() - last_new_interface_[ttl] >
+        sender_.now() - last_new_interface_[ttl] >
             config_.protection_window) {
       continue;  // neighborhood protection: this hop radius has gone quiet
     }
 
     send_probe(destination, ttl);
-    runtime_.drain(sink_);
     flush_fill_queue();
   }
-  if (batch_mode_) flush_batch();
 
   // Let the tail of responses land (and drive any remaining fill chains).
   for (int grace = 0; grace < 3; ++grace) {
-    runtime_.idle_until(runtime_.now() + util::kSecond, sink_);
+    sender_.idle_until(sender_.now() + util::kSecond);
     flush_fill_queue();
   }
 
-  result_.scan_time = runtime_.now() - start;
-  config_.telemetry.finish(runtime_.now());
+  sender_.submit();  // the last fill probes may still be staged
+  result_.scan_time = sender_.now() - start;
+  config_.telemetry.finish(sender_.now());
   return result_;
 }
 
@@ -174,7 +98,6 @@ void Yarrp::flush_fill_queue() {
     const FillProbe fill = fill_queue_.front();
     fill_queue_.pop_front();
     send_probe(fill.destination, fill.ttl);
-    runtime_.drain(sink_);
   }
 }
 
@@ -254,7 +177,7 @@ void Yarrp::on_packet(std::span<const std::byte> packet,
     }
     if (is_new && config_.protected_hops > 0 &&
         ttl <= config_.protected_hops) {
-      last_new_interface_[ttl] = runtime_.now();
+      last_new_interface_[ttl] = sender_.now();
     }
     // Fill mode: the farthest probed hop responded and is not the target —
     // extend the trace by exactly one hop (inherent gap limit 1, §4.2.1).

@@ -16,15 +16,20 @@
 //    one, the cause of Yarrp-16's poor interface yield in Table 3;
 //  * neighborhood protection: probes within N hops of the vantage are
 //    suppressed once no new interface has appeared there for 30 s (§4.2.1).
+//
+// The walk drains after every probe, like the real tool's decoupled
+// receiver; probes go out through a core::ProbeSender, which gathers them
+// into batches whenever the drains in between are provably empty — in pure,
+// fill and protection modes alike (DESIGN.md §11).
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <vector>
 
 #include "core/probe_codec.h"
+#include "core/probe_sender.h"
 #include "core/result.h"
 #include "core/runtime.h"
 #include "net/ipv4.h"
@@ -57,14 +62,6 @@ struct YarrpConfig {
   std::uint64_t target_seed = 42;
   bool collect_routes = true;
   bool collect_probe_log = false;
-
-  /// Gather probes into ProbeBatch blocks and submit through
-  /// ScanRuntime::try_send_batch (DESIGN.md §11).  Only Yarrp's pure
-  /// stateless mode batches — fill mode and neighborhood protection feed
-  /// responses back into the walk, so those configurations stay scalar and
-  /// the flag is ignored.  Batched walks are byte-identical to scalar
-  /// same-seed walks (same packets, same telemetry stream).
-  bool batch_probes = true;
   const std::vector<std::uint32_t>* target_override = nullptr;
 
   /// Scan telemetry (DESIGN.md §7); default-disabled.  Yarrp is a
@@ -89,26 +86,19 @@ class Yarrp {
   };
 
   std::uint32_t target_of(std::uint32_t prefix_offset) const noexcept;
-  void send_probe(std::uint32_t destination, std::uint8_t ttl);
-  FR_HOT void stage_probe(std::uint32_t destination, std::uint8_t ttl);
-  FR_HOT void flush_batch();
+  /// Stages one probe, then marks the drain that follows it.
+  FR_HOT void send_probe(std::uint32_t destination, std::uint8_t ttl);
   void on_packet(std::span<const std::byte> packet, util::Nanos arrival);
   void flush_fill_queue();
 
   YarrpConfig config_;
-  core::ScanRuntime& runtime_;
   core::ProbeCodec codec_;
   core::ScanResult result_;
-  core::ScanRuntime::Sink sink_;
+  core::ProbeSender sender_;
   std::deque<FillProbe> fill_queue_;
   /// last time a *new* interface appeared at hop h (1-based, protection).
   std::vector<util::Nanos> last_new_interface_;
   std::vector<bool> dest_done_;  ///< target answered (stops fill chains)
-  /// Batched-submit state (pure mode only; see YarrpConfig::batch_probes).
-  core::ProbeBatch batch_;
-  std::array<util::Nanos, core::ProbeBatch::kMaxPackets> batch_ticks_{};
-  std::uint32_t batch_budget_ = 1;
-  bool batch_mode_ = false;
 };
 
 }  // namespace flashroute::baselines

@@ -6,15 +6,18 @@
 // abstracts both so the same engine code runs
 //
 //  * deterministically in virtual time against the Internet simulator
-//    (sim::SimScanRuntime — `send` advances the virtual clock by one probe
-//    slot and delivers any responses that became due), and
+//    (sim::SimScanRuntime — each send advances the virtual clock by one
+//    probe slot; `drain` delivers the responses that became due), and
 //  * in real time against a raw socket (net::RawSocketTransport plus a
 //    receiver thread), or against nothing at all (NullRuntime, used to
 //    measure the maximum sustainable probing rate for Table 5).
 //
-// Engines never block on individual responses: they pour probes through
-// `send` and handle whatever `drain`/`idle_until` delivers, which is exactly
-// the high-parallelism structure of Yarrp and FlashRoute.
+// Engines never block on individual responses: they pour probes through a
+// core::ProbeSender (core/probe_sender.h), which gathers them into batches,
+// and handle whatever `drain`/`idle_until` delivers — exactly the
+// high-parallelism structure of Yarrp and FlashRoute.  Runtimes that only
+// implement the per-packet `try_send` join the batch protocol through the
+// base-class defaults below.
 
 #pragma once
 
@@ -90,12 +93,6 @@ class ScanRuntime {
   [[nodiscard]] FR_HOT virtual bool try_send(
       std::span<const std::byte> packet) = 0;
 
-  /// Send-and-tally convenience: failures are counted in send_failures()
-  /// rather than surfaced per call.
-  FR_HOT void send(std::span<const std::byte> packet) {
-    if (!try_send(packet)) ++send_failures_;
-  }
-
   /// Submits a whole batch of encoded probes, consuming one pacing slot per
   /// packet (the real-world analogue is sendmmsg).  Returns a bitmask with
   /// bit k set when packet k transmitted; callers tally failures from the
@@ -114,11 +111,12 @@ class ScanRuntime {
   /// analogue).  Default: plain drain.
   FR_HOT virtual void drain_batch(const Sink& sink) { drain(sink); }
 
-  /// How many probes the engine may gather before the next submit without
-  /// changing observable behaviour versus scalar sends.  Real-time runtimes
-  /// return kMaxPackets; the deterministic sim runtime bounds this by the
-  /// first pending response so batched scans stay byte-identical to scalar
-  /// same-seed scans.  Default 1 keeps unaware runtimes effectively scalar.
+  /// How many probes, counted from this point, the sender may stage while
+  /// skipping drain points without changing observable behaviour versus
+  /// scalar sends (core/probe_sender.h).  Real-time runtimes return
+  /// kMaxPackets; the deterministic sim runtime bounds this by the first
+  /// pending response so batched scans stay byte-identical to scalar
+  /// same-seed scans.  Default 1: every drain happens, the scalar cadence.
   FR_HOT virtual std::uint32_t batch_budget() const noexcept { return 1; }
 
   /// The timestamp the k-th packet (0-based) of the *next* batch submit will
@@ -145,19 +143,12 @@ class ScanRuntime {
 
   FR_HOT std::uint64_t packets_sent() const noexcept { return packets_sent_; }
 
-  /// Probes whose transmit failed, as tallied by the send() wrapper.
-  /// Engines that call try_send directly keep their own count instead.
-  FR_HOT std::uint64_t send_failures() const noexcept {
-    return send_failures_;
-  }
-
   /// Responses dropped before reaching the engine (bounded receive rings
   /// overflowing, unclassifiable packets).  0 for runtimes that never drop.
   virtual std::uint64_t packets_dropped() const noexcept { return 0; }
 
  protected:
   std::uint64_t packets_sent_ = 0;
-  std::uint64_t send_failures_ = 0;
 };
 
 /// Swallows every probe and never delivers a response.  now() is the real

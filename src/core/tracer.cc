@@ -1,8 +1,6 @@
 #include "core/tracer.h"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <mutex>
 
 #include "core/targets.h"
@@ -14,16 +12,18 @@ namespace flashroute::core {
 
 Tracer::Tracer(const TracerConfig& config, ScanRuntime& runtime)
     : config_(config),
-      runtime_(runtime),
       codec_(config.vantage),
       active_codec_(&codec_),
       dcbs_(config.num_prefixes()),
+      sender_(
+          runtime,
+          [this](std::span<const std::byte> packet, util::Nanos arrival) {
+            on_packet(packet, arrival);
+          },
+          result_, config_.telemetry, config_.collect_probe_log,
+          config_.cycles),
       target_seed_(config.target_seed),
-      wheel_(std::max<util::Nanos>(config.retransmit_timeout / 32, 1)) {
-  sink_ = [this](std::span<const std::byte> packet, util::Nanos arrival) {
-    on_packet(packet, arrival);
-  };
-}
+      wheel_(std::max<util::Nanos>(config.retransmit_timeout / 32, 1)) {}
 
 std::uint64_t Tracer::checkpoint_digest() const noexcept {
   using util::hash_combine;
@@ -107,7 +107,7 @@ ScanResult Tracer::run() {
   resume_elapsed_base_ = 0;
   aborted_ = false;
 
-  scan_start_ = runtime_.now();
+  scan_start_ = sender_.now();
 
   bool resuming = false;
   if (config_.resume_from != nullptr) {
@@ -122,13 +122,13 @@ ScanResult Tracer::run() {
   if (!resuming) {
     if (config_.preprobe != PreprobeMode::kNone && !fold_mode()) {
       config_.telemetry.begin_phase(obs::ScanPhase::kPreprobe,
-                                    runtime_.now());
+                                    sender_.now());
       preprobe_phase();
       predict_distances();
     }
     if (config_.preprobe_only) {
-      result_.scan_time = runtime_.now() - scan_start_;
-      config_.telemetry.finish(runtime_.now());
+      result_.scan_time = sender_.now() - scan_start_;
+      config_.telemetry.finish(sender_.now());
       return result_;
     }
     initialize_dcbs();
@@ -138,132 +138,59 @@ ScanResult Tracer::run() {
   // backward probes carry the preprobe bit, so their responses both build
   // topology and measure distances (§3.3.5).  A resumed scan never re-runs
   // the fold round: the earliest checkpoint barrier sits after it.
-  config_.telemetry.begin_phase(obs::ScanPhase::kMain, runtime_.now());
-  next_checkpoint_ = runtime_.now() + config_.checkpoint_interval;
+  config_.telemetry.begin_phase(obs::ScanPhase::kMain, sender_.now());
+  next_checkpoint_ = sender_.now() + config_.checkpoint_interval;
   main_rounds(codec_, !resuming && fold_mode(), 0);
 
   if (config_.extra_scans > 0 && !aborted_) {
-    config_.telemetry.begin_phase(obs::ScanPhase::kExtra, runtime_.now());
+    config_.telemetry.begin_phase(obs::ScanPhase::kExtra, sender_.now());
     run_extra_scans();
   }
 
-  result_.scan_time = resume_elapsed_base_ + (runtime_.now() - scan_start_);
-  config_.telemetry.finish(runtime_.now());
+  sender_.submit();  // a cancelled round may end with staged retransmits
+  result_.scan_time = resume_elapsed_base_ + (sender_.now() - scan_start_);
+  config_.telemetry.finish(sender_.now());
   return result_;
 }
 
 FR_HOT void Tracer::send_probe(const ProbeCodec& codec, std::uint32_t index,
-                        std::uint32_t destination, std::uint8_t ttl,
-                        bool preprobe_flag) {
-  std::array<std::byte, ProbeCodec::kMaxProbeSize> buffer;
-  const std::size_t size =
-      codec.encode_udp(net::Ipv4Address(destination), ttl, preprobe_flag,
-                       runtime_.now(), buffer);
-  if (size == 0) return;
-  const obs::ScanTelemetry& tel = config_.telemetry;
-  const bool sent =
-      runtime_.try_send(std::span<const std::byte>(buffer.data(), size));
-  if (sent) {
-    ++result_.probes_sent;
-    tel.count(tel.ids.probes_sent);
-    if (config_.collect_probe_log) {
-      // fr-lint: allow(hot-banned): optional diagnostic probe log, off by default
-      result_.probe_log.push_back(
-          {runtime_.now(), destination, ttl, preprobe_flag && !fold_mode()});
-    }
-  } else {
-    ++result_.send_failures;
-    if (tel.ids.resilience) tel.count(tel.ids.send_failures);
-  }
-  // Guarded so the disabled path never pays the runtime_.now() call.
-  if (tel.tracer != nullptr) tel.tick(runtime_.now());
-  if (retransmit_active_ && ttl >= 1 && ttl <= 64) {
-    // Track the probe on the retransmission wheel — failed sends too: the
-    // timeout/retransmit path is exactly how a swallowed probe recovers.
-    answered_mask_[index] &= ~(std::uint64_t{1} << (ttl - 1));
-    wheel_.schedule(runtime_.now() + config_.retransmit_timeout,
-                    {index, ttl});
-    ++round_probes_;
-  }
-}
-
-FR_HOT void Tracer::stage_probe(const ProbeCodec& codec,
-                                std::uint32_t destination, std::uint8_t ttl,
-                                bool preprobe_flag) {
-  // Scalar ordering: probe k of a batch is encoded at now() + k slots
-  // (before its send) and its post-send telemetry tick reads
-  // now() + (k + 1) slots.  send_time_of reproduces both instants while
-  // the clock still sits at the gather point.
-  const std::uint32_t k = batch_.count();
-  if (config_.cycles != nullptr && batch_.empty()) {
-    batch_gather_start_ = cycle_clock_.now();
-  }
-  const std::size_t size =
-      codec.encode_udp(net::Ipv4Address(destination), ttl, preprobe_flag,
-                       runtime_.send_time_of(k), batch_.slot());
-  if (size == 0) return;
-  batch_ticks_[k] = runtime_.send_time_of(k + 1);
-  batch_.commit(size);
-}
-
-FR_HOT void Tracer::flush_batch() {
-  if (batch_.empty()) return;
-  const obs::ScanTelemetry& tel = config_.telemetry;
-  obs::CycleLedger* cycles = config_.cycles;
-  util::Nanos submit_start = 0;
-  if (cycles != nullptr) {
-    submit_start = cycle_clock_.now();
-    cycles->add(obs::CycleLedger::kEncode, submit_start - batch_gather_start_,
-                batch_.count());
-  }
-  const std::uint64_t ok = runtime_.try_send_batch(batch_);
-  if (cycles != nullptr) {
-    cycles->add(obs::CycleLedger::kSend, cycle_clock_.now() - submit_start,
-                batch_.count());
-  }
-  const auto sent = static_cast<std::uint32_t>(std::popcount(ok));
-  result_.probes_sent += sent;
-  result_.send_failures += batch_.count() - sent;
-  for (std::uint32_t k = 0; k < batch_.count(); ++k) {
-    if (((ok >> k) & 1) != 0) {
-      tel.count(tel.ids.probes_sent);
-    } else if (tel.ids.resilience) {
-      tel.count(tel.ids.send_failures);
-    }
-    if (tel.tracer != nullptr) tel.tick(batch_ticks_[k]);
-  }
-  const std::uint32_t delivered_before = batch_.count();
-  batch_.clear();
-  if (cycles != nullptr) {
-    const util::Nanos deliver_start = cycle_clock_.now();
-    runtime_.drain_batch(sink_);
-    cycles->add(obs::CycleLedger::kDeliver, cycle_clock_.now() - deliver_start,
-                delivered_before);
-  } else {
-    runtime_.drain_batch(sink_);
-  }
+                               std::uint32_t destination, std::uint8_t ttl,
+                               bool preprobe_flag, std::uint8_t flags) {
+  const bool staged = sender_.stage(
+      destination, ttl, flags,
+      [&](util::Nanos send_time, std::span<std::byte> slot) {
+        return codec.encode_udp(net::Ipv4Address(destination), ttl,
+                                preprobe_flag, send_time, slot);
+      });
+  if (!staged || !retransmit_active_ || ttl < 1 || ttl > 64) return;
+  // Track the probe on the retransmission wheel — failed sends too: the
+  // timeout/retransmit path is exactly how a swallowed probe recovers.  No
+  // response is delivered before the staged probe is submitted, so this
+  // bookkeeping may run at staging time, with the post-send deadline.
+  answered_mask_[index] &= ~(std::uint64_t{1} << (ttl - 1));
+  wheel_.schedule(sender_.now() + config_.retransmit_timeout,
+                  {index, ttl});
+  ++round_probes_;
 }
 
 FR_HOT void Tracer::process_retransmits() {
   if (!retransmit_active_ || wheel_.empty()) return;
-  wheel_.expire_due(runtime_.now(), [this](const Outstanding& probe) {
+  wheel_.expire_due(sender_.now(), [this](const Outstanding& probe) {
     if ((answered_mask_[probe.index] &
          (std::uint64_t{1} << (probe.ttl - 1))) != 0) {
       return;  // answered within the timeout
     }
     ++round_loss_events_;
-    const obs::ScanTelemetry& tel = config_.telemetry;
     if (config_.max_retransmits > 0 && retransmit_left_[probe.index] > 0) {
       --retransmit_left_[probe.index];
-      ++result_.retransmits;
-      if (tel.ids.resilience) tel.count(tel.ids.retransmits);
       // The re-sent probe carries a fresh send time, so the fault plane
       // draws an independent loss decision for it.
       send_probe(*active_codec_, probe.index, destination_of(probe.index),
-                 probe.ttl, false);
+                 probe.ttl, false, ProbeSender::kRetransmit);
     } else {
       ++result_.probe_timeouts;
-      if (tel.ids.resilience) tel.count(tel.ids.probe_timeouts);
+      const obs::ScanTelemetry& tel = config_.telemetry;
+      if (tel.ids.resilience) sender_.count(tel.ids.probe_timeouts);
     }
   });
 }
@@ -274,15 +201,15 @@ FR_HOT void Tracer::drain_wheel() {
   // keep going until retransmissions stop scheduling new entries.
   while (retransmit_active_ && !wheel_.empty()) {
     if (const auto deadline = wheel_.next_deadline()) {
-      runtime_.idle_until(std::max(*deadline, runtime_.now()), sink_);
+      sender_.idle_until(std::max(*deadline, sender_.now()));
     }
     process_retransmits();
-    runtime_.drain(sink_);
+    sender_.drain_point();
   }
 }
 
 void Tracer::preprobe_phase() {
-  const util::Nanos phase_start = runtime_.now();
+  const util::Nanos phase_start = sender_.now();
   const std::uint32_t n = config_.num_prefixes();
   std::uint32_t index = dcbs_.head();
   const std::uint32_t count = dcbs_.ring_size();
@@ -293,14 +220,13 @@ void Tracer::preprobe_phase() {
         (*config_.hitlist)[index] != 0) {
       target = (*config_.hitlist)[index];
     }
-    send_probe(codec_, index, target, config_.max_ttl, /*preprobe_flag=*/true);
-    ++result_.preprobe_probes;
-    config_.telemetry.count(config_.telemetry.ids.preprobe_probes);
-    runtime_.drain(sink_);
+    send_probe(codec_, index, target, config_.max_ttl, /*preprobe_flag=*/true,
+               ProbeSender::kPreprobe);
+    sender_.drain_point();
   }
   // Allow in-flight preprobe responses to land before splitting routes.
-  runtime_.idle_until(runtime_.now() + config_.min_round_duration, sink_);
-  result_.preprobe_time = runtime_.now() - phase_start;
+  sender_.idle_until(sender_.now() + config_.min_round_duration);
+  result_.preprobe_time = sender_.now() - phase_start;
   (void)n;
 }
 
@@ -359,36 +285,15 @@ FR_HOT void Tracer::main_rounds(const ProbeCodec& codec, bool flag_first_round,
   retransmit_active_ = hop_flags == 0 && resilience_enabled();
   round_probes_ = 0;
   round_loss_events_ = 0;
-  // Batched sending covers the pure hot path only: retransmission tracking
-  // and the probe log need per-probe bookkeeping at send time, so they keep
-  // the scalar loop.  The budget handshake with the runtime keeps batched
-  // output byte-identical to the scalar path (see flush_batch).
-  batch_mode_ = config_.batch_probes && !retransmit_active_ &&
-                !config_.collect_probe_log;
-  batch_.clear();
 
   while (dcbs_.ring_size() > 0) {
-    const util::Nanos round_start = runtime_.now();
+    const util::Nanos round_start = sender_.now();
     std::uint32_t current = dcbs_.head();
     const std::uint32_t count = dcbs_.ring_size();
 
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::uint32_t next = dcbs_.next(current);
       Dcb& dcb = dcbs_[current];
-
-      if (batch_mode_ && !batch_.empty() &&
-          (batch_.count() >= batch_budget_ ||
-           batch_.count() + 2 > ProbeBatch::kMaxPackets)) {
-        // Destination-granular flush: a scalar loop never drains between
-        // the two probes of one destination, so a batch may always finish
-        // the destination it started — but must flush before opening a new
-        // one once the budget (or the buffer) is spent.  The flush must
-        // come *before* this destination's DCB decision: scalar drains at
-        // the end of every destination's sends, so its decisions always
-        // see every response due by now — including stragglers addressed
-        // to the destination about to be decided.
-        flush_batch();
-      }
 
       std::uint8_t backward_ttl = 0;
       std::uint8_t forward_ttl = 0;
@@ -442,18 +347,6 @@ FR_HOT void Tracer::main_rounds(const ProbeCodec& codec, bool flag_first_round,
         current = next;
         continue;
       }
-      if (batch_mode_) {
-        if (batch_.empty()) batch_budget_ = runtime_.batch_budget();
-        if (backward_ttl != 0) {
-          stage_probe(codec, destination_of(current), backward_ttl,
-                      flag_first_round && first_round);
-        }
-        if (forward_ttl != 0) {
-          stage_probe(codec, destination_of(current), forward_ttl, false);
-        }
-        current = next;
-        continue;
-      }
       if (backward_ttl != 0) {
         send_probe(codec, current, destination_of(current), backward_ttl,
                    flag_first_round && first_round);
@@ -462,17 +355,18 @@ FR_HOT void Tracer::main_rounds(const ProbeCodec& codec, bool flag_first_round,
         send_probe(codec, current, destination_of(current), forward_ttl,
                    false);
       }
-      runtime_.drain(sink_);
+      // Every response due by now is handled before the next destination's
+      // DCB decision — including stragglers addressed to it.
+      sender_.drain_point();
       process_retransmits();
       current = next;
     }
-    if (batch_mode_) flush_batch();
 
     const util::Nanos barrier = round_start + config_.min_round_duration;
-    if (runtime_.now() < barrier) {
-      runtime_.idle_until(barrier, sink_);
+    if (sender_.now() < barrier) {
+      sender_.idle_until(barrier);
     } else {
-      runtime_.drain(sink_);
+      sender_.drain_point();
     }
     process_retransmits();
     if (flag_first_round && first_round) {
@@ -517,7 +411,7 @@ FR_HOT void Tracer::main_rounds(const ProbeCodec& codec, bool flag_first_round,
   // Ring empty: see every still-outstanding probe through its deadline
   // (retiring or retransmitting it), then collect straggler responses.
   drain_wheel();
-  runtime_.idle_until(runtime_.now() + config_.min_round_duration, sink_);
+  sender_.idle_until(sender_.now() + config_.min_round_duration);
   retransmit_active_ = false;
 }
 
@@ -532,16 +426,16 @@ void Tracer::update_backoff() {
   if (ratio > config_.backoff_loss_threshold &&
       backoff_level_ < static_cast<std::uint32_t>(config_.max_backoff_level)) {
     ++backoff_level_;
-    runtime_.set_rate(config_.probes_per_second /
-                      static_cast<double>(std::uint64_t{1} << backoff_level_));
+    sender_.set_rate(config_.probes_per_second /
+                     static_cast<double>(std::uint64_t{1} << backoff_level_));
     ++result_.rate_backoffs;
     const obs::ScanTelemetry& tel = config_.telemetry;
     if (tel.ids.resilience) tel.count(tel.ids.rate_backoffs);
   } else if (backoff_level_ > 0 &&
              ratio < config_.backoff_loss_threshold / 2.0) {
     --backoff_level_;
-    runtime_.set_rate(config_.probes_per_second /
-                      static_cast<double>(std::uint64_t{1} << backoff_level_));
+    sender_.set_rate(config_.probes_per_second /
+                     static_cast<double>(std::uint64_t{1} << backoff_level_));
   }
 }
 
@@ -550,7 +444,7 @@ void Tracer::quiesce() {
   // retired on its natural deadline, then a grace idle long enough for any
   // retransmitted probe's response (and the rate limiters' refill) to land.
   drain_wheel();
-  runtime_.idle_until(runtime_.now() + 2 * util::kSecond, sink_);
+  sender_.idle_until(sender_.now() + 2 * util::kSecond);
 }
 
 io::ScanCheckpoint Tracer::capture_checkpoint() {
@@ -558,9 +452,9 @@ io::ScanCheckpoint Tracer::capture_checkpoint() {
   checkpoint.header = {config_.first_prefix, config_.prefix_bits,
                        config_.seed};
   checkpoint.config_digest = checkpoint_digest();
-  checkpoint.virtual_now = runtime_.now();
+  checkpoint.virtual_now = sender_.now();
   checkpoint.scan_elapsed =
-      resume_elapsed_base_ + (runtime_.now() - scan_start_);
+      resume_elapsed_base_ + (sender_.now() - scan_start_);
   checkpoint.rounds_completed = rounds_completed_;
   checkpoint.backoff_level = backoff_level_;
   checkpoint.ring_head = dcbs_.head();
@@ -610,18 +504,18 @@ void Tracer::restore_checkpoint(const io::ScanCheckpoint& checkpoint) {
     retransmit_left_ = checkpoint.retransmit_left;
   }
   if (backoff_level_ > 0) {
-    runtime_.set_rate(config_.probes_per_second /
-                      static_cast<double>(std::uint64_t{1} << backoff_level_));
+    sender_.set_rate(config_.probes_per_second /
+                     static_cast<double>(std::uint64_t{1} << backoff_level_));
   }
 }
 
 void Tracer::maybe_checkpoint() {
-  if (runtime_.now() < next_checkpoint_) return;
+  if (sender_.now() < next_checkpoint_) return;
   // The quiesce runs whether or not a sink is installed, so a checkpointing
   // run and its uninterrupted reference share one timeline — the property
   // the kill/resume equivalence tests assert.
   quiesce();
-  next_checkpoint_ = runtime_.now() + config_.checkpoint_interval;
+  next_checkpoint_ = sender_.now() + config_.checkpoint_interval;
   if (!config_.checkpoint_sink) return;
   const io::ScanCheckpoint checkpoint = capture_checkpoint();
   const obs::ScanTelemetry& tel = config_.telemetry;

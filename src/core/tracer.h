@@ -23,10 +23,13 @@
 //
 // The engine is transport-agnostic: pass a sim::SimScanRuntime for
 // deterministic virtual-time scans or a real-time runtime for live probing.
+// Every phase sends through one core::ProbeSender, which gathers the probes
+// of consecutive destinations (and retransmissions) into batches; the loop
+// below keeps the scalar shape — decide, stage, mark the drain point — and
+// the sender proves each skipped drain empty (DESIGN.md §11).
 
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -35,6 +38,7 @@
 #include "core/dcb_array.h"
 #include "core/exclusion.h"
 #include "core/probe_codec.h"
+#include "core/probe_sender.h"
 #include "core/result.h"
 #include "core/runtime.h"
 #include "io/checkpoint.h"
@@ -109,16 +113,6 @@ struct TracerConfig {
 
   bool collect_routes = true;
   bool collect_probe_log = false;
-
-  /// Batched sending (sendmmsg-style): the main-phase loop gathers a block
-  /// of due destinations from the DCB ring, template-encodes them into a
-  /// reusable ProbeBatch, and submits them in one runtime call, draining
-  /// responses at batch rather than destination granularity.  The runtime's
-  /// batch_budget() bounds each batch so batched scans stay byte-identical
-  /// to scalar same-seed scans; the engine falls back to scalar sending
-  /// whenever a per-probe feature needs it (retransmission tracking, the
-  /// probe log).  Off forces the scalar path everywhere.
-  bool batch_probes = true;
 
   /// Per-stage cycle attribution (DESIGN.md §11); null = no attribution,
   /// one branch per batch.  Must outlive the scan.
@@ -226,16 +220,11 @@ class Tracer {
   FR_HOT void main_rounds(const ProbeCodec& codec, bool flag_first_round,
                           std::uint8_t hop_flags);
   void run_extra_scans();
+  /// Stages one probe; `flags` are ProbeSender's per-probe bookkeeping.
+  /// Main-phase probes go on the retransmission wheel when it is active.
   FR_HOT void send_probe(const ProbeCodec& codec, std::uint32_t index,
                          std::uint32_t destination, std::uint8_t ttl,
-                         bool preprobe_flag);
-  /// Template-encodes one probe into the batch buffer, stamped with the
-  /// exact virtual instant a scalar loop would have used.
-  FR_HOT void stage_probe(const ProbeCodec& codec, std::uint32_t destination,
-                          std::uint8_t ttl, bool preprobe_flag);
-  /// Submits the staged batch, tallies successes/failures from the result
-  /// mask, replays the per-probe telemetry ticks, and drains responses.
-  FR_HOT void flush_batch();
+                         bool preprobe_flag, std::uint8_t flags = 0);
   FR_HOT void process_retransmits();
   FR_HOT void drain_wheel();
   FR_HOT bool resilience_enabled() const noexcept {
@@ -267,30 +256,14 @@ class Tracer {
   }
 
   TracerConfig config_;
-  ScanRuntime& runtime_;
   ProbeCodec codec_;
   const ProbeCodec* active_codec_;
   DcbArray dcbs_;
   ScanResult result_;
-  ScanRuntime::Sink sink_;
+  ProbeSender sender_;
   std::uint8_t current_hop_flags_ = 0;
   std::uint64_t target_seed_;
 
-  // --- Batched sending state ----------------------------------------------
-  /// Reusable gather buffer for the batched main-phase sending loop.
-  ProbeBatch batch_;
-  /// Post-send telemetry tick instant per staged packet (what a scalar
-  /// loop's runtime_.now() would have read after that send).
-  std::array<util::Nanos, ProbeBatch::kMaxPackets> batch_ticks_{};
-  /// Probe allowance of the current batch, from runtime_.batch_budget().
-  std::uint32_t batch_budget_ = 1;
-  /// True while main_rounds may gather (batch_probes on, no per-probe
-  /// feature active).
-  bool batch_mode_ = false;
-  /// Cycle attribution: monotonic instant the current batch began
-  /// gathering (kEncode spans gather start to submit).
-  util::Nanos batch_gather_start_ = 0;
-  util::MonotonicClock cycle_clock_;
   /// Bit per prefix offset: set = the operator exclusion list covers part of
   /// this /24.  Filled once per scan by the trie's bulk pass, so ring
   /// construction pays O(1) per prefix instead of a range query each.

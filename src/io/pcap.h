@@ -53,6 +53,15 @@ class CapturingRuntime final : public core::ScanRuntime {
 
   util::Nanos now() const noexcept override { return inner_.now(); }
 
+  /// Forwarded so a probe is stamped with its own send slot and adaptive
+  /// backoff paces the inner runtime: a captured scan is the bare scan.
+  util::Nanos send_time_of(std::uint32_t k) const noexcept override {
+    return inner_.send_time_of(k);
+  }
+  void set_rate(double probes_per_second) override {
+    inner_.set_rate(probes_per_second);
+  }
+
   /// Captures only probes that actually reached the wire: a failed inner
   /// send produced no traffic, so it must not appear in the capture.
   [[nodiscard]] bool try_send(std::span<const std::byte> packet) override {

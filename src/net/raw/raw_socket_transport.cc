@@ -121,4 +121,8 @@ void RawSocketRuntime::idle_until(util::Nanos, const Sink&) {}
 
 #endif
 
+void RawSocketRuntime::set_rate(double probes_per_second) {
+  throttle_.set_rate(probes_per_second, clock_.now());
+}
+
 }  // namespace flashroute::net

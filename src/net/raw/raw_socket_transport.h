@@ -44,6 +44,8 @@ class RawSocketRuntime final : public core::ScanRuntime {
   /// bounded number of times.  Returns false when the kernel still refused
   /// the packet — the engine's retransmission layer recovers it.
   [[nodiscard]] bool try_send(std::span<const std::byte> packet) override;
+  /// Adaptive-backoff hook: re-rates the pacing throttle from now on.
+  void set_rate(double probes_per_second) override;
   void drain(const Sink& sink) override;
   void idle_until(util::Nanos t, const Sink& sink) override;
 

@@ -74,6 +74,12 @@ class ScanTracer {
     st.next_tick += ((now - st.next_tick) / interval_ + 1) * interval_;
   }
 
+  /// True when tick(lane, now) would capture an interval.
+  FR_HOT bool due(int lane, util::Nanos now) const {
+    return interval_ > 0 &&
+           now >= lanes_[static_cast<std::size_t>(lane)]->next_tick;
+  }
+
   /// Final capture + kDone transition for a lane.
   void finish(int lane, util::Nanos now);
 

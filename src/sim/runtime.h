@@ -119,13 +119,13 @@ class SimScanRuntime final : public core::ScanRuntime {
     cycles_ = cycles;
   }
 
-  /// How many probes a gather loop may stage before the next submit without
-  /// perturbing determinism: bounded by the earliest pending arrival (no
-  /// response may come due at a destination boundary the batch skips) and
-  /// by the minimum response latency (no intra-batch response may land
-  /// inside the batch's own window).  Both bounds leave the final
-  /// destination of a batch free to exceed the budget by one probe — the
-  /// same slack a scalar loop has between the two probes of a destination.
+  /// How many probes the sender may stage before it must honour a drain
+  /// point, without perturbing determinism: bounded by the earliest pending
+  /// arrival (no response may come due at a drain point the sender skips)
+  /// and by the minimum response latency (no response to a probe of the
+  /// window may land inside it).  Probes staged with no drain point between
+  /// them may run past the budget — a scalar loop has no drain there
+  /// either.
   FR_HOT std::uint32_t batch_budget() const noexcept override {
     // Clamp the interval for the bound arithmetic only: a sub-nanosecond
     // pacing interval (unthrottled tests) truncates to 0, and claiming 1 ns

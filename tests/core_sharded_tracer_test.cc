@@ -277,7 +277,7 @@ TEST(ThreadedRuntime, DrainHotPathDoesNotAllocate) {
     const net::Ipv4Address dest(
         ((params.first_prefix + static_cast<std::uint32_t>(i)) << 8) | 1);
     const std::size_t size = codec.encode_udp(dest, 1, false, 0, buf);
-    runtime.send(std::span<const std::byte>(buf.data(), size));
+    EXPECT_TRUE(runtime.try_send({buf.data(), size}));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 

@@ -87,7 +87,7 @@ TEST(ThreadedRuntime, DrainDeliversFromReceiverThread) {
   std::array<std::byte, ProbeCodec::kMaxProbeSize> buf;
   const net::Ipv4Address dest((params.first_prefix << 8) | 1);
   const std::size_t size = codec.encode_udp(dest, 1, false, 0, buf);
-  runtime.send(std::span<const std::byte>(buf.data(), size));
+  EXPECT_TRUE(runtime.try_send({buf.data(), size}));
 
   int received = 0;
   const ScanRuntime::Sink sink = [&](std::span<const std::byte> packet,
@@ -113,7 +113,7 @@ TEST(ThreadedRuntime, ThrottlePacesSends) {
 
   const util::Nanos start = runtime.now();
   for (int i = 0; i < 400; ++i) {
-    runtime.send(std::span<const std::byte>(buf.data(), size));
+    EXPECT_TRUE(runtime.try_send({buf.data(), size}));
   }
   const util::Nanos elapsed = runtime.now() - start;
   // 400 probes at 2 Kpps ≈ 200 ms (minus the initial burst allowance).

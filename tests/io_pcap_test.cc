@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <sstream>
 
 #include "core/probe_codec.h"
@@ -136,6 +138,99 @@ TEST(CapturingRuntime, RecordsProbesAndResponses) {
     EXPECT_GE(packet.time, last);
     last = packet.time;
   }
+}
+
+core::TracerConfig capture_config(const sim::SimParams& params) {
+  core::TracerConfig config;
+  config.first_prefix = params.first_prefix;
+  config.prefix_bits = params.prefix_bits;
+  config.vantage = net::Ipv4Address(params.vantage_address);
+  config.probes_per_second =
+      sim::scaled_probe_rate(100'000.0, params.prefix_bits);
+  config.preprobe = core::PreprobeMode::kNone;
+  return config;
+}
+
+TEST(CapturingRuntime, ProbesCarryTheirOwnSendSlot) {
+  // Each destination's backward and forward probe go out in consecutive
+  // slots; at this rate a slot is seconds long, so a probe stamped with
+  // any other slot's instant would encode a different timestamp.
+  sim::SimParams params;
+  params.prefix_bits = 6;
+  const sim::Topology topology(params);
+  sim::SimNetwork network(topology);
+  const core::TracerConfig config = capture_config(params);
+  sim::SimScanRuntime inner(network, config.probes_per_second);
+  const util::Nanos interval = inner.send_time_of(1) - inner.send_time_of(0);
+
+  std::stringstream capture;
+  CapturingRuntime runtime(inner, capture);
+  const auto result = core::Tracer(config, runtime).run();
+
+  const auto packets = read_pcap(capture);
+  ASSERT_TRUE(packets);
+  const core::ProbeCodec codec(config.vantage);
+  std::size_t probes = 0;
+  for (const auto& packet : *packets) {
+    if (net::parse_response(packet.bytes)) continue;
+    ++probes;
+    // The capture records a probe once it left, one slot after the instant
+    // the probe was encoded at.
+    const auto& bytes = packet.bytes;
+    ASSERT_GE(bytes.size(), 20u);
+    const std::uint32_t destination =
+        (std::to_integer<std::uint32_t>(bytes[16]) << 24) |
+        (std::to_integer<std::uint32_t>(bytes[17]) << 16) |
+        (std::to_integer<std::uint32_t>(bytes[18]) << 8) |
+        std::to_integer<std::uint32_t>(bytes[19]);
+    std::array<std::byte, core::ProbeCodec::kMaxProbeSize> expected;
+    const std::size_t size = codec.encode_udp(
+        net::Ipv4Address(destination), std::to_integer<std::uint8_t>(bytes[8]),
+        false, packet.time - interval, expected);
+    ASSERT_EQ(bytes.size(), size);
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), expected.begin()))
+        << "probe recorded at " << packet.time;
+  }
+  EXPECT_EQ(probes, result.probes_sent);
+}
+
+TEST(CapturingRuntime, CapturedScanUnderFaultsAndBackoffIsTheBareScan) {
+  // Heavy loss drives adaptive backoff, which must slow the runtime under
+  // the capture exactly as it slows a bare one.
+  sim::SimParams params;
+  params.prefix_bits = 8;
+  params.seed = 6;
+  params.faults.probe_loss = 0.7;
+  params.faults.response_loss = 0.5;
+  const sim::Topology topology(params);
+  core::TracerConfig config = capture_config(params);
+  config.probes_per_second = 100'000.0;
+  config.min_round_duration = 100 * util::kMillisecond;
+  config.max_retransmits = 1;
+  config.adaptive_backoff = true;
+
+  const auto scan = [&](bool captured) {
+    sim::SimNetwork network(topology);
+    sim::SimScanRuntime inner(network, config.probes_per_second);
+    std::stringstream capture;
+    CapturingRuntime capturing(inner, capture);
+    core::ScanRuntime& runtime =
+        captured ? static_cast<core::ScanRuntime&>(capturing) : inner;
+    return core::Tracer(config, runtime).run();
+  };
+  const core::ScanResult bare = scan(false);
+  const core::ScanResult captured = scan(true);
+
+  ASSERT_GT(bare.rate_backoffs, 0u);
+  EXPECT_EQ(captured.probes_sent, bare.probes_sent);
+  EXPECT_EQ(captured.scan_time, bare.scan_time);
+  EXPECT_EQ(captured.responses, bare.responses);
+  EXPECT_EQ(captured.retransmits, bare.retransmits);
+  EXPECT_EQ(captured.probe_timeouts, bare.probe_timeouts);
+  EXPECT_EQ(captured.rate_backoffs, bare.rate_backoffs);
+  EXPECT_EQ(captured.interfaces, bare.interfaces);
+  EXPECT_EQ(captured.routes, bare.routes);
+  EXPECT_EQ(captured.destination_distance, bare.destination_distance);
 }
 
 }  // namespace

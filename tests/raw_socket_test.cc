@@ -42,7 +42,7 @@ TEST(RawSocket, LoopbackProbeGetsKernelPortUnreachable) {
       codec.encode_udp(target, /*ttl=*/32, /*preprobe=*/true,
                        runtime->now(), buf);
   ASSERT_GT(size, 0u);
-  runtime->send(std::span<const std::byte>(buf.data(), size));
+  EXPECT_TRUE(runtime->try_send({buf.data(), size}));
 
   // Collect responses for up to half a second of real time.
   std::optional<core::DecodedProbe> decoded;
@@ -89,12 +89,32 @@ TEST(RawSocket, PacingHoldsAtConfiguredRate) {
 
   const util::Nanos start = runtime->now();
   for (int i = 0; i < 200; ++i) {
-    runtime->send(std::span<const std::byte>(buf.data(), size));
+    EXPECT_TRUE(runtime->try_send({buf.data(), size}));
   }
   const util::Nanos elapsed = runtime->now() - start;
   // 200 probes at 1 Kpps ≈ 200 ms minus the small initial burst allowance.
   EXPECT_GT(elapsed, 120 * util::kMillisecond);
   EXPECT_EQ(runtime->packets_sent(), 200u);
+}
+
+TEST(RawSocket, SetRateSlowsThePacing) {
+  auto runtime = make_runtime_or_skip();
+  if (!runtime) GTEST_SKIP() << "raw sockets unavailable (need CAP_NET_RAW)";
+
+  const Ipv4Address vantage = Ipv4Address::from_octets(127, 0, 0, 1);
+  const core::ProbeCodec codec(vantage);
+  std::array<std::byte, core::ProbeCodec::kMaxProbeSize> buf;
+  const std::size_t size = codec.encode_udp(
+      Ipv4Address::from_octets(127, 0, 0, 3), 32, false, 0, buf);
+
+  // Adaptive backoff drops the configured 1 Kpps to 200 pps: after the
+  // 11-probe burst allowance, 60 probes take ≈ 245 ms instead of ≈ 49 ms.
+  runtime->set_rate(200.0);
+  const util::Nanos start = runtime->now();
+  for (int i = 0; i < 60; ++i) {
+    EXPECT_TRUE(runtime->try_send({buf.data(), size}));
+  }
+  EXPECT_GT(runtime->now() - start, 200 * util::kMillisecond);
 }
 
 }  // namespace

@@ -286,7 +286,7 @@ TEST(HotpathAllocation, SteadyStateProbeResponsePipelineIsAllocationFree) {
         const std::size_t size =
             codec.encode_udp(dst, ttl, false, runtime.now(), buf);
         ASSERT_GT(size, 0u);
-        runtime.send(std::span<const std::byte>(buf.data(), size));
+        EXPECT_TRUE(runtime.try_send({buf.data(), size}));
       }
       runtime.drain(sink);
     }

@@ -47,16 +47,16 @@ class RuntimeTest : public ::testing::Test {
 TEST_F(RuntimeTest, SendAdvancesClockByProbeInterval) {
   SimScanRuntime runtime(network_, /*pps=*/1000.0);
   EXPECT_EQ(runtime.now(), 0);
-  runtime.send(make_probe(0, 1, 0));
+  EXPECT_TRUE(runtime.try_send(make_probe(0, 1, 0)));
   EXPECT_EQ(runtime.now(), util::kMillisecond);  // 1/1000 s per probe
-  runtime.send(make_probe(0, 2, runtime.now()));
+  EXPECT_TRUE(runtime.try_send(make_probe(0, 2, runtime.now())));
   EXPECT_EQ(runtime.now(), 2 * util::kMillisecond);
   EXPECT_EQ(runtime.packets_sent(), 2u);
 }
 
 TEST_F(RuntimeTest, ResponsesArriveOnlyAfterTheirRtt) {
   SimScanRuntime runtime(network_, 1000.0);
-  runtime.send(make_probe(0, 1, 0));
+  EXPECT_TRUE(runtime.try_send(make_probe(0, 1, 0)));
   int delivered = 0;
   const core::ScanRuntime::Sink sink =
       [&](std::span<const std::byte>, util::Nanos) { ++delivered; };
@@ -68,7 +68,7 @@ TEST_F(RuntimeTest, ResponsesArriveOnlyAfterTheirRtt) {
 
 TEST_F(RuntimeTest, DeliveryCarriesArrivalTime) {
   SimScanRuntime runtime(network_, 1000.0);
-  runtime.send(make_probe(0, 1, 0));
+  EXPECT_TRUE(runtime.try_send(make_probe(0, 1, 0)));
   util::Nanos arrival = -1;
   runtime.idle_until(util::kSecond, [&](std::span<const std::byte>,
                                         util::Nanos t) { arrival = t; });
@@ -80,8 +80,8 @@ TEST_F(RuntimeTest, ResponsesDeliveredInArrivalOrder) {
   SimScanRuntime runtime(network_, 100'000.0);
   // A far probe first, then a near probe: the near response must still be
   // delivered first (its RTT is shorter).
-  runtime.send(make_probe(0, 12, 0));
-  runtime.send(make_probe(0, 1, runtime.now()));
+  EXPECT_TRUE(runtime.try_send(make_probe(0, 12, 0)));
+  EXPECT_TRUE(runtime.try_send(make_probe(0, 1, runtime.now())));
   std::vector<util::Nanos> arrivals;
   runtime.idle_until(util::kSecond, [&](std::span<const std::byte>,
                                         util::Nanos t) {
@@ -104,7 +104,7 @@ TEST_F(RuntimeTest, IdleUntilAdvancesClockEvenWithoutEvents) {
 
 TEST_F(RuntimeTest, PacketBytesSurviveQueueing) {
   SimScanRuntime runtime(network_, 1000.0);
-  runtime.send(make_probe(0, 1, 0));
+  EXPECT_TRUE(runtime.try_send(make_probe(0, 1, 0)));
   bool parsed_ok = false;
   runtime.idle_until(util::kSecond,
                      [&](std::span<const std::byte> packet, util::Nanos) {
@@ -116,8 +116,8 @@ TEST_F(RuntimeTest, PacketBytesSurviveQueueing) {
 TEST(NullRuntime, CountsAndDiscards) {
   core::NullRuntime runtime;
   const std::array<std::byte, 4> packet{};
-  runtime.send(packet);
-  runtime.send(packet);
+  EXPECT_TRUE(runtime.try_send(packet));
+  EXPECT_TRUE(runtime.try_send(packet));
   EXPECT_EQ(runtime.packets_sent(), 2u);
   int delivered = 0;
   const core::ScanRuntime::Sink sink =
