@@ -101,7 +101,7 @@ std::optional<FrdOptions> parse_args(int argc, char** argv) {
     } else if ((v = value_of("--state-dir"))) {
       options.state_dir = *v;
     } else if ((v = value_of("--durability"))) {
-      const auto mode = svc::parse_durability(*v);
+      const auto mode = io::parse_durability(*v);
       if (!mode.has_value()) {
         std::fprintf(stderr, "invalid --durability=%s (none|flush|fsync)\n",
                      v->c_str());
@@ -185,8 +185,10 @@ int main(int argc, char** argv) {
 
   svc::Daemon daemon(daemon_options);
   if (!daemon.start()) {
-    std::fprintf(stderr, "frd: failed to bind %s or open %s\n",
-                 options->socket_path.c_str(), options->archive_path.c_str());
+    std::fprintf(stderr, "frd: failed to bind %s or open %s%s%s\n",
+                 options->socket_path.c_str(), options->archive_path.c_str(),
+                 options->journal_path.empty() ? "" : " or ",
+                 options->journal_path.c_str());
     return 1;
   }
 

@@ -166,14 +166,17 @@ LAYERING: dict[str, tuple[frozenset[str], bool]] = {
 
 # The service's documented syscall boundary (DESIGN.md §12, §14): every
 # socket / poll / pipe call in src/svc lives in the socket files, and every
-# journal file write lives in the journal files — nowhere else.  Blocking
-# I/O is their whole purpose, so a hot-path annotation inside them is a
-# contradiction — the engine flags FR_HOT there as hot-banned.
+# journal and archive file write lives in the record-log files (the journal
+# files sit on top of them) — nowhere else.  Blocking I/O is their whole
+# purpose, so a hot-path annotation inside them is a contradiction — the
+# engine flags FR_HOT there as hot-banned.
 SVC_IO_BOUNDARY_FILES = frozenset({
     "src/svc/socket.h",
     "src/svc/socket.cc",
     "src/svc/journal.h",
     "src/svc/journal.cc",
+    "src/io/record_log.h",
+    "src/io/record_log.cc",
 })
 
 # --- lock discipline (DESIGN.md §13) -----------------------------------------

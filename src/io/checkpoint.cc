@@ -5,9 +5,11 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
+#include "io/record_log.h"
 #include "io/varint.h"
 #include "util/crash_point.h"
 
@@ -185,25 +187,21 @@ std::optional<std::vector<ScanCheckpoint>> read_checkpoint_set(
 
 namespace {
 
-// Serialized bytes → tmp file → fflush → [fsync] → rename(2).  FILE* rather
-// than ofstream because an ofstream cannot fsync: close() only hands the
-// pages to the kernel, which is exactly the window a power loss exploits.
-bool publish_bytes_atomic(const std::string& path, const std::string& bytes,
-                          bool sync) {
+// Serialized bytes → one frame in a fresh tmp file → [fdatasync] →
+// rename(2).  The crash point fires after the write, before the rename.
+bool publish_frame_atomic(const std::string& path, const char (&magic)[4],
+                          const std::ostringstream& out, bool sync) {
   const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) return false;
-  bool ok = bytes.empty() ||
-            std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
-  ok = ok && std::fflush(file) == 0;
-  ok = ok && (!sync || ::fsync(::fileno(file)) == 0);
-  if (std::fclose(file) != 0) ok = false;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
+  std::remove(tmp.c_str());
+  bool ok = false;
+  {
+    RecordLog file(tmp, std::string_view(magic, sizeof magic),
+                   sync ? Durability::kFsync : Durability::kFlush,
+                   util::crash::kCheckpointPublish, 0,
+                   [](const RecordLog::Frame&, std::string_view) {});
+    ok = out && file.append(out.view()).has_value();
   }
-  FR_CRASH_POINT(util::crash::kCheckpointPublish);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return false;
   }
@@ -216,8 +214,7 @@ bool save_checkpoint_atomic(const std::string& path,
                             const ScanCheckpoint& checkpoint, bool sync) {
   std::ostringstream out;
   write_checkpoint(checkpoint, out);
-  if (!out) return false;
-  return publish_bytes_atomic(path, out.str(), sync);
+  return publish_frame_atomic(path, kMagic, out, sync);
 }
 
 bool save_checkpoint_set_atomic(const std::string& path,
@@ -225,20 +222,23 @@ bool save_checkpoint_set_atomic(const std::string& path,
                                 bool sync) {
   std::ostringstream out;
   write_checkpoint_set(checkpoints, out);
-  if (!out) return false;
-  return publish_bytes_atomic(path, out.str(), sync);
+  return publish_frame_atomic(path, kSetMagic, out, sync);
 }
 
 std::optional<ScanCheckpoint> load_checkpoint_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
+  std::optional<std::string> payload =
+      read_frame_file(path, std::string_view(kMagic, sizeof kMagic));
+  if (!payload.has_value()) return std::nullopt;
+  std::istringstream in(std::move(*payload));
   return read_checkpoint(in);
 }
 
 std::optional<std::vector<ScanCheckpoint>> load_checkpoint_set_file(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
+  std::optional<std::string> payload =
+      read_frame_file(path, std::string_view(kSetMagic, sizeof kSetMagic));
+  if (!payload.has_value()) return std::nullopt;
+  std::istringstream in(std::move(*payload));
   return read_checkpoint_set(in);
 }
 

@@ -83,17 +83,20 @@ void write_checkpoint_set(const std::vector<ScanCheckpoint>& checkpoints,
 std::optional<std::vector<ScanCheckpoint>> read_checkpoint_set(
     std::istream& in);
 
-// --- atomic file publish (DESIGN.md §14) -------------------------------------
+// --- atomic file publish (DESIGN.md §14.3) -----------------------------------
 //
 // A checkpoint written straight into its destination path can be torn by a
 // crash mid-write, poisoning --resume-from and daemon recovery.  The
-// atomic variants write to `<path>.tmp`, flush + fsync, then rename(2)
-// into place: readers only ever observe the old complete file or the new
-// complete file, never a prefix.
+// atomic variants write the write_checkpoint / write_checkpoint_set bytes
+// as one io::RecordLog frame ("FRCK" / "FRCS" magic, CRC32C) to
+// `<path>.tmp`, then rename(2) it into place: readers only ever observe
+// the old complete file or the new complete file, never a prefix.  The
+// loaders verify that frame, so a file damaged on disk fails to load
+// instead of resuming from altered state.
 //
-// `sync` controls the fsync before the rename.  Rename atomicity alone
+// `sync` adds an fdatasync before the rename.  Rename atomicity alone
 // already covers process death (the pages live in the kernel either way);
-// the fsync only buys power-loss ordering, so callers running at journal
+// the sync only buys power-loss ordering, so callers running at journal
 // durability below fsync pass false and skip the per-barrier stall.
 
 /// Atomically publishes one checkpoint to `path`; false on I/O error.

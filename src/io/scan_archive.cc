@@ -1,8 +1,9 @@
 #include "io/scan_archive.h"
 
 #include <algorithm>
-#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,8 @@ namespace {
 
 constexpr char kMagic[4] = {'F', 'R', 'S', 'C'};
 constexpr std::uint64_t kFormatVersion = 1;
+// A JobArchive payload is the job id, then the FRSC bytes.
+constexpr std::size_t kJobIdBytes = 8;
 
 std::vector<core::RouteHop> sorted_hops(
     const std::vector<core::RouteHop>& hops) {
@@ -226,138 +229,33 @@ std::optional<LoadedArchive> read_archive(std::istream& in) {
 
 // --- JobArchive --------------------------------------------------------------
 
-namespace {
-
-constexpr char kRecordMagic[4] = {'F', 'R', 'S', 'J'};
-constexpr char kRecordTrailer[4] = {'J', 'E', 'N', 'D'};
-// magic + u32 size + u64 job id before the payload; trailer after it.
-constexpr std::uint64_t kRecordHeaderBytes = 4 + 4 + 8;
-constexpr std::uint64_t kRecordTrailerBytes = 4;
-// A sanity bound far above any real single-job payload (full-universe
-// archives are tens of megabytes); recovery treats larger sizes as damage.
-constexpr std::uint64_t kMaxPayloadBytes = std::uint64_t{1} << 32;
-
-void put_u32_le(std::string& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64_le(std::string& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint64_t read_le(const char* bytes, int n) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < n; ++i) {
-    value |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i]))
-             << (8 * i);
-  }
-  return value;
-}
-
-}  // namespace
-
-JobArchive::JobArchive(std::string path) : path_(std::move(path)) {
-  const util::MutexLock lock(mutex_);
-  {
-    // Create the file if absent without clobbering an existing one.
-    std::ofstream create(path_, std::ios::binary | std::ios::app);
-    if (!create) return;
-  }
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return;
-  in.seekg(0, std::ios::end);
-  const std::uint64_t file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0);
-
-  // Walk the frames; stop (and truncate) at the first damaged record — a
-  // crash mid-append leaves only a partial tail, never a hole.
-  std::uint64_t offset = 0;
-  while (offset + kRecordHeaderBytes + kRecordTrailerBytes <= file_size) {
-    char header[kRecordHeaderBytes];
-    in.seekg(static_cast<std::streamoff>(offset));
-    in.read(header, sizeof header);
-    if (!in || !std::equal(header, header + 4, kRecordMagic)) break;
-    const std::uint64_t payload_size = read_le(header + 4, 4);
-    const std::uint64_t job_id = read_le(header + 8, 8);
-    if (payload_size > kMaxPayloadBytes) break;
-    const std::uint64_t record_end = offset + kRecordHeaderBytes +
-                                     payload_size + kRecordTrailerBytes + 4;
-    if (record_end > file_size) break;
-    char trailer[kRecordTrailerBytes + 4];
-    in.seekg(static_cast<std::streamoff>(offset + kRecordHeaderBytes +
-                                         payload_size));
-    in.read(trailer, sizeof trailer);
-    if (!in || !std::equal(trailer, trailer + 4, kRecordTrailer) ||
-        read_le(trailer + 4, 4) != payload_size) {
-      break;
-    }
-    index_.push_back({job_id, offset + kRecordHeaderBytes, payload_size});
-    offset = record_end;
-  }
-  dropped_ = file_size - offset;
-  end_offset_ = offset;
-  if (dropped_ > 0) {
-    in.close();
-    // Rewrite the valid prefix: portable truncation without <unistd.h>.
-    std::string prefix(static_cast<std::size_t>(offset), '\0');
-    if (offset > 0) {
-      std::ifstream reread(path_, std::ios::binary);
-      reread.read(prefix.data(), static_cast<std::streamsize>(offset));
-      if (!reread) return;
-    }
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    if (!out) return;
-    out.write(prefix.data(), static_cast<std::streamsize>(offset));
-    out.flush();
-    if (!out) return;
-  }
-  ok_ = true;
-}
-
-bool JobArchive::ok() const {
-  const util::MutexLock lock(mutex_);
-  return ok_;
-}
-
-std::uint64_t JobArchive::recovered_bytes_dropped() const {
-  const util::MutexLock lock(mutex_);
-  return dropped_;
-}
+JobArchive::JobArchive(const std::string& path, Durability durability)
+    : log_(path, "FRSJ", durability, util::crash::kArchiveFlush, kJobIdBytes,
+           [this](const RecordLog::Frame& frame, std::string_view head) {
+             if (head.size() < kJobIdBytes) return;
+             const util::MutexLock lock(mutex_);
+             index_.push_back({get_le(head.data(), kJobIdBytes), frame});
+           }) {}
 
 bool JobArchive::append(std::uint64_t job_id, const core::ScanResult& result,
                         const ArchiveHeader& header) {
-  std::ostringstream payload_stream;
-  write_archive(result, header, payload_stream);
-  const std::string payload = payload_stream.str();
+  std::string id;
+  put_le(id, job_id, kJobIdBytes);
+  std::ostringstream payload(id, std::ios::ate);
+  write_archive(result, header, payload);
 
-  std::string record;
-  record.reserve(kRecordHeaderBytes + payload.size() + kRecordTrailerBytes +
-                 4);
-  record.append(kRecordMagic, sizeof kRecordMagic);
-  put_u32_le(record, static_cast<std::uint32_t>(payload.size()));
-  put_u64_le(record, job_id);
-  record.append(payload);
-  record.append(kRecordTrailer, sizeof kRecordTrailer);
-  put_u32_le(record, static_cast<std::uint32_t>(payload.size()));
-
-  // One locked write+flush per record: concurrent jobs serialize here, so
-  // records can never interleave.
+  // The log serializes the write; the archive lock guards only the index,
+  // so queries never wait on file I/O.  Appends racing each other may
+  // finish out of order: insert by offset to keep the index in file order.
+  const std::optional<RecordLog::Frame> frame =
+      log_.append(std::move(payload).str());
+  if (!frame.has_value()) return false;
   const util::MutexLock lock(mutex_);
-  if (!ok_) return false;
-  std::ofstream out(path_, std::ios::binary | std::ios::in | std::ios::ate);
-  if (!out) return false;
-  out.seekp(static_cast<std::streamoff>(end_offset_));
-  out.write(record.data(), static_cast<std::streamsize>(record.size()));
-  FR_CRASH_POINT(util::crash::kArchiveFlush);
-  out.flush();
-  if (!out) return false;
-  index_.push_back(
-      {job_id, end_offset_ + kRecordHeaderBytes, payload.size()});
-  end_offset_ += record.size();
+  auto at = index_.end();
+  while (at != index_.begin() && std::prev(at)->frame.offset > frame->offset) {
+    --at;
+  }
+  index_.insert(at, {job_id, *frame});
   return true;
 }
 
@@ -366,28 +264,18 @@ std::vector<JobArchive::Entry> JobArchive::index() const {
   return index_;
 }
 
-bool JobArchive::find_latest(std::uint64_t job_id, Entry& entry) const {
-  const util::MutexLock lock(mutex_);
-  bool found = false;
-  for (const Entry& candidate : index_) {
-    if (candidate.job_id == job_id) {
-      entry = candidate;
-      found = true;
-    }
-  }
-  return found;
-}
-
 std::optional<std::string> JobArchive::payload_bytes(
     std::uint64_t job_id) const {
-  Entry entry;
-  if (!find_latest(job_id, entry)) return std::nullopt;
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return std::nullopt;
-  in.seekg(static_cast<std::streamoff>(entry.payload_offset));
-  std::string payload(static_cast<std::size_t>(entry.payload_size), '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!in) return std::nullopt;
+  std::optional<RecordLog::Frame> latest;
+  {
+    const util::MutexLock lock(mutex_);
+    for (const Entry& entry : index_) {
+      if (entry.job_id == job_id) latest = entry.frame;
+    }
+  }
+  if (!latest.has_value()) return std::nullopt;
+  std::optional<std::string> payload = log_.read(*latest);
+  if (payload.has_value()) payload->erase(0, kJobIdBytes);
   return payload;
 }
 

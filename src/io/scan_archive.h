@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/result.h"
+#include "io/record_log.h"
 #include "util/annotations.h"
 #include "util/sync.h"
 
@@ -63,39 +64,36 @@ struct LoadedArchive {
 std::optional<LoadedArchive> read_archive(std::istream& in);
 
 /// Multi-job archive file: many FRSC payloads appended by concurrent scan
-/// jobs into one file (DESIGN.md §12).
+/// jobs into one io::RecordLog under the "FRSJ" magic (DESIGN.md §12).
 ///
-/// Two jobs finishing at once must not interleave their records, and a
-/// daemon killed mid-append must not poison the file for every later job.
-/// Hence:
-///
-///  * every append is framed — "FRSJ" magic, little-endian u32 payload
-///    size, little-endian u64 job id, the (frozen) FRSC v1 payload, then a
-///    "JEND" trailer echoing the size — and serialized under an internal
-///    lock, written as one buffer and flushed before the lock drops;
-///  * opening scans the frames in order and truncates the file at the
-///    first damaged or incomplete record (crash-mid-append recovery), so a
-///    reopened archive always ends on a record boundary and the next
-///    append lands cleanly.
+/// Each frame's payload is the job id (u64 LE) followed by the (frozen)
+/// FRSC v1 bytes.  The log serializes appends, so two jobs finishing at
+/// once never interleave; a daemon killed mid-append leaves a torn tail
+/// the next open cuts; a payload damaged on disk costs only its own job.
+/// Opening streams the file and keeps only the index, so a reopened
+/// archive of full-universe payloads costs no payload memory.
 ///
 /// All methods are thread-safe.
 class JobArchive {
  public:
   struct Entry {
     std::uint64_t job_id = 0;
-    std::uint64_t payload_offset = 0;  ///< file offset of the FRSC bytes
-    std::uint64_t payload_size = 0;
+    RecordLog::Frame frame;  ///< the job id + FRSC payload in the file
   };
 
   /// Opens (creating if absent) and recovers `path`.
-  explicit JobArchive(std::string path);
+  explicit JobArchive(const std::string& path,
+                      Durability durability = Durability::kFlush);
 
-  /// False when the file could not be opened or created.
-  bool ok() const FR_EXCLUDES(mutex_);
+  /// False when the file could not be opened, created, or recovered, or
+  /// is not an archive.
+  bool ok() const noexcept { return log_.ok(); }
 
-  /// Bytes dropped by truncation recovery when the archive was opened
-  /// (0 = the file ended on a record boundary).
-  std::uint64_t recovered_bytes_dropped() const FR_EXCLUDES(mutex_);
+  /// Torn-tail bytes cut when the archive was opened (0 = the file ended
+  /// on a record boundary).
+  std::uint64_t recovered_bytes_dropped() const noexcept {
+    return log_.torn_bytes();
+  }
 
   /// Appends one job's result as a framed FRSC record; false on I/O error.
   bool append(std::uint64_t job_id, const core::ScanResult& result,
@@ -114,18 +112,11 @@ class JobArchive {
       FR_EXCLUDES(mutex_);
 
  private:
-  /// Takes the archive lock itself (readers re-read the file unlocked
-  /// afterwards: records are immutable once indexed).
-  bool find_latest(std::uint64_t job_id, Entry& entry) const
-      FR_EXCLUDES(mutex_);
-
+  // Both filled by log_'s open walk, so declared before it.
   mutable util::Mutex mutex_;
-  // fr-lint: allow(guarded-member): set in the constructor, read-only after
-  std::string path_;
   std::vector<Entry> index_ FR_GUARDED_BY(mutex_);
-  std::uint64_t end_offset_ FR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t dropped_ FR_GUARDED_BY(mutex_) = 0;
-  bool ok_ FR_GUARDED_BY(mutex_) = false;
+  // fr-lint: allow(guarded-member): RecordLog locks itself
+  RecordLog log_;
 };
 
 }  // namespace flashroute::io

@@ -1,15 +1,19 @@
-// LEB128-style varint encoding for the binary scan archive.
+// Integer codings for io's binary formats.
 //
 // Scan archives store millions of small integers (TTLs, deltas, counters);
-// varint coding keeps a full-universe archive a few dozen megabytes instead
-// of hundreds.
+// LEB128-style varint coding keeps a full-universe archive a few dozen
+// megabytes instead of hundreds.  Fixed-width little-endian fields are for
+// the few places a field's size must be known before it is read (record
+// frame headers, the archive's job id).
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <optional>
 #include <ostream>
+#include <string>
 
 namespace flashroute::io {
 
@@ -34,6 +38,22 @@ inline void write_varint(std::ostream& out, std::uint64_t value) {
     shift += 7;
   }
   return std::nullopt;  // > 10 bytes: malformed
+}
+
+/// Appends the low `bytes` bytes of `value`, little-endian.
+inline void put_le(std::string& out, std::uint64_t value, std::size_t bytes) {
+  for (std::size_t i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
+  }
+}
+
+/// Reads a `bytes`-byte little-endian integer.
+inline std::uint64_t get_le(const char* in, std::size_t bytes) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    value |= std::uint64_t{static_cast<unsigned char>(in[i])} << (8 * i);
+  }
+  return value;
 }
 
 }  // namespace flashroute::io

@@ -58,7 +58,10 @@ Daemon::~Daemon() {
 }
 
 bool Daemon::start() {
-  archive_ = std::make_unique<io::JobArchive>(options_.archive_path);
+  // Never below flush: verify and diff read payloads back from the file,
+  // and the archive append must land before the job's terminal record.
+  archive_ = std::make_unique<io::JobArchive>(
+      options_.archive_path, std::max(options_.durability, Durability::kFlush));
   if (!archive_->ok()) return false;
   if (!options_.journal_path.empty()) {
     if (options_.state_dir.empty() ||

@@ -1,9 +1,8 @@
 #include "svc/journal.h"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <fstream>
+#include <limits>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "svc/wire.h"
@@ -12,29 +11,6 @@
 namespace flashroute::svc {
 
 namespace {
-
-constexpr char kJournalMagic[4] = {'F', 'R', 'W', 'J'};
-// magic + u32 size before the payload; u32 size echo after it.
-constexpr std::uint64_t kFrameHeaderBytes = 4 + 4;
-constexpr std::uint64_t kFrameTrailerBytes = 4;
-// Journal payloads are one spec plus short strings; anything larger than
-// the wire frame cap is damage, not data.
-constexpr std::uint64_t kMaxJournalPayload = kMaxFrame;
-
-void put_u32_le(std::string& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint64_t read_le(const char* bytes, int n) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < n; ++i) {
-    value |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i]))
-             << (8 * i);
-  }
-  return value;
-}
 
 std::string encode_record(const JournalRecord& record) {
   Writer w;  // bare buffer: journal payloads carry no MsgType byte
@@ -71,116 +47,16 @@ std::optional<JournalRecord> decode_record(std::string_view payload) {
 
 }  // namespace
 
-std::optional<Durability> parse_durability(std::string_view name) {
-  if (name == "none") return Durability::kNone;
-  if (name == "flush") return Durability::kFlush;
-  if (name == "fsync") return Durability::kFsync;
-  return std::nullopt;
-}
-
-JobJournal::JobJournal(std::string path, Durability durability)
-    : path_(std::move(path)), durability_(durability) {
-  const util::MutexLock lock(mutex_);
-  {
-    // Create the file if absent without clobbering an existing one.
-    std::ofstream create(path_, std::ios::binary | std::ios::app);
-    if (!create) return;
-  }
-  std::string contents;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    if (!in) return;
-    in.seekg(0, std::ios::end);
-    contents.resize(static_cast<std::size_t>(in.tellg()));
-    in.seekg(0);
-    if (!contents.empty()) {
-      in.read(contents.data(), static_cast<std::streamsize>(contents.size()));
-      if (!in) return;
-    }
-  }
-
-  // Walk the frames; stop (and truncate) at the first record that is
-  // incomplete, mis-framed, or whose payload does not decode — a crash
-  // mid-append leaves only a partial tail, never a hole.
-  const std::uint64_t file_size = contents.size();
-  std::uint64_t offset = 0;
-  while (offset + kFrameHeaderBytes + kFrameTrailerBytes <= file_size) {
-    const char* frame = contents.data() + offset;
-    if (!std::equal(frame, frame + 4, kJournalMagic)) break;
-    const std::uint64_t payload_size = read_le(frame + 4, 4);
-    if (payload_size > kMaxJournalPayload) break;
-    const std::uint64_t record_end =
-        offset + kFrameHeaderBytes + payload_size + kFrameTrailerBytes;
-    if (record_end > file_size) break;
-    if (read_le(contents.data() + record_end - kFrameTrailerBytes, 4) !=
-        payload_size) {
-      break;
-    }
-    std::optional<JournalRecord> record = decode_record(std::string_view(
-        frame + kFrameHeaderBytes, static_cast<std::size_t>(payload_size)));
-    if (!record.has_value()) break;
-    records_.push_back(std::move(*record));
-    offset = record_end;
-  }
-  dropped_ = file_size - offset;
-  if (dropped_ > 0) {
-    // Rewrite the valid prefix: portable truncation, as JobArchive does.
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    if (!out) return;
-    out.write(contents.data(), static_cast<std::streamsize>(offset));
-    out.flush();
-    if (!out) return;
-  }
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr) return;
-  ok_ = true;
-}
-
-JobJournal::~JobJournal() {
-  const util::MutexLock lock(mutex_);
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-}
-
-bool JobJournal::ok() const {
-  const util::MutexLock lock(mutex_);
-  return ok_;
-}
-
-std::uint64_t JobJournal::recovered_bytes_dropped() const {
-  const util::MutexLock lock(mutex_);
-  return dropped_;
-}
+JobJournal::JobJournal(const std::string& path, Durability durability)
+    : log_(path, "FRWJ", durability, util::crash::kJournalAppend,
+           std::numeric_limits<std::size_t>::max(),
+           [this](const io::RecordLog::Frame&, std::string_view payload) {
+             std::optional<JournalRecord> record = decode_record(payload);
+             if (record.has_value()) records_.push_back(std::move(*record));
+           }) {}
 
 bool JobJournal::append(const JournalRecord& record) {
-  const std::string payload = encode_record(record);
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size() + kFrameTrailerBytes);
-  frame.append(kJournalMagic, sizeof kJournalMagic);
-  put_u32_le(frame, static_cast<std::uint32_t>(payload.size()));
-  frame.append(payload);
-  put_u32_le(frame, static_cast<std::uint32_t>(payload.size()));
-
-  const util::MutexLock lock(mutex_);
-  if (!ok_) return false;
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
-    ok_ = false;
-    return false;
-  }
-  FR_CRASH_POINT(util::crash::kJournalAppend);
-  if (durability_ == Durability::kNone) return true;
-  if (std::fflush(file_) != 0) {
-    ok_ = false;
-    return false;
-  }
-  if (durability_ == Durability::kFsync &&
-      ::fdatasync(::fileno(file_)) != 0) {
-    ok_ = false;
-    return false;
-  }
-  return true;
+  return log_.append(encode_record(record)).has_value();
 }
 
 }  // namespace flashroute::svc

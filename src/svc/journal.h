@@ -10,57 +10,32 @@
 // resume from their last published barrier, and terminal jobs stay
 // terminal (no archive payload is ever appended twice).
 //
-// Record framing mirrors io::JobArchive ("FRSJ") with its own magic:
+// The file is an io::RecordLog under the "FRWJ" magic; each frame's
+// payload is an svc::wire byte sequence (kind, job id, spec, reason,
+// detail, counters).  Opening is the log's recovery: every frame whose
+// CRC verifies is decoded, a torn tail (a crash mid-append) is cut, and a
+// damaged frame mid-file costs only itself.  A file that is not a journal
+// at all — an archive passed as --journal, say — fails ok() and is left
+// untouched.
 //
-//   "FRWJ"  u32 LE payload size  [payload]  u32 LE payload size (echo)
-//
-// where the payload is an svc::wire byte sequence (kind, job id, spec,
-// reason, detail, counters).  Opening scans the frames in order, decodes
-// each payload, and truncates the file at the first damaged or incomplete
-// record — the same torn-tail recovery contract as JobArchive, so a crash
-// mid-append (or a partial sector write) costs at most the record being
-// written, never the file.
-//
-// Durability is configurable per daemon:
-//
-//   kNone   buffered stdio only — cheapest; a crash can lose the tail
-//   kFlush  fflush after every record — survives process death
-//   kFsync  fflush + fdatasync — survives OS/power death
+// Durability (io::Durability) is configurable per daemon: none and flush
+// hand each record to the kernel — surviving process death — and fsync
+// adds fdatasync, surviving OS or power loss.
 //
 // All methods are thread-safe; append serializes under an internal lock.
 
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "io/record_log.h"
 #include "svc/job.h"
-#include "util/annotations.h"
-#include "util/sync.h"
 
 namespace flashroute::svc {
 
-/// How hard append() pushes each record toward stable storage.
-enum class Durability : std::uint8_t { kNone, kFlush, kFsync };
-
-inline const char* durability_name(Durability d) {
-  switch (d) {
-    case Durability::kNone:
-      return "none";
-    case Durability::kFlush:
-      return "flush";
-    case Durability::kFsync:
-      return "fsync";
-  }
-  return "unknown";
-}
-
-/// Parses "none" | "flush" | "fsync" (the --durability= CLI values).
-std::optional<Durability> parse_durability(std::string_view name);
+using io::Durability;
 
 /// Journal record kinds, in rough lifecycle order.
 enum class JournalKind : std::uint8_t {
@@ -72,26 +47,6 @@ enum class JournalKind : std::uint8_t {
   kCancelled = 6,
   kFailed = 7,
 };
-
-inline const char* journal_kind_name(JournalKind kind) {
-  switch (kind) {
-    case JournalKind::kAdmitted:
-      return "admitted";
-    case JournalKind::kRejected:
-      return "rejected";
-    case JournalKind::kStarted:
-      return "started";
-    case JournalKind::kBarrier:
-      return "barrier";
-    case JournalKind::kCompleted:
-      return "completed";
-    case JournalKind::kCancelled:
-      return "cancelled";
-    case JournalKind::kFailed:
-      return "failed";
-  }
-  return "unknown";
-}
 
 /// One journal entry.  `spec` is meaningful only for kAdmitted/kRejected
 /// (the admission records are the durable source of the spec — including
@@ -106,21 +61,20 @@ struct JournalRecord {
   std::uint64_t slices = 0;
 };
 
-/// Append-only journal file with torn-tail truncation recovery.
+/// Append-only journal file: an io::RecordLog of JournalRecords.
 class JobJournal {
  public:
   /// Opens (creating if absent) and recovers `path`.
-  JobJournal(std::string path, Durability durability);
-  ~JobJournal();
+  JobJournal(const std::string& path, Durability durability);
 
-  JobJournal(const JobJournal&) = delete;
-  JobJournal& operator=(const JobJournal&) = delete;
+  /// False when the file could not be opened, created, or recovered, or
+  /// is not a journal.
+  bool ok() const noexcept { return log_.ok(); }
 
-  /// False when the file could not be opened, created, or recovered.
-  bool ok() const FR_EXCLUDES(mutex_);
-
-  /// Bytes dropped by truncation recovery at open (0 = clean tail).
-  std::uint64_t recovered_bytes_dropped() const FR_EXCLUDES(mutex_);
+  /// Torn-tail bytes cut at open (0 = clean tail).
+  std::uint64_t recovered_bytes_dropped() const noexcept {
+    return log_.torn_bytes();
+  }
 
   /// The records recovered at open, in file order.  Immutable after the
   /// constructor — later append() calls do not extend this snapshot.
@@ -129,19 +83,12 @@ class JobJournal {
   }
 
   /// Appends one record per the durability mode; false on I/O error.
-  bool append(const JournalRecord& record) FR_EXCLUDES(mutex_);
+  bool append(const JournalRecord& record);
 
  private:
-  mutable util::Mutex mutex_;
-  // fr-lint: allow(guarded-member): set in the constructor, read-only after
-  std::string path_;
-  // fr-lint: allow(guarded-member): set in the constructor, read-only after
-  Durability durability_;
-  // fr-lint: allow(guarded-member): recovery snapshot, frozen after ctor
+  // Filled by log_'s open walk, so declared before it.
   std::vector<JournalRecord> records_;
-  std::FILE* file_ FR_GUARDED_BY(mutex_) = nullptr;
-  std::uint64_t dropped_ FR_GUARDED_BY(mutex_) = 0;
-  bool ok_ FR_GUARDED_BY(mutex_) = false;
+  io::RecordLog log_;
 };
 
 }  // namespace flashroute::svc

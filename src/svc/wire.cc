@@ -2,19 +2,13 @@
 
 #include <cstring>
 
+#include "io/varint.h"
+
 namespace flashroute::svc {
 
-void Writer::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    put_u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
+void Writer::put_u32(std::uint32_t v) { io::put_le(buffer_, v, 4); }
 
-void Writer::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    put_u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
+void Writer::put_u64(std::uint64_t v) { io::put_le(buffer_, v, 8); }
 
 void Writer::put_varint(std::uint64_t v) {
   while (v >= 0x80) {
@@ -51,22 +45,14 @@ std::uint8_t Reader::u8() {
 
 std::uint32_t Reader::u32() {
   if (!need(4)) return 0;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(data_[pos_++]))
-         << (8 * i);
-  }
-  return v;
+  pos_ += 4;
+  return static_cast<std::uint32_t>(io::get_le(data_.data() + pos_ - 4, 4));
 }
 
 std::uint64_t Reader::u64() {
   if (!need(8)) return 0;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data_[pos_++]))
-         << (8 * i);
-  }
-  return v;
+  pos_ += 8;
+  return io::get_le(data_.data() + pos_ - 8, 8);
 }
 
 std::uint64_t Reader::varint() {

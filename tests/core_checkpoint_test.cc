@@ -11,10 +11,14 @@
 #include "io/checkpoint.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <mutex>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/sharded_tracer.h"
@@ -147,6 +151,50 @@ TEST(Checkpoint, SetRoundTrips) {
   EXPECT_EQ((*loaded)[0].virtual_now, 1);
   EXPECT_EQ((*loaded)[1].next_backward, (std::vector<std::uint8_t>{9, 9}));
   EXPECT_EQ((*loaded)[2].result.probes_sent, 77u);
+}
+
+/// Flips every bit of the file at `path` in turn and counts the flipped
+/// files `load` still accepts; the pristine file must load.
+template <typename Load>
+int accepted_bit_flips(const std::string& path, Load load) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_TRUE(load(path).has_value());
+  int accepted = 0;
+  for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    std::string flipped = bytes;
+    flipped[bit / 8] = static_cast<char>(
+        static_cast<unsigned char>(flipped[bit / 8]) ^ (1u << (bit % 8)));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << flipped;
+    if (load(path).has_value()) ++accepted;
+  }
+  std::remove(path.c_str());
+  return accepted;
+}
+
+TEST(Checkpoint, SavedFilesRejectEverySingleBitFlip) {
+  const std::string base = "/tmp/fr_checkpoint_bitflip_" +
+                           std::to_string(static_cast<long>(::getpid()));
+  io::ScanCheckpoint cp;
+  cp.header = {0x010000, 2, 42};
+  cp.virtual_now = 123456789;
+  cp.rounds_completed = 3;
+  cp.next_backward = {1, 2, 3, 0};
+  cp.dcb_flags = {0, 1, 2, 3};
+  cp.result.probes_sent = 1000;
+  cp.result.interfaces = {10, 20};
+  cp.result.destination_distance = {4, 0, 9, 0};
+
+  const std::string single = base + ".frck";
+  ASSERT_TRUE(io::save_checkpoint_atomic(single, cp, /*sync=*/false));
+  EXPECT_EQ(accepted_bit_flips(single, io::load_checkpoint_file), 0);
+
+  std::vector<io::ScanCheckpoint> set(2, cp);
+  set[1].virtual_now = 987654321;
+  const std::string sharded = base + ".frcs";
+  ASSERT_TRUE(io::save_checkpoint_set_atomic(sharded, set, /*sync=*/false));
+  EXPECT_EQ(accepted_bit_flips(sharded, io::load_checkpoint_set_file), 0);
 }
 
 TEST(Checkpoint, KillAndResumeReproducesTheUninterruptedScan) {

@@ -11,12 +11,19 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
+#include "io/checkpoint.h"
+#include "io/scan_archive.h"
 #include "svc/client.h"
 #include "svc/job.h"
+#include "svc/job_runner.h"
+#include "svc/journal.h"
 #include "util/clock.h"
 
 namespace flashroute::svc {
@@ -368,6 +375,157 @@ TEST(SvcDaemon, JournaledDrainPreservesWaitingJobsAndRestartFinishesThem) {
   ASSERT_TRUE(verify.has_value() && verify->found);
   EXPECT_EQ(verify->payload_size, control_size);
   EXPECT_EQ(verify->payload_fnv1a, control_fnv);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// The same path (or swapped paths) passed as --journal and --archive must
+// not erase either file: each log refuses the other's file untouched.
+TEST(SvcDaemon, StartRefusesSwappedJournalAndArchivePaths) {
+  JournaledFixture fixture("swapped");
+  {
+    io::JobArchive archive(fixture.archive_path);
+    core::ScanResult result;
+    result.probes_sent = 7;
+    ASSERT_TRUE(archive.append(1, result, {}));
+    ASSERT_TRUE(archive.append(2, result, {}));
+    JobJournal journal(fixture.journal_path, Durability::kFlush);
+    ASSERT_TRUE(journal.append({}));
+  }
+  const std::string archive_bytes = read_file(fixture.archive_path);
+  const std::string journal_bytes = read_file(fixture.journal_path);
+
+  DaemonOptions options;
+  options.socket_path = fixture.socket_path;
+  options.state_dir = fixture.state_dir;
+  options.archive_path = fixture.archive_path + ".fresh";
+  options.journal_path = fixture.archive_path;
+  EXPECT_FALSE(Daemon(options).start());
+  options.archive_path = fixture.journal_path;
+  options.journal_path = fixture.journal_path + ".fresh";
+  EXPECT_FALSE(Daemon(options).start());
+
+  EXPECT_EQ(read_file(fixture.archive_path), archive_bytes);
+  EXPECT_EQ(read_file(fixture.journal_path), journal_bytes);
+  std::remove((fixture.archive_path + ".fresh").c_str());
+  std::remove((fixture.journal_path + ".fresh").c_str());
+}
+
+// A barrier checkpoint damaged on disk must not be resumed: recovery
+// reruns the job from scratch, with the uncrashed run's bytes.
+TEST(SvcDaemon, CorruptCheckpointRerunsTheJobFromScratch) {
+  JobSpec spec = keyed_spec("damaged-checkpoint", "checkpoint-key", 11);
+  spec.prefix_bits = 8;
+  spec.checkpoint_interval = util::kMillisecond;
+  std::uint64_t control_size = 0;
+  std::uint64_t control_fnv = 0;
+  {
+    DaemonFixture control("checkpoint_control", /*workers=*/1);
+    ASSERT_TRUE(control.daemon->start());
+    Client client = control.connect();
+    const auto submission = client.submit(spec);
+    ASSERT_TRUE(submission.has_value() && submission->admitted);
+    ASSERT_TRUE(client.wait_all());
+    const auto verify = client.verify(submission->job_id);
+    ASSERT_TRUE(verify.has_value() && verify->found);
+    control_size = verify->payload_size;
+    control_fnv = verify->payload_fnv1a;
+  }
+
+  // The disk state of a daemon that died mid-scan: job 1 admitted and
+  // started, its first barrier checkpoint published — with one bit flipped.
+  JournaledFixture fixture("damaged_checkpoint", /*workers=*/1);
+  {
+    JobJournal journal(fixture.journal_path, Durability::kFlush);
+    JournalRecord record;
+    record.job_id = 1;
+    record.spec = spec;
+    ASSERT_TRUE(journal.append(record));
+    record.kind = JournalKind::kStarted;
+    record.slices = 1;
+    ASSERT_TRUE(journal.append(record));
+  }
+  JobRunner runner(spec);
+  const SliceResult slice = runner.run_slice(
+      std::nullopt,
+      [](const io::ScanCheckpoint&) { return BarrierDecision::kPreempt; });
+  ASSERT_EQ(slice.outcome, SliceOutcome::kPreempted);
+  const std::string checkpoint = fixture.state_dir + "/job_1.frck";
+  ASSERT_TRUE(io::ensure_directory(fixture.state_dir));
+  ASSERT_TRUE(
+      io::save_checkpoint_atomic(checkpoint, *slice.checkpoint, false));
+  ASSERT_TRUE(io::load_checkpoint_file(checkpoint).has_value());
+  std::string bytes = read_file(checkpoint);
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 4);
+  write_file(checkpoint, bytes);
+
+  ASSERT_TRUE(fixture.daemon->start());
+  EXPECT_NE(fixture.events.str().find("rerun from scratch after crash"),
+            std::string::npos);
+  Client client = fixture.connect();
+  ASSERT_TRUE(client.wait_all());
+  const auto verify = client.verify(1);
+  ASSERT_TRUE(verify.has_value() && verify->found);
+  EXPECT_EQ(verify->payload_size, control_size);
+  EXPECT_EQ(verify->payload_fnv1a, control_fnv);
+}
+
+// One damaged byte inside an archived payload costs that job's result
+// only: the later payloads still verify to their original digests.
+TEST(SvcDaemon, CorruptArchivedPayloadCostsOnlyThatJob) {
+  JournaledFixture fixture("damaged_payload");
+  ASSERT_TRUE(fixture.daemon->start());
+  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> digests;
+  {
+    Client client = fixture.connect();
+    for (std::uint64_t seed = 7; seed <= 9; ++seed) {
+      const auto submission = client.submit(keyed_spec(
+          "payload-" + std::to_string(seed), "key-" + std::to_string(seed),
+          seed));
+      ASSERT_TRUE(submission.has_value() && submission->admitted);
+    }
+    ASSERT_TRUE(client.wait_all());
+    for (std::uint64_t id = 1; id <= 3; ++id) {
+      const auto verify = client.verify(id);
+      ASSERT_TRUE(verify.has_value() && verify->found);
+      digests[id] = {verify->payload_size, verify->payload_fnv1a};
+    }
+  }
+  fixture.restart();
+
+  std::uint64_t damaged = 0;
+  {
+    const io::JobArchive archive(fixture.archive_path);
+    const io::JobArchive::Entry first = archive.index().at(0);
+    damaged = first.job_id;
+    std::string bytes = read_file(fixture.archive_path);
+    const std::size_t at = first.frame.offset + first.frame.size / 2;
+    bytes[at] = static_cast<char>(~bytes[at]);
+    write_file(fixture.archive_path, bytes);
+  }
+
+  ASSERT_TRUE(fixture.daemon->start());
+  Client client = fixture.connect();
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    const auto verify = client.verify(id);
+    ASSERT_TRUE(verify.has_value());
+    if (id == damaged) {
+      EXPECT_FALSE(verify->found);
+      continue;
+    }
+    ASSERT_TRUE(verify->found) << "job " << id;
+    EXPECT_EQ(verify->payload_size, digests[id].first) << "job " << id;
+    EXPECT_EQ(verify->payload_fnv1a, digests[id].second) << "job " << id;
+  }
 }
 
 TEST(SvcDaemon, AsyncShutdownRequestDrainsLikeAShutdownFrame) {
