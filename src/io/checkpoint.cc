@@ -21,21 +21,6 @@ constexpr char kMagic[4] = {'F', 'R', 'C', 'K'};
 constexpr std::uint64_t kFormatVersion = 1;
 constexpr char kSetMagic[4] = {'F', 'R', 'C', 'S'};
 
-void write_bytes(std::ostream& out, const std::vector<std::uint8_t>& bytes) {
-  write_varint(out, bytes.size());
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
-
-bool read_bytes(std::istream& in, std::vector<std::uint8_t>& bytes) {
-  const auto size = read_varint(in);
-  if (!size) return false;
-  bytes.resize(*size);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  return in.good() || bytes.empty();
-}
-
 }  // namespace
 
 void write_checkpoint(const ScanCheckpoint& checkpoint, std::ostream& out) {
@@ -247,6 +232,13 @@ bool ensure_directory(const std::string& path) {
   if (errno != EEXIST) return false;
   struct stat st = {};
   return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
+}
+
+bool same_file(const std::string& a, const std::string& b) {
+  struct stat sa = {};
+  struct stat sb = {};
+  return ::stat(a.c_str(), &sa) == 0 && ::stat(b.c_str(), &sb) == 0 &&
+         sa.st_dev == sb.st_dev && sa.st_ino == sb.st_ino;
 }
 
 bool discard_checkpoint(const std::string& path) {

@@ -119,6 +119,10 @@ std::optional<std::vector<ScanCheckpoint>> load_checkpoint_set_file(
 /// Creates `path` as a directory if absent; true when it exists after.
 bool ensure_directory(const std::string& path);
 
+/// True when `a` and `b` both exist and name the same file (same device
+/// and inode, so through any link or spelling of the path).
+bool same_file(const std::string& a, const std::string& b);
+
 /// Removes a published checkpoint; true when the file is gone after
 /// (including when it never existed).
 bool discard_checkpoint(const std::string& path);

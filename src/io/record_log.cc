@@ -104,7 +104,8 @@ std::optional<std::string> read_frame(int fd, std::string_view magic,
                                       std::uint64_t offset, std::uint64_t end) {
   Scanner scan{fd, magic, end};
   std::string payload;
-  const std::optional<RecordLog::Frame> frame = scan.verify(offset, end, payload);
+  const std::optional<RecordLog::Frame> frame =
+      scan.verify(offset, end, payload);
   if (!frame.has_value() || frame->offset + frame->size + 4 != end) {
     return std::nullopt;
   }
@@ -171,13 +172,19 @@ RecordLog::RecordLog(const std::string& path, std::string_view magic,
     visit(*frame, head);
     at = end_ = frame->offset + frame->size + 4;
   }
-  if (end_ == 0) {
-    // No frame verifies: a torn first append if the file starts like this
-    // log, otherwise some other file — which recovery must not touch.
+  if (end_ == 0 && scan.file_size > 0) {
+    // Nothing verifies.  A crash during the first append leaves a strict
+    // prefix of one frame: (a prefix of) the magic, shorter than the frame
+    // its header declares.  Anything else — another log, an older format,
+    // a whole frame damaged in place — is not this log's to cut.
+    char header[kHeaderBytes] = {};
     const auto n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(magic.size(), scan.file_size));
-    if (!read_at(fd_, 0, scan.buffer.data(), n) ||
-        std::string_view(scan.buffer.data(), n) != magic.substr(0, n)) {
+        std::max<ssize_t>(::pread(fd_, header, kHeaderBytes, 0), 0));
+    if (n == 0 ||
+        std::string_view(header, std::min(n, magic.size())) !=
+            magic.substr(0, n) ||
+        (n == kHeaderBytes &&
+         get_le(header + 4, 4) + kOverhead <= scan.file_size)) {
       return;
     }
   }

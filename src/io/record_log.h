@@ -16,8 +16,11 @@
 //    mid-append — and are cut in place with ftruncate;
 //  * a damaged span followed by a verifying frame is corruption, not a
 //    tail: it is skipped and counted, and its bytes stay in the file;
-//  * a non-empty file in which no frame verifies and which does not begin
-//    with (a prefix of) the magic is not this log at all: open fails and
+//  * a non-empty file in which no frame verifies is a torn first append
+//    only when it is a strict prefix of one frame: it begins with (a
+//    prefix of) the magic and is shorter than the frame its header
+//    declares.  Anything else — another log, an older format, a whole
+//    frame damaged in place — is not this log's to cut: open fails and
 //    leaves the file untouched.
 //
 // Recovery never rewrites a file.  The walk streams through a bounded

@@ -121,14 +121,10 @@ void write_archive(const core::ScanResult& result,
   }
 
   // Per-prefix byte vectors (empty vectors are stored with length 0).
-  const auto write_bytes = [&](const std::vector<std::uint8_t>& values) {
-    write_varint(out, values.size());
-    for (const std::uint8_t v : values) out.put(static_cast<char>(v));
-  };
-  write_bytes(result.destination_distance);
-  write_bytes(result.trigger_ttl);
-  write_bytes(result.measured_distance);
-  write_bytes(result.predicted_distance);
+  write_bytes(out, result.destination_distance);
+  write_bytes(out, result.trigger_ttl);
+  write_bytes(out, result.measured_distance);
+  write_bytes(out, result.predicted_distance);
 
   // Routes.
   write_varint(out, result.routes.size());
@@ -183,21 +179,12 @@ std::optional<LoadedArchive> read_archive(std::istream& in) {
     result.interfaces.insert(previous);
   }
 
-  const auto read_bytes = [&](std::vector<std::uint8_t>& values) -> bool {
-    const auto count = read_varint(in);
-    if (!count || *count > (std::uint64_t{1} << 32)) return false;
-    values.resize(static_cast<std::size_t>(*count));
-    for (auto& v : values) {
-      const int byte = in.get();
-      if (byte == std::char_traits<char>::eof()) return false;
-      v = static_cast<std::uint8_t>(byte);
-    }
-    return true;
-  };
-  if (!read_bytes(result.destination_distance)) return std::nullopt;
-  if (!read_bytes(result.trigger_ttl)) return std::nullopt;
-  if (!read_bytes(result.measured_distance)) return std::nullopt;
-  if (!read_bytes(result.predicted_distance)) return std::nullopt;
+  if (!read_bytes(in, result.destination_distance) ||
+      !read_bytes(in, result.trigger_ttl) ||
+      !read_bytes(in, result.measured_distance) ||
+      !read_bytes(in, result.predicted_distance)) {
+    return std::nullopt;
+  }
 
   const auto route_count = read_varint(in);
   if (!route_count || *route_count > (std::uint64_t{1} << 32)) {

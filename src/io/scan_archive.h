@@ -69,7 +69,9 @@ std::optional<LoadedArchive> read_archive(std::istream& in);
 /// Each frame's payload is the job id (u64 LE) followed by the (frozen)
 /// FRSC v1 bytes.  The log serializes appends, so two jobs finishing at
 /// once never interleave; a daemon killed mid-append leaves a torn tail
-/// the next open cuts; a payload damaged on disk costs only its own job.
+/// the next open cuts; a payload damaged on disk costs only its own job;
+/// a file that is not an archive of this format (a journal, or an archive
+/// written before frames carried a CRC) fails ok() and is left untouched.
 /// Opening streams the file and keeps only the index, so a reopened
 /// archive of full-universe payloads costs no payload memory.
 ///
@@ -89,11 +91,11 @@ class JobArchive {
   /// is not an archive.
   bool ok() const noexcept { return log_.ok(); }
 
-  /// Torn-tail bytes cut when the archive was opened (0 = the file ended
-  /// on a record boundary).
-  std::uint64_t recovered_bytes_dropped() const noexcept {
-    return log_.torn_bytes();
-  }
+  /// Torn-tail bytes cut at open (0 = the file ended on a frame).
+  std::uint64_t torn_bytes() const noexcept { return log_.torn_bytes(); }
+
+  /// Damaged bytes skipped mid-file at open; they stay in the file.
+  std::uint64_t corrupt_bytes() const noexcept { return log_.corrupt_bytes(); }
 
   /// Appends one job's result as a framed FRSC record; false on I/O error.
   bool append(std::uint64_t job_id, const core::ScanResult& result,

@@ -2,9 +2,10 @@
 //
 // Scan archives store millions of small integers (TTLs, deltas, counters);
 // LEB128-style varint coding keeps a full-universe archive a few dozen
-// megabytes instead of hundreds.  Fixed-width little-endian fields are for
-// the few places a field's size must be known before it is read (record
-// frame headers, the archive's job id).
+// megabytes instead of hundreds, and per-prefix byte vectors carry a
+// varint length.  Fixed-width little-endian fields are for the few places
+// a field's size must be known before it is read (record frame headers,
+// the archive's job id).
 
 #pragma once
 
@@ -14,6 +15,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <vector>
 
 namespace flashroute::io {
 
@@ -38,6 +40,25 @@ inline void write_varint(std::ostream& out, std::uint64_t value) {
     shift += 7;
   }
   return std::nullopt;  // > 10 bytes: malformed
+}
+
+/// Writes a byte vector: its length as a varint, then the bytes.
+inline void write_bytes(std::ostream& out,
+                        const std::vector<std::uint8_t>& bytes) {
+  write_varint(out, bytes.size());
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Reads a write_bytes vector; false on truncation or a length over 2^32.
+[[nodiscard]] inline bool read_bytes(std::istream& in,
+                                     std::vector<std::uint8_t>& bytes) {
+  const auto size = read_varint(in);
+  if (!size || *size > (std::uint64_t{1} << 32)) return false;
+  bytes.resize(static_cast<std::size_t>(*size));
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  return in.good() || bytes.empty();
 }
 
 /// Appends the low `bytes` bytes of `value`, little-endian.

@@ -13,6 +13,8 @@ JobMetricIds register_job_metrics(MetricsRegistry& registry) {
   ids.jobs_failed = registry.add_counter("svc.jobs_failed");
   ids.jobs_cancelled = registry.add_counter("svc.jobs_cancelled");
   ids.jobs_recovered = registry.add_counter("svc.jobs_recovered");
+  ids.journal_corrupt_bytes = registry.add_counter("svc.journal_corrupt_bytes");
+  ids.archive_corrupt_bytes = registry.add_counter("svc.archive_corrupt_bytes");
   ids.slices_dispatched = registry.add_counter("svc.slices_dispatched");
   ids.probes_executed = registry.add_counter("svc.probes_executed");
   return ids;

@@ -26,6 +26,10 @@ struct JobMetricIds {
   CounterId jobs_cancelled = 0;
   /// Jobs rebuilt from the journal at daemon boot (DESIGN.md §14).
   CounterId jobs_recovered = 0;
+  /// Damaged bytes the journal and the archive skipped mid-file when the
+  /// daemon opened them (DESIGN.md §14.1): records lost to corruption.
+  CounterId journal_corrupt_bytes = 0;
+  CounterId archive_corrupt_bytes = 0;
   /// One per scheduler dispatch (first slice and every resume).
   CounterId slices_dispatched = 0;
   /// Probes executed across all jobs, accumulated at slice boundaries.

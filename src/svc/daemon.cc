@@ -58,19 +58,22 @@ Daemon::~Daemon() {
 }
 
 bool Daemon::start() {
-  // Never below flush: verify and diff read payloads back from the file,
-  // and the archive append must land before the job's terminal record.
-  archive_ = std::make_unique<io::JobArchive>(
-      options_.archive_path, std::max(options_.durability, Durability::kFlush));
+  archive_ = std::make_unique<io::JobArchive>(options_.archive_path,
+                                              options_.durability);
   if (!archive_->ok()) return false;
+  lanes_[0].inc(ids_.archive_corrupt_bytes, archive_->corrupt_bytes());
   if (!options_.journal_path.empty()) {
+    // One file opened as both logs would have each overwrite the other's
+    // frames.
     if (options_.state_dir.empty() ||
-        !io::ensure_directory(options_.state_dir)) {
+        !io::ensure_directory(options_.state_dir) ||
+        io::same_file(options_.journal_path, options_.archive_path)) {
       return false;
     }
     journal_ = std::make_unique<JobJournal>(options_.journal_path,
                                             options_.durability);
     if (!journal_->ok()) return false;
+    lanes_[0].inc(ids_.journal_corrupt_bytes, journal_->corrupt_bytes());
   }
   auto listener = ListenSocket::bind_and_listen(options_.socket_path);
   if (!listener.has_value() || !wake_.valid()) return false;
@@ -116,9 +119,11 @@ std::string Daemon::checkpoint_path(std::uint64_t job_id) const {
 }
 
 void Daemon::recover_from_journal() {
-  // Fold the journal into one view per job id.  Records are
-  // prefix-consistent (torn-tail truncation drops a suffix only), and the
-  // submit path appends admission records in id order, so ids are dense.
+  // Fold the journal into one view per job id.  The submit path appends
+  // admission records in id order, so ids are dense.  Recovery may have
+  // cut a torn tail (a suffix of records) or skipped damaged records
+  // mid-file (counted in svc.journal_corrupt_bytes), so any one record of
+  // a job may be missing while its later ones survive.
   struct Replay {
     bool seen_admitted = false;
     bool rejected = false;
@@ -182,9 +187,12 @@ void Daemon::recover_from_journal() {
     std::uint64_t probes = replay.probes;
     std::string detail;
     if (!replay.seen_admitted) {
-      // Orphan id: its admission record was in the lost tail.  The client
-      // never saw a reply (replies follow the journal append), so it will
-      // retry under a fresh id; never rerun this one.
+      // Orphan id: its admission record is gone, and the spec and request
+      // key with it, so this id can never rerun.  Cut with a torn tail,
+      // the client never saw a reply (replies follow the journal append)
+      // and retries under a fresh id.  Skipped as damaged, the client was
+      // told "admitted"; a keyed resubmit finds no key and is admitted
+      // anew.
       state = has_payload ? JobState::kCompleted : JobState::kFailed;
       detail = has_payload ? "archived result without a journaled admission"
                            : "journal admission record lost";

@@ -15,8 +15,8 @@
 // detail, counters).  Opening is the log's recovery: every frame whose
 // CRC verifies is decoded, a torn tail (a crash mid-append) is cut, and a
 // damaged frame mid-file costs only itself.  A file that is not a journal
-// at all — an archive passed as --journal, say — fails ok() and is left
-// untouched.
+// of this format — an archive passed as --journal, or a journal written
+// before frames carried a CRC — fails ok() and is left untouched.
 //
 // Durability (io::Durability) is configurable per daemon: none and flush
 // hand each record to the kernel — surviving process death — and fsync
@@ -71,10 +71,11 @@ class JobJournal {
   /// is not a journal.
   bool ok() const noexcept { return log_.ok(); }
 
-  /// Torn-tail bytes cut at open (0 = clean tail).
-  std::uint64_t recovered_bytes_dropped() const noexcept {
-    return log_.torn_bytes();
-  }
+  /// Torn-tail bytes cut at open (0 = the file ended on a frame).
+  std::uint64_t torn_bytes() const noexcept { return log_.torn_bytes(); }
+
+  /// Damaged bytes skipped mid-file at open; they stay in the file.
+  std::uint64_t corrupt_bytes() const noexcept { return log_.corrupt_bytes(); }
 
   /// The records recovered at open, in file order.  Immutable after the
   /// constructor — later append() calls do not extend this snapshot.

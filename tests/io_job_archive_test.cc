@@ -1,7 +1,8 @@
 // Tests for the multi-job archive (io::JobArchive): framed append +
 // round-trip, latest-record-wins lookups, concurrent appends from many
-// threads keeping the index in file order, and the job-id index surviving
-// any single-bit flip.  The framing and recovery rules themselves (torn
+// threads keeping the index in file order, the job-id index surviving
+// any single-bit flip, and an archive in the previous (CRC-less) format
+// refused untouched.  The framing and recovery rules themselves (torn
 // tails, foreign files) are io_record_log_test's.
 
 #include "io/scan_archive.h"
@@ -49,7 +50,7 @@ TEST(JobArchive, AppendsAndLoadsFramedRecords) {
   {
     JobArchive archive(path);
     ASSERT_TRUE(archive.ok());
-    EXPECT_EQ(archive.recovered_bytes_dropped(), 0u);
+    EXPECT_EQ(archive.torn_bytes(), 0u);
     EXPECT_TRUE(archive.index().empty());
     EXPECT_FALSE(archive.load(1).has_value());
 
@@ -77,7 +78,7 @@ TEST(JobArchive, AppendsAndLoadsFramedRecords) {
   {
     JobArchive archive(path);
     ASSERT_TRUE(archive.ok());
-    EXPECT_EQ(archive.recovered_bytes_dropped(), 0u);
+    EXPECT_EQ(archive.torn_bytes(), 0u);
     EXPECT_EQ(archive.index().size(), 2u);
     EXPECT_TRUE(archive.load(1).has_value());
   }
@@ -136,7 +137,7 @@ TEST(JobArchive, ConcurrentAppendsNeverInterleave) {
   {
     JobArchive archive(path);
     ASSERT_TRUE(archive.ok());
-    EXPECT_EQ(archive.recovered_bytes_dropped(), 0u);
+    EXPECT_EQ(archive.torn_bytes(), 0u);
     const auto rebuilt = archive.index();
     ASSERT_EQ(rebuilt.size(), index.size());
     for (std::size_t i = 0; i < index.size(); ++i) {
@@ -193,6 +194,46 @@ TEST(JobArchive, EverySingleBitFlipCostsOnlyThatRecord) {
         EXPECT_EQ(payload, payloads[job - 1]) << "bit=" << bit;
       }
     }
+  }
+  std::remove(path.c_str());
+}
+
+// Archives written before frames carried a CRC framed each payload as
+// magic, size, job id, payload, "JEND", size.  No such frame verifies, so
+// an older archive — whole, or one record long — is refused and left
+// byte-identical rather than taken for a torn tail and cut.
+TEST(JobArchive, PreviousFormatArchiveIsRefusedAndLeftUntouched) {
+  const std::string path = temp_path("previous");
+  std::remove(path.c_str());
+  std::vector<std::string> frames;
+  {
+    JobArchive archive(path);
+    for (std::uint64_t job = 1; job <= 2; ++job) {
+      ASSERT_TRUE(archive.append(job, sample_result(job), sample_header()));
+      const std::string payload = *archive.payload_bytes(job);
+      std::string size;
+      for (int i = 0; i < 4; ++i) {
+        size.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xFF));
+      }
+      std::string id(8, '\0');
+      id[0] = static_cast<char>(job);
+      frames.push_back("FRSJ" + size + id + payload + "JEND" + size);
+    }
+  }
+  for (const std::string& bytes : {frames[0] + frames[1], frames[0]}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    {
+      JobArchive archive(path);
+      EXPECT_FALSE(archive.ok());
+      EXPECT_FALSE(archive.append(3, sample_result(3), sample_header()));
+    }
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_EQ(std::string((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>()),
+              bytes);
   }
   std::remove(path.c_str());
 }

@@ -2,9 +2,10 @@
 // journal, the job archive and checkpoint files: every truncation prefix
 // recovers the longest whole-frame prefix; every single-bit flip is
 // detected and costs only its frame; a damaged frame mid-file is skipped
-// and left in place; a foreign file is refused untouched; seeded byte
-// mutations never trap and never yield a record that was not written;
-// concurrent appends never interleave.  Seeds are fixed
+// and left in place; a foreign file, or a lone frame that fails its CRC,
+// is refused untouched; seeded byte mutations never trap and never yield
+// a record that was not written; concurrent appends never interleave.
+// Seeds are fixed
 // (util::Xoshiro256), so any failure is a deterministic repro.  CI runs
 // this suite under ASan (the mutation fuzz) and TSan (the concurrent
 // appends).
@@ -285,6 +286,37 @@ TEST(RecordLog, ForeignFileIsRefusedAndLeftUntouched) {
   EXPECT_TRUE(read_file(path).empty());
   std::remove(path.c_str());
   std::remove(other.c_str());
+}
+
+// A crash during a log's first append leaves a file shorter than the frame
+// its header declares.  A lone whole frame that fails its CRC is not that:
+// for every single-bit flip it is refused and left byte-identical, except
+// a flip that grows the declared size past the file, which is
+// indistinguishable from a torn first append and is cut like one.
+TEST(RecordLog, LoneDamagedFrameIsRefusedNotCut) {
+  const std::string path = temp_path("lone");
+  const std::string bytes = build_log(path, fixture_payloads(1));
+  for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    std::string flipped = bytes;
+    flipped[bit / 8] = static_cast<char>(
+        static_cast<unsigned char>(flipped[bit / 8]) ^ (1u << (bit % 8)));
+    write_file(path, flipped);
+    const bool size_grows =
+        bit / 8 >= 4 && bit / 8 < 8 &&
+        ((static_cast<unsigned char>(bytes[bit / 8]) >> (bit % 8)) & 1u) == 0;
+
+    const Opened opened = open_log(path);
+    EXPECT_TRUE(opened.heads.empty()) << "bit=" << bit;
+    if (size_grows) {
+      EXPECT_TRUE(opened.ok) << "bit=" << bit;
+      EXPECT_EQ(opened.torn, bytes.size()) << "bit=" << bit;
+      EXPECT_TRUE(read_file(path).empty()) << "bit=" << bit;
+    } else {
+      EXPECT_FALSE(opened.ok) << "bit=" << bit;
+      EXPECT_EQ(read_file(path), flipped) << "bit=" << bit;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // Every single-bit flip anywhere in a three-frame file is detected: the

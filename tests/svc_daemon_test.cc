@@ -389,7 +389,8 @@ void write_file(const std::string& path, const std::string& bytes) {
 }
 
 // The same path (or swapped paths) passed as --journal and --archive must
-// not erase either file: each log refuses the other's file untouched.
+// not erase either file: each log refuses the other's file untouched, and
+// one file is never opened as both logs, even while it is empty.
 TEST(SvcDaemon, StartRefusesSwappedJournalAndArchivePaths) {
   JournaledFixture fixture("swapped");
   {
@@ -413,11 +414,20 @@ TEST(SvcDaemon, StartRefusesSwappedJournalAndArchivePaths) {
   options.archive_path = fixture.journal_path;
   options.journal_path = fixture.journal_path + ".fresh";
   EXPECT_FALSE(Daemon(options).start());
+  options.archive_path = options.journal_path = fixture.archive_path;
+  EXPECT_FALSE(Daemon(options).start());
 
   EXPECT_EQ(read_file(fixture.archive_path), archive_bytes);
   EXPECT_EQ(read_file(fixture.journal_path), journal_bytes);
   std::remove((fixture.archive_path + ".fresh").c_str());
   std::remove((fixture.journal_path + ".fresh").c_str());
+
+  const std::string shared = fixture.state_dir + ".shared";
+  std::remove(shared.c_str());
+  options.archive_path = options.journal_path = shared;
+  EXPECT_FALSE(Daemon(options).start());
+  EXPECT_TRUE(read_file(shared).empty());
+  std::remove(shared.c_str());
 }
 
 // A barrier checkpoint damaged on disk must not be resumed: recovery
@@ -503,10 +513,12 @@ TEST(SvcDaemon, CorruptArchivedPayloadCostsOnlyThatJob) {
   fixture.restart();
 
   std::uint64_t damaged = 0;
+  std::uint64_t damaged_frame_bytes = 0;
   {
     const io::JobArchive archive(fixture.archive_path);
     const io::JobArchive::Entry first = archive.index().at(0);
     damaged = first.job_id;
+    damaged_frame_bytes = 8 + first.frame.size + 4;
     std::string bytes = read_file(fixture.archive_path);
     const std::size_t at = first.frame.offset + first.frame.size / 2;
     bytes[at] = static_cast<char>(~bytes[at]);
@@ -514,6 +526,14 @@ TEST(SvcDaemon, CorruptArchivedPayloadCostsOnlyThatJob) {
   }
 
   ASSERT_TRUE(fixture.daemon->start());
+  // The skipped frame is reported, not silently dropped.
+  const obs::MetricsSnapshot metrics = fixture.daemon->metrics_snapshot();
+  std::map<std::string, std::uint64_t> counters;
+  for (std::size_t i = 0; i < metrics.counters.size(); ++i) {
+    counters[metrics.counter_names[i]] = metrics.counters[i];
+  }
+  EXPECT_EQ(counters["svc.archive_corrupt_bytes"], damaged_frame_bytes);
+  EXPECT_EQ(counters["svc.journal_corrupt_bytes"], 0u);
   Client client = fixture.connect();
   for (std::uint64_t id = 1; id <= 3; ++id) {
     const auto verify = client.verify(id);

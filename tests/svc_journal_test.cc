@@ -1,7 +1,8 @@
 // Tests for the write-ahead job journal (svc/journal.h): every record kind
 // round-trips across a reopen, appends after recovery extend the file,
-// every durability mode writes a readable journal, and a single-bit flip
-// costs exactly the record it lands in.  The framing and recovery rules
+// every durability mode writes a readable journal, a single-bit flip
+// costs exactly the record it lands in, and a journal in the previous
+// (CRC-less) format is refused untouched.  The framing and recovery rules
 // themselves (truncation prefixes, the mutation fuzz) are
 // io_record_log_test's.
 
@@ -110,7 +111,7 @@ TEST(JobJournal, RecordsRoundTripAcrossReopenForEveryKind) {
 
   JobJournal journal(path, Durability::kFlush);
   ASSERT_TRUE(journal.ok());
-  EXPECT_EQ(journal.recovered_bytes_dropped(), 0u);
+  EXPECT_EQ(journal.torn_bytes(), 0u);
   ASSERT_EQ(journal.records().size(), written.size());
   for (std::size_t i = 0; i < written.size(); ++i) {
     expect_records_equal(journal.records()[i], written[i]);
@@ -128,7 +129,7 @@ TEST(JobJournal, AppendAfterRecoveryExtendsTheFile) {
   }
   JobJournal reopened(path, Durability::kFlush);
   ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(reopened.recovered_bytes_dropped(), 0u);
+  EXPECT_EQ(reopened.torn_bytes(), 0u);
   ASSERT_EQ(reopened.records().size(), all_kinds_fixture().size() + 1);
   expect_records_equal(reopened.records().back(),
                        sample_record(JournalKind::kAdmitted, 9));
@@ -141,7 +142,7 @@ TEST(JobJournal, DurabilityModesAllProduceReadableJournals) {
     build_fixture_file(path, *io::parse_durability(name));
     JobJournal reopened(path, Durability::kFlush);
     ASSERT_TRUE(reopened.ok()) << name;
-    EXPECT_EQ(reopened.recovered_bytes_dropped(), 0u);
+    EXPECT_EQ(reopened.torn_bytes(), 0u);
     EXPECT_EQ(reopened.records().size(), all_kinds_fixture().size());
     std::remove(path.c_str());
   }
@@ -183,6 +184,39 @@ TEST(JobJournal, EverySingleBitFlipCostsOnlyThatRecord) {
     for (std::size_t i = 0; i < written.size(); ++i) {
       if (i != damaged) expect_records_equal(journal.records()[next++], written[i]);
     }
+  }
+  std::remove(path.c_str());
+}
+
+// Journals written before frames carried a CRC end each frame with a copy
+// of its size instead.  No such frame verifies, so an older journal —
+// whole, or one record long — is refused and left byte-identical rather
+// than taken for a torn tail and cut.
+TEST(JobJournal, PreviousFormatJournalIsRefusedAndLeftUntouched) {
+  const std::string path = temp_path("previous");
+  std::string previous = build_fixture_file(path);
+  std::size_t first_end = 0;
+  for (std::size_t at = 0; at < previous.size();) {
+    const std::string size = previous.substr(at + 4, 4);
+    std::size_t payload = 0;
+    for (int i = 3; i >= 0; --i) {
+      payload = payload << 8 | static_cast<unsigned char>(size[i]);
+    }
+    at += 12 + payload;
+    previous.replace(at - 4, 4, size);  // the size echo, not a CRC
+    if (first_end == 0) first_end = at;
+  }
+  for (const std::string& bytes : {previous, previous.substr(0, first_end)}) {
+    write_bytes(path, bytes);
+    {
+      JobJournal journal(path, Durability::kFlush);
+      EXPECT_FALSE(journal.ok());
+      EXPECT_FALSE(journal.append(sample_record(JournalKind::kAdmitted, 9)));
+    }
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_EQ(std::string((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>()),
+              bytes);
   }
   std::remove(path.c_str());
 }
