@@ -26,11 +26,12 @@
 
 #include "core/exclusion.h"
 #include "core/sharded_tracer.h"
+#include "core/threaded_runtime.h"
 #include "core/tracer.h"
 #include "io/checkpoint.h"
 #include "io/pcap.h"
 #include "io/scan_archive.h"
-#include "net/raw/raw_socket_transport.h"
+#include "net/raw/raw_socket_wire.h"
 #include "obs/metrics.h"
 #include "obs/scan_metrics.h"
 #include "obs/scan_tracer.h"
@@ -388,6 +389,9 @@ int main(int argc, char** argv) {
         };
   }
 
+  // Declared before the runtime so the runtime's receiver thread is joined
+  // before the wire closes its sockets.
+  std::unique_ptr<net::RawSocketWire> raw_wire;
   std::unique_ptr<core::ScanRuntime> runtime;
   std::unique_ptr<sim::Topology> topology;
   std::unique_ptr<sim::SimNetwork> network;
@@ -429,8 +433,8 @@ int main(int argc, char** argv) {
   } else if (options->backend == "raw") {
     if (options->shards > 0) {
       std::fprintf(stderr,
-                   "--shards requires the sim backend (the raw backend has a "
-                   "single send socket)\n");
+                   "--shards requires the sim backend (live scans run the "
+                   "single-engine tracer)\n");
       return 2;
     }
     if (options->first_prefix == "1.0.0.0") {
@@ -450,7 +454,8 @@ int main(int argc, char** argv) {
       return 2;
     }
     try {
-      runtime = std::make_unique<net::RawSocketRuntime>(pps);
+      raw_wire = std::make_unique<net::RawSocketWire>();
+      runtime = std::make_unique<core::ThreadedRuntime>(*raw_wire, pps);
     } catch (const net::TransportError& error) {
       std::fprintf(stderr, "raw backend unavailable: %s\n", error.what());
       return 1;

@@ -8,9 +8,11 @@
 //  * deterministically in virtual time against the Internet simulator
 //    (sim::SimScanRuntime — each send advances the virtual clock by one
 //    probe slot; `drain` delivers the responses that became due), and
-//  * in real time against a raw socket (net::RawSocketTransport plus a
-//    receiver thread), or against nothing at all (NullRuntime, used to
-//    measure the maximum sustainable probing rate for Table 5).
+//  * in real time with a receiver thread (core::ThreadedRuntime) over a
+//    core::Wire, either the simulator's (sim::RealTimeSimWire) or the live
+//    network's raw sockets (net::RawSocketWire), or against nothing at all
+//    (NullRuntime, used to measure the maximum sustainable probing rate
+//    for Table 5).
 //
 // Engines never block on individual responses: they pour probes through a
 // core::ProbeSender (core/probe_sender.h), which gathers them into batches,
@@ -130,7 +132,7 @@ class ScanRuntime {
 
   /// Adjusts the pacing rate mid-scan (the Tracer's adaptive backoff).
   /// Default no-op: runtimes without a meaningful throttle (NullRuntime)
-  /// and the sharded real-time worker view (whose throttle is shared by
+  /// and the sharded real-time worker lanes (whose throttle is shared by
   /// several shards) ignore it.
   virtual void set_rate(double /*probes_per_second*/) {}
 

@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -39,14 +40,20 @@ namespace flashroute::sim {
 class RealTimeSimWire final : public core::Wire {
  public:
   /// One lane per contiguous run of `num_prefixes / num_lanes` /24s starting
-  /// at `first_prefix`.  `num_lanes` must divide `num_prefixes`; pass the
-  /// shard count when driving a sharded runtime (so each lane has a single
-  /// sender), or 1 for a single-threaded sender.
+  /// at `first_prefix`.  `num_lanes` must be nonzero and divide
+  /// `num_prefixes` (std::invalid_argument otherwise); pass the shard count
+  /// when driving a sharded runtime (so each lane has a single sender), or 1
+  /// for a single-threaded sender.
   RealTimeSimWire(const Topology& topology, std::uint32_t first_prefix,
                   std::uint32_t num_prefixes, std::uint32_t num_lanes = 1)
       : first_prefix_(first_prefix),
         num_prefixes_(num_prefixes),
         lane_size_(num_prefixes / std::max<std::uint32_t>(num_lanes, 1)) {
+    if (num_lanes == 0 || num_prefixes % num_lanes != 0) {
+      throw std::invalid_argument(
+          "RealTimeSimWire: num_lanes must be nonzero and divide "
+          "num_prefixes");
+    }
     lanes_.reserve(num_lanes);
     for (std::uint32_t i = 0; i < num_lanes; ++i) {
       lanes_.push_back(std::make_unique<Lane>(topology));

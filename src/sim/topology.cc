@@ -465,31 +465,6 @@ FR_HOT bool Topology::interface_responds(std::uint32_t interface_ip,
   return true;
 }
 
-FR_HOT void Topology::annotate_silence(const Route& route, std::uint8_t protocol,
-                                RouteSilence& out) const noexcept {
-  std::uint64_t mask = 0;
-  for (int i = 0; i < route.num_hops; ++i) {
-    if (!interface_responds(route.hops[static_cast<std::size_t>(i)],
-                            protocol)) {
-      mask |= std::uint64_t{1} << i;
-    }
-  }
-  out.hop_silent = mask;
-  out.hop_known = route.num_hops >= 64
-                      ? ~std::uint64_t{0}
-                      : (std::uint64_t{1} << route.num_hops) - 1;
-  out.loop_a_silent =
-      route.loops && !interface_responds(route.loop_a, protocol);
-  out.loop_b_silent =
-      route.loops && !interface_responds(route.loop_b, protocol);
-  out.loop_known = true;
-  out.host_answers =
-      route.delivers &&
-      host_responds_delivered(net::Ipv4Address(route.delivered_address),
-                              protocol);
-  out.host_known = true;
-}
-
 FR_HOT bool Topology::hop_silent_at(const Route& route, int pos,
                                     std::uint8_t protocol,
                                     RouteSilence& plan) const noexcept {

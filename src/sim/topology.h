@@ -91,12 +91,12 @@ struct Route {
 /// question without touching the Topology again (DESIGN.md §6).
 struct RouteSilence {
   std::uint64_t hop_silent = 0;  ///< bit i set: hops[i] never answers
-  /// Lazily-filled plans track which answers have been computed: bit i of
-  /// hop_known validates bit i of hop_silent, and the loop/host answers
-  /// carry their own known flags.  A scan probes only 1-2 TTLs of a route
-  /// per cache fill, so computing all ~20-30 hop draws eagerly was the
-  /// dominant cache-miss cost; the draws are pure over (ip, protocol), so
-  /// on-demand evaluation is bit-identical to the eager plan.
+  /// The plan fills on demand (Topology::hop_silent_at, host_answers_lazy):
+  /// bit i of hop_known validates bit i of hop_silent, and the loop/host
+  /// answers carry their own known flags.  A scan probes only 1-2 TTLs of a
+  /// route per cache fill, so only the draws a probe asks for are computed;
+  /// they are pure over (ip, protocol), so a memoized answer is the one a
+  /// fresh query would give.
   std::uint64_t hop_known = 0;
   bool loop_a_silent = false;
   bool loop_b_silent = false;
@@ -145,17 +145,10 @@ class Topology {
   FR_HOT bool interface_responds(std::uint32_t interface_ip,
                                  std::uint8_t protocol) const noexcept;
 
-  /// Precomputes the per-hop interface_responds / host_responds answers for
-  /// a resolved route into a RouteSilence.  Equivalent to querying them
-  /// probe by probe — the route cache amortizes this over every TTL probed
-  /// toward the same (destination, flow, epoch).
-  FR_HOT void annotate_silence(const Route& route, std::uint8_t protocol,
-                               RouteSilence& out) const noexcept;
-
-  /// Lazy per-position variant of annotate_silence: answers whether the
-  /// interface at 1-based position `pos` (beyond num_hops: the loop tail)
-  /// stays silent, computing and memoizing the draw in `plan` on first use.
-  /// Querying the same plan eagerly or lazily yields identical bits.
+  /// Whether the interface at 1-based position `pos` of a resolved route
+  /// (beyond num_hops: the loop tail) stays silent to `protocol`: the
+  /// interface_responds draw, computed on first use and memoized in `plan`
+  /// so the route cache answers every later probe of the route from it.
   FR_HOT bool hop_silent_at(const Route& route, int pos,
                             std::uint8_t protocol,
                             RouteSilence& plan) const noexcept;

@@ -7,7 +7,7 @@
 // scan (§3.2).  All probing engines in this repository are therefore written
 // against the `Clock` interface below.  `SimClock` is advanced by the
 // virtual-time runner (10 µs per probe at 100 Kpps); `MonotonicClock` backs
-// the real threaded runner and the raw-socket transport.
+// the real-time runtimes (core/threaded_runtime.h).
 
 #pragma once
 

@@ -13,8 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <new>
 #include <thread>
 
 #include "core/threaded_runtime.h"
@@ -23,40 +21,7 @@
 #include "sim/runtime.h"
 #include "sim/sim_wire.h"
 #include "sim/topology.h"
-
-// --- Thread-local allocation counting for the zero-allocation test ---------
-//
-// Replacing the global operators is binary-wide, so the counter is
-// thread-local: only allocations made by the *calling* thread (the engine
-// thread running drain) are charged, never the receiver thread's.
-
-namespace {
-thread_local std::uint64_t g_thread_allocations = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_thread_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size) {
-  ++g_thread_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-// noinline keeps GCC from tracking pointer provenance through the
-// replaced operators and mis-reporting free() of a malloc'd block as a
-// mismatched allocation function.
-[[gnu::noinline]] static void counted_free(void* p) noexcept {
-  std::free(p);
-}
-
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+#include "thread_allocations.h"
 
 namespace flashroute::core {
 namespace {
@@ -255,6 +220,43 @@ TEST(ShardedThreadedRuntime, RealTimeShardedScanDiscoversTheTopology) {
             reference.interfaces.size() * 12 / 10 + 10);
   EXPECT_GT(sharded.destinations_reached,
             reference.destinations_reached * 7 / 10);
+}
+
+TEST(ShardedThreadedRuntime, WorkerSetRateLeavesThePaceUnchanged) {
+  sim::SimParams params;
+  params.prefix_bits = 4;
+  const sim::Topology topology(params);
+  ShardedTracerConfig config;
+  config.base.first_prefix = params.first_prefix;
+  config.base.prefix_bits = params.prefix_bits;
+  config.base.probes_per_second = 2'000.0;
+  config.num_workers = 1;
+  config.shard_prefix_bits = 3;  // 2 shards of 8 /24s, both on worker 0
+  const auto shards = ShardedTracer::plan(config);
+  ASSERT_EQ(shards.size(), 2u);
+  sim::RealTimeSimWire wire(topology, params.first_prefix,
+                            config.base.num_prefixes(),
+                            static_cast<std::uint32_t>(shards.size()));
+  ShardedThreadedRuntime provider(wire, config);
+  ScanRuntime& runtime = provider.runtime_for(shards.front());
+
+  const ProbeCodec codec(net::Ipv4Address(params.vantage_address));
+  std::array<std::byte, ProbeCodec::kMaxProbeSize> buf;
+  const net::Ipv4Address dest((params.first_prefix << 8) | 1);
+  const std::size_t size = codec.encode_udp(dest, 1, false, 0, buf);
+
+  // The worker's lane paces both shards at 2 Kpps; one shard backing off
+  // to 100 pps must not slow it.  200 probes take ≈ 90 ms (≈ 2 s at 100
+  // pps).
+  runtime.set_rate(100.0);
+  const util::Nanos start = runtime.now();
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_TRUE(runtime.try_send({buf.data(), size}));
+  }
+  const util::Nanos elapsed = runtime.now() - start;
+  EXPECT_GT(elapsed, 60 * util::kMillisecond);
+  EXPECT_LT(elapsed, 500 * util::kMillisecond);
+  EXPECT_EQ(provider.packets_sent(), 200u);
 }
 
 TEST(ThreadedRuntime, DrainHotPathDoesNotAllocate) {

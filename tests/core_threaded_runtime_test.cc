@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
 
 #include "core/tracer.h"
 #include "sim/network.h"
@@ -119,6 +120,48 @@ TEST(ThreadedRuntime, ThrottlePacesSends) {
   // 400 probes at 2 Kpps ≈ 200 ms (minus the initial burst allowance).
   EXPECT_GT(elapsed, 120 * util::kMillisecond);
   EXPECT_EQ(runtime.packets_sent(), 400u);
+}
+
+TEST(ThreadedRuntime, SetRateSlowsThePacing) {
+  sim::SimParams params;
+  params.prefix_bits = 4;
+  const sim::Topology topology(params);
+  RealTimeSimWire wire(topology, params.first_prefix,
+                       std::uint32_t{1} << params.prefix_bits);
+  ThreadedRuntime runtime(wire, /*pps=*/1'000.0);
+
+  const ProbeCodec codec(net::Ipv4Address(params.vantage_address));
+  std::array<std::byte, ProbeCodec::kMaxProbeSize> buf;
+  const net::Ipv4Address dest((params.first_prefix << 8) | 1);
+  const std::size_t size = codec.encode_udp(dest, 1, false, 0, buf);
+
+  // Adaptive backoff drops the configured 1 Kpps to 200 pps: after the
+  // 11-probe burst allowance, 60 probes take ≈ 245 ms instead of ≈ 49 ms.
+  runtime.set_rate(200.0);
+  const util::Nanos start = runtime.now();
+  for (int i = 0; i < 60; ++i) {
+    EXPECT_TRUE(runtime.try_send({buf.data(), size}));
+  }
+  EXPECT_GT(runtime.now() - start, 200 * util::kMillisecond);
+}
+
+TEST(RealTimeSimWire, LaneCountMustDivideThePrefixes) {
+  sim::SimParams params;
+  params.prefix_bits = 6;
+  const sim::Topology topology(params);
+  // 64 /24s over 3 lanes would leave offset 63 past the last lane; 0 lanes
+  // leaves nothing to receive from.
+  EXPECT_THROW(RealTimeSimWire(topology, params.first_prefix, 64, 3),
+               std::invalid_argument);
+  EXPECT_THROW(RealTimeSimWire(topology, params.first_prefix, 64, 0),
+               std::invalid_argument);
+
+  RealTimeSimWire wire(topology, params.first_prefix, 64, 4);
+  const ProbeCodec codec(net::Ipv4Address(params.vantage_address));
+  std::array<std::byte, ProbeCodec::kMaxProbeSize> buf;
+  const net::Ipv4Address last((params.first_prefix + 63) << 8 | 1);
+  const std::size_t size = codec.encode_udp(last, 1, false, 0, buf);
+  EXPECT_TRUE(wire.try_transmit({buf.data(), size}));
 }
 
 }  // namespace
