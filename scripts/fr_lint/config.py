@@ -127,12 +127,14 @@ DET_PTR_ITER_FILE_ALLOWLIST: frozenset[str] = frozenset()
 
 # core/ headers that form the engine's *interface* to the rest of the tree:
 # runtime abstractions, results, the one probe sender every engine puts its
-# probes on the wire through, and the codec/target helpers baselines and
-# transports legitimately share.  Everything else under core/ (DCBs, the
+# probes on the wire through, the one response recorder every engine matches
+# and records its replies through, and the codec/target helpers baselines
+# and transports legitimately share.  Everything else under core/ (DCBs, the
 # tracer itself) is internal.
 CORE_INTERFACE_HEADERS = frozenset({
     "core/runtime.h",
     "core/probe_sender.h",
+    "core/response_recorder.h",
     "core/result.h",
     "core/threaded_runtime.h",
     "core/sharded_tracer.h",

@@ -20,25 +20,18 @@ Scamper::Scamper(const ScamperConfig& config, core::ScanRuntime& runtime)
           [this](std::span<const std::byte> packet, util::Nanos arrival) {
             on_packet(packet, arrival);
           },
-          result_, config_.telemetry, config_.collect_probe_log),
+          result_, telemetry_, config_.collect_probe_log),
+      recorder_(result_, telemetry_, config.first_prefix,
+                config.num_prefixes(), config.collect_routes),
       timeouts_(std::max<util::Nanos>(config.probe_timeout / 32, 1)) {}
-
-std::uint32_t Scamper::target_of(std::uint32_t prefix_offset) const noexcept {
-  if (config_.target_override != nullptr &&
-      prefix_offset < config_.target_override->size() &&
-      (*config_.target_override)[prefix_offset] != 0) {
-    return (*config_.target_override)[prefix_offset];
-  }
-  return core::random_target(config_.target_seed,
-                             config_.first_prefix + prefix_offset);
-}
 
 void Scamper::admit_next() {
   const std::uint32_t n = config_.num_prefixes();
   while (active_.size() < config_.window && admit_cursor_ < n) {
     const auto index =
         static_cast<std::uint32_t>((*permutation_)(admit_cursor_++));
-    const std::uint32_t destination = target_of(index);
+    const std::uint32_t destination =
+        core::random_target(config_.target_seed, config_.first_prefix + index);
     if (net::is_probe_excluded(net::Ipv4Address(destination))) continue;
     TraceState state;
     state.destination = destination;
@@ -135,10 +128,7 @@ void Scamper::advance_backward(TraceState& state, bool responded,
     // the flat 14..6 section of Fig 7's blue curve.
     if (stop) {
       state.phase = Phase::kDone;
-      if (known && t > 1) {
-        ++result_.convergence_stops;
-        config_.telemetry.count(config_.telemetry.ids.convergence_stops);
-      }
+      if (known && t > 1) ++result_.convergence_stops;
       return;
     }
   } else {
@@ -148,18 +138,13 @@ void Scamper::advance_backward(TraceState& state, bool responded,
 }
 
 core::ScanResult Scamper::run() {
-  const std::uint32_t n = config_.num_prefixes();
-  result_ = core::ScanResult{};
-  if (config_.collect_routes) result_.routes.assign(n, {});
-  result_.destination_distance.assign(n, 0);
-  result_.trigger_ttl.assign(n, 0);
-
-  const util::RandomPermutation permutation(n, config_.seed);
+  recorder_.reset();
+  const util::RandomPermutation permutation(config_.num_prefixes(),
+                                            config_.seed);
   permutation_ = &permutation;
   admit_cursor_ = 0;
 
   const util::Nanos start = sender_.now();
-  config_.telemetry.begin_phase(obs::ScanPhase::kMain, start);
   admit_next();
 
   while (!active_.empty()) {
@@ -180,9 +165,6 @@ core::ScanResult Scamper::run() {
         return;
       }
       ++result_.probe_timeouts;
-      if (config_.telemetry.ids.resilience) {
-        sender_.count(config_.telemetry.ids.probe_timeouts);
-      }
       state.attempts = 0;
       if (state.phase == Phase::kForward) {
         advance_forward(state, /*responded=*/false, /*reached=*/false);
@@ -212,7 +194,6 @@ core::ScanResult Scamper::run() {
 
   sender_.idle_until(sender_.now() + util::kSecond);
   result_.scan_time = sender_.now() - start;
-  config_.telemetry.finish(sender_.now());
   permutation_ = nullptr;
   return result_;
 }
@@ -220,69 +201,20 @@ core::ScanResult Scamper::run() {
 void Scamper::on_packet(std::span<const std::byte> packet,
                         util::Nanos arrival) {
   const auto parsed = net::parse_response(packet);
-  if (!parsed || !parsed->is_icmp) return;
-  const auto probe = codec_.decode(*parsed);
-  if (!probe) return;
-  const obs::ScanTelemetry& tel = config_.telemetry;
-  if (!probe->source_port_matches) {
-    ++result_.mismatches;
-    tel.count(tel.ids.mismatches);
-    return;
-  }
-  const std::uint32_t prefix = probe->destination.value() >> 8;
-  if (prefix < config_.first_prefix ||
-      prefix - config_.first_prefix >= config_.num_prefixes()) {
-    return;
-  }
-  const std::uint32_t index = prefix - config_.first_prefix;
-  ++result_.responses;
-  if (tel.enabled()) {
-    tel.count(tel.ids.responses);
-    const util::Nanos rtt = core::ProbeCodec::rtt(*probe, arrival);
-    tel.sample(tel.ids.rtt_us,
-               static_cast<std::uint64_t>(std::max<util::Nanos>(rtt, 0)) /
-                   1000);
-    tel.tick(arrival);
-  }
-
-  const bool reached = parsed->is_destination_unreachable();
-  const bool was_known =
-      result_.interfaces.contains(parsed->responder.value());
+  if (!parsed) return;
+  const auto reply = recorder_.match(codec_, *parsed, arrival);
+  if (!reply) return;
+  const std::uint32_t index = reply->index;
+  const core::DecodedProbe& probe = reply->probe;
+  const std::uint32_t responder = parsed->responder.value();
+  const bool reached = core::ResponseRecorder::is_destination_reply(*parsed);
+  const bool was_known = result_.interfaces.contains(responder);
 
   // Record the hop regardless of whether the trace still awaits it.
   if (parsed->is_time_exceeded()) {
-    const bool is_new =
-        result_.interfaces.insert(parsed->responder.value()).second;
-    if (is_new) {
-      tel.count(tel.ids.interfaces_discovered);
-      tel.sample(tel.ids.hop_distance, probe->initial_ttl);
-    }
-    if (config_.collect_routes) {
-      result_.routes[index].push_back(
-          {parsed->responder.value(), probe->initial_ttl, 0});
-    }
+    recorder_.record_hop(index, responder, probe.initial_ttl, 0);
   } else if (reached) {
-    const int distance =
-        std::max(1, static_cast<int>(probe->initial_ttl) -
-                        static_cast<int>(probe->residual_ttl) + 1);
-    const auto clamped =
-        static_cast<std::uint8_t>(std::min(distance, 255));
-    if (config_.collect_routes) {
-      result_.routes[index].push_back({parsed->responder.value(), clamped,
-                                       core::RouteHop::kFromDestination});
-    }
-    if (result_.destination_distance[index] == 0 ||
-        clamped < result_.destination_distance[index]) {
-      if (result_.destination_distance[index] == 0) {
-        ++result_.destinations_reached;
-        tel.count(tel.ids.destinations_reached);
-      }
-      result_.destination_distance[index] = clamped;
-    }
-    if (result_.trigger_ttl[index] == 0 ||
-        probe->initial_ttl < result_.trigger_ttl[index]) {
-      result_.trigger_ttl[index] = probe->initial_ttl;
-    }
+    recorder_.record_destination(index, responder, probe, 0);
   } else {
     return;
   }
@@ -290,7 +222,7 @@ void Scamper::on_packet(std::span<const std::byte> packet,
   const auto it = active_.find(index);
   if (it == active_.end()) return;
   TraceState& state = it->second;
-  if (!state.awaiting || probe->initial_ttl != state.ttl) return;
+  if (!state.awaiting || probe.initial_ttl != state.ttl) return;
 
   state.awaiting = false;
   ++state.probe_token;  // cancels the pending timeout

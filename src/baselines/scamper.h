@@ -19,17 +19,18 @@
 // Probes go out through a core::ProbeSender.  Scamper does batch: admission
 // readies a whole window of destinations at once, and the loop sends every
 // ready destination's probe before its next drain, so the sender gathers
-// them into full batches (DESIGN.md §11).
+// them into full batches (DESIGN.md §11).  Replies are matched and recorded
+// through a core::ResponseRecorder.
 
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
-#include <vector>
 
 #include "core/probe_codec.h"
 #include "core/probe_sender.h"
+#include "core/response_recorder.h"
 #include "core/result.h"
 #include "core/runtime.h"
 #include "net/ipv4.h"
@@ -66,11 +67,6 @@ struct ScamperConfig {
   std::uint64_t target_seed = 42;
   bool collect_routes = true;
   bool collect_probe_log = false;
-  const std::vector<std::uint32_t>* target_override = nullptr;
-
-  /// Scan telemetry (DESIGN.md §7); default-disabled.  Scamper's windowed
-  /// state machine is a single phase, reported as kMain.
-  obs::ScanTelemetry telemetry;
 
   std::uint32_t num_prefixes() const noexcept {
     return std::uint32_t{1} << prefix_bits;
@@ -106,7 +102,6 @@ class Scamper {
     std::uint32_t token;
   };
 
-  std::uint32_t target_of(std::uint32_t prefix_offset) const noexcept;
   void admit_next();
   void step(std::uint32_t index);       ///< send the next probe or finish
   void advance_forward(TraceState& state, bool responded, bool reached);
@@ -120,7 +115,10 @@ class Scamper {
   ScamperConfig config_;
   core::ProbeCodec codec_;
   core::ScanResult result_;
+  /// Baselines report no telemetry: a disabled handle.
+  const obs::ScanTelemetry telemetry_{};
   core::ProbeSender sender_;
+  core::ResponseRecorder recorder_;
 
   std::unordered_map<std::uint32_t, TraceState> active_;  // by prefix offset
   std::deque<std::uint32_t> ready_;

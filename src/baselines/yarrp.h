@@ -20,7 +20,8 @@
 // The walk drains after every probe, like the real tool's decoupled
 // receiver; probes go out through a core::ProbeSender, which gathers them
 // into batches whenever the drains in between are provably empty — in pure,
-// fill and protection modes alike (DESIGN.md §11).
+// fill and protection modes alike (DESIGN.md §11).  Replies are matched and
+// recorded through a core::ResponseRecorder.
 
 #pragma once
 
@@ -30,6 +31,7 @@
 
 #include "core/probe_codec.h"
 #include "core/probe_sender.h"
+#include "core/response_recorder.h"
 #include "core/result.h"
 #include "core/runtime.h"
 #include "net/ipv4.h"
@@ -62,11 +64,6 @@ struct YarrpConfig {
   std::uint64_t target_seed = 42;
   bool collect_routes = true;
   bool collect_probe_log = false;
-  const std::vector<std::uint32_t>* target_override = nullptr;
-
-  /// Scan telemetry (DESIGN.md §7); default-disabled.  Yarrp is a
-  /// single-phase walk, so it reports one kMain phase.
-  obs::ScanTelemetry telemetry;
 
   std::uint32_t num_prefixes() const noexcept {
     return std::uint32_t{1} << prefix_bits;
@@ -85,7 +82,6 @@ class Yarrp {
     std::uint8_t ttl;
   };
 
-  std::uint32_t target_of(std::uint32_t prefix_offset) const noexcept;
   /// Stages one probe, then marks the drain that follows it.
   FR_HOT void send_probe(std::uint32_t destination, std::uint8_t ttl);
   void on_packet(std::span<const std::byte> packet, util::Nanos arrival);
@@ -94,11 +90,13 @@ class Yarrp {
   YarrpConfig config_;
   core::ProbeCodec codec_;
   core::ScanResult result_;
+  /// Baselines report no telemetry: a disabled handle.
+  const obs::ScanTelemetry telemetry_{};
   core::ProbeSender sender_;
+  core::ResponseRecorder recorder_;
   std::deque<FillProbe> fill_queue_;
   /// last time a *new* interface appeared at hop h (1-based, protection).
   std::vector<util::Nanos> last_new_interface_;
-  std::vector<bool> dest_done_;  ///< target answered (stops fill chains)
 };
 
 }  // namespace flashroute::baselines

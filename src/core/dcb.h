@@ -22,8 +22,11 @@
 //    paper proposes.
 //
 // Every flag mutation on the packed variant is an atomic read-modify-write:
-// the lock bit shares the byte, so a plain store from the sender could
-// otherwise erase a receiver's lock acquisition.
+// the lock bit shares the byte, so a plain store would erase a lock
+// acquisition made by another thread.  §3.4's receiver thread updates DCBs
+// while the sender walks them; here every runtime runs the response sink on
+// the engine thread, so nothing contends, but the locks and atomics keep the
+// paper's design intact.
 
 #pragma once
 
@@ -64,10 +67,13 @@ class SpinLock {
 /// analysis checks at every manual call site.  The data fields are
 /// deliberately *not* FR_GUARDED_BY the capability: outside the concurrent
 /// scan phase (setup, checkpoint restore, single-threaded result drains)
-/// they are legitimately accessed unlocked, and the §3.4 contract is
-/// "sender and receiver lock only when both may touch the same /24 at
-/// once", which the model litmus test (tests/model_dcb_test.cc) proves
-/// interleaving-exhaustively instead.
+/// they are legitimately accessed unlocked.  The locks are the paper's §3.4
+/// design, "sender and receiver lock only when both may touch the same /24
+/// at once", which the model litmus test (tests/model_dcb_test.cc) proves
+/// interleaving-exhaustively.  Nothing contends for them in this repo:
+/// every runtime runs the response sink on the engine thread
+/// (core/threaded_runtime.h), so an engine's sender and receive path never
+/// overlap.
 class FR_CAPABILITY("dcb") Dcb {
  public:
   // Flag bits (the top bit is the spinlock; never visible through flags()).

@@ -23,10 +23,12 @@ constexpr std::size_t kIpTotalLength = 2;
 constexpr std::size_t kIpId = 4;
 constexpr std::size_t kIpTtlWord = 8;  // [ TTL | protocol ]
 constexpr std::size_t kIpChecksum = 10;
+constexpr std::size_t kIpSrc = 12;  // read for the TCP pseudo-header
 constexpr std::size_t kIpDst = 16;
 constexpr std::size_t kL4SrcPort = net::Ipv4Header::kSize;      // UDP & TCP
 constexpr std::size_t kUdpLength = net::Ipv4Header::kSize + 4;
 constexpr std::size_t kTcpSeq = net::Ipv4Header::kSize + 4;
+constexpr std::size_t kTcpChecksum = net::Ipv4Header::kSize + 16;
 
 std::uint16_t read_u16(std::span<const std::byte> buffer,
                        std::size_t offset) noexcept {
@@ -81,6 +83,13 @@ ProbeCodec::ProbeCodec(net::Ipv4Address source,
     ip.serialize(writer);
     tcp.serialize(writer);
     tcp_template_checksum_ = read_u16(tcp_template_, kIpChecksum);
+    // The TCP checksum covers a pseudo-header (source and destination
+    // address, protocol, TCP length) and the segment.
+    const std::span<const std::byte> bytes(tcp_template_);
+    std::uint32_t sum = net::checksum_partial(bytes.subspan(kIpSrc, 8));
+    sum = net::checksum_partial(bytes.subspan(net::Ipv4Header::kSize), sum);
+    tcp_segment_checksum_ =
+        net::checksum_finish(sum + net::kProtoTcp + net::TcpHeader::kSize);
   }
 }
 
@@ -144,16 +153,16 @@ FR_HOT std::size_t ProbeCodec::encode_tcp(net::Ipv4Address destination,
   const auto ttl_word =
       static_cast<std::uint16_t>(std::uint16_t{ttl} << 8 | net::kProtoTcp);
   const std::uint32_t dst = destination.value();
+  const auto src_port = static_cast<std::uint16_t>(
+      net::address_checksum(destination) + port_offset_);
+  // Yarrp encodes the elapsed time into the sequence number of its TCP-ACK
+  // probes; millisecond granularity is plenty for RTT purposes.
+  const auto seq = static_cast<std::uint32_t>(send_time / util::kMillisecond);
   patch_u16(buffer, kIpId, id);
   patch_u16(buffer, kIpTtlWord, ttl_word);
   patch_u32(buffer, kIpDst, dst);
-  patch_u16(buffer, kL4SrcPort,
-            static_cast<std::uint16_t>(net::address_checksum(destination) +
-                                       port_offset_));
-  // Yarrp encodes the elapsed time into the sequence number of its TCP-ACK
-  // probes; millisecond granularity is plenty for RTT purposes.
-  patch_u32(buffer, kTcpSeq,
-            static_cast<std::uint32_t>(send_time / util::kMillisecond));
+  patch_u16(buffer, kL4SrcPort, src_port);
+  patch_u32(buffer, kTcpSeq, seq);
 
   std::uint16_t checksum =
       net::incremental_checksum_update(tcp_template_checksum_, 0, id);
@@ -164,6 +173,17 @@ FR_HOT std::size_t ProbeCodec::encode_tcp(net::Ipv4Address destination,
   checksum = net::incremental_checksum_update(
       checksum, 0, static_cast<std::uint16_t>(dst & 0xFFFF));
   patch_u16(buffer, kIpChecksum, checksum);
+
+  // The segment checksum sees the destination through the pseudo-header.
+  std::uint16_t segment = tcp_segment_checksum_;
+  for (const std::uint16_t word :
+       {static_cast<std::uint16_t>(dst >> 16),
+        static_cast<std::uint16_t>(dst & 0xFFFF), src_port,
+        static_cast<std::uint16_t>(seq >> 16),
+        static_cast<std::uint16_t>(seq & 0xFFFF)}) {
+    segment = net::incremental_checksum_update(segment, 0, word);
+  }
+  patch_u16(buffer, kTcpChecksum, segment);
   return kTcpProbeSize;
 }
 

@@ -112,10 +112,13 @@ class ProbeCodec {
   /// checksum of each template header, the starting point of the per-probe
   /// incremental update.  The UDP template's payload region is all zeros, so
   /// one memcpy of `header + payload` bytes yields the finished packet body.
+  /// The TCP template's segment checksum (over the pseudo-header) is patched
+  /// the same way.  The UDP checksum stays 0, which means "none" in IPv4.
   std::array<std::byte, kMaxProbeSize> udp_template_{};
   std::array<std::byte, kTcpProbeSize> tcp_template_{};
   std::uint16_t udp_template_checksum_ = 0;
   std::uint16_t tcp_template_checksum_ = 0;
+  std::uint16_t tcp_segment_checksum_ = 0;
 };
 
 }  // namespace flashroute::core

@@ -53,12 +53,8 @@ ShardedTracer::ShardedTracer(const ShardedTracerConfig& config,
 std::uint32_t ShardedTracer::target_of(
     std::uint32_t prefix_offset) const noexcept {
   const TracerConfig& base = config_.base;
-  if (base.target_override != nullptr &&
-      prefix_offset < base.target_override->size() &&
-      (*base.target_override)[prefix_offset] != 0) {
-    return (*base.target_override)[prefix_offset];
-  }
-  return random_target(base.target_seed, base.first_prefix + prefix_offset);
+  return core::target_of(base.target_override, base.target_seed,
+                         base.first_prefix, prefix_offset);
 }
 
 TracerConfig ShardedTracer::shard_config(const ShardInfo& shard) const {

@@ -21,9 +21,12 @@
 //    classify_prefix24) and routes it to the owning worker's ring.
 //
 // Rings are strictly single-producer (the receiver) / single-consumer (the
-// engine thread), so the handoff stays lock-free end to end.  The per-DCB
-// locks of §3.4 are load-bearing exactly here: the receiver's updates race
-// with the sender's round walk.  A full ring drops the packet (counted in
+// engine thread), so the handoff stays lock-free end to end.  The receiver
+// thread only copies bytes into the rings (RealTimeLane::publish); every
+// sink runs on the engine thread, inside drain and idle_until, so each
+// engine's DCBs and results have one writer.  The per-DCB locks are the
+// paper's §3.4 design for a receiver that updates DCBs itself; nothing
+// contends for them here.  A full ring drops the packet (counted in
 // packets_dropped) — the same backpressure a NIC ring imposes.
 
 #pragma once

@@ -22,7 +22,8 @@ Tracer::Tracer(const TracerConfig& config, ScanRuntime& runtime)
           },
           result_, config_.telemetry, config_.collect_probe_log,
           config_.cycles),
-      target_seed_(config.target_seed),
+      recorder_(result_, config_.telemetry, config.first_prefix,
+                config.num_prefixes(), config.collect_routes),
       wheel_(std::max<util::Nanos>(config.retransmit_timeout / 32, 1)) {}
 
 std::uint64_t Tracer::checkpoint_digest() const noexcept {
@@ -66,20 +67,13 @@ bool Tracer::include_in_scan(std::uint32_t index) const {
 }
 
 std::uint32_t Tracer::target_of(std::uint32_t prefix_offset) const noexcept {
-  if (config_.target_override != nullptr &&
-      prefix_offset < config_.target_override->size() &&
-      (*config_.target_override)[prefix_offset] != 0) {
-    return (*config_.target_override)[prefix_offset];
-  }
-  return random_target(target_seed_, config_.first_prefix + prefix_offset);
+  return core::target_of(config_.target_override, config_.target_seed,
+                         config_.first_prefix, prefix_offset);
 }
 
 ScanResult Tracer::run() {
   const std::uint32_t n = config_.num_prefixes();
-  result_ = ScanResult{};
-  if (config_.collect_routes) result_.routes.assign(n, {});
-  result_.destination_distance.assign(n, 0);
-  result_.trigger_ttl.assign(n, 0);
+  recorder_.reset();
   result_.measured_distance.assign(n, 0);
   result_.predicted_distance.assign(n, 0);
 
@@ -601,59 +595,13 @@ void Tracer::run_extra_scans() {
 FR_HOT void Tracer::on_packet(std::span<const std::byte> packet,
                        util::Nanos arrival) {
   const auto parsed = net::parse_response(packet);
-  if (!parsed || !parsed->is_icmp) return;
-  const auto probe = active_codec_->decode(*parsed);
-  if (!probe) return;
-  const obs::ScanTelemetry& tel = config_.telemetry;
-  if (!probe->source_port_matches) {
-    // The quoted destination no longer matches the checksum carried in the
-    // source port: the address was modified in flight (§5.3).  Drop it.
-    ++result_.mismatches;
-    tel.count(tel.ids.mismatches);
-    return;
-  }
-  const std::uint32_t prefix = probe->destination.value() >> 8;
-  if (prefix < config_.first_prefix ||
-      prefix - config_.first_prefix >= config_.num_prefixes()) {
-    return;
-  }
-  const std::uint32_t index = prefix - config_.first_prefix;
-  ++result_.responses;
-  if (tel.enabled()) {
-    tel.count(tel.ids.responses);
-    const util::Nanos rtt = ProbeCodec::rtt(*probe, arrival);
-    tel.sample(tel.ids.rtt_us,
-               static_cast<std::uint64_t>(std::max<util::Nanos>(rtt, 0)) /
-                   1000);
-    tel.tick(arrival);
-  }
-
-  if (probe->preprobe && !fold_mode()) {
-    handle_preprobe_response(index, *parsed, *probe);
+  if (!parsed) return;
+  const auto reply = recorder_.match(*active_codec_, *parsed, arrival);
+  if (!reply) return;
+  if (reply->probe.preprobe && !fold_mode()) {
+    handle_preprobe_response(reply->index, *parsed, reply->probe);
   } else {
-    handle_main_response(index, *parsed, *probe);
-  }
-}
-
-FR_HOT void Tracer::record_hop(std::uint32_t index, std::uint32_t ip,
-                        std::uint8_t ttl, std::uint8_t flags) {
-  // Only en-route router interfaces count as "discovered interfaces" (and
-  // populate the Doubletree stop set); destination responses are tracked
-  // separately as reached targets.
-  if ((flags & RouteHop::kFromDestination) == 0) {
-    // fr-lint: allow(hot-banned): Doubletree stop-set insert — bounded by the
-    // number of distinct interfaces, not by probe count
-    const bool is_new = result_.interfaces.insert(ip).second;
-    if (is_new) {
-      const obs::ScanTelemetry& tel = config_.telemetry;
-      tel.count(tel.ids.interfaces_discovered);
-      tel.sample(tel.ids.hop_distance, ttl);
-    }
-  }
-  if (config_.collect_routes) {
-    // fr-lint: allow(hot-banned): route output collection, bounded by
-    // discovered hops; disable collect_routes for allocation-free scans
-    result_.routes[index].push_back({ip, ttl, flags});
+    handle_main_response(reply->index, *parsed, reply->probe);
   }
 }
 
@@ -662,20 +610,16 @@ FR_HOT void Tracer::handle_preprobe_response(std::uint32_t index,
                                       const DecodedProbe& probe) {
   if (parsed.is_time_exceeded()) {
     // A route longer than the preprobe TTL: still useful topology.
-    record_hop(index, parsed.responder.value(), probe.initial_ttl,
-               RouteHop::kPreprobe);
+    recorder_.record_hop(index, parsed.responder.value(), probe.initial_ttl,
+                         RouteHop::kPreprobe);
     return;
   }
-  if (!parsed.is_destination_unreachable()) return;
-  const int distance =
-      std::max(1, static_cast<int>(probe.initial_ttl) -
-                      static_cast<int>(probe.residual_ttl) + 1);
-  record_hop(index, parsed.responder.value(), static_cast<std::uint8_t>(
-                 std::min(distance, 255)),
-             RouteHop::kPreprobe | RouteHop::kFromDestination);
+  if (!ResponseRecorder::is_destination_reply(parsed)) return;
+  const std::uint8_t distance = ResponseRecorder::distance(probe);
+  recorder_.record_hop(index, parsed.responder.value(), distance,
+                       RouteHop::kPreprobe | RouteHop::kFromDestination);
   if (result_.measured_distance[index] == 0) {
-    result_.measured_distance[index] =
-        static_cast<std::uint8_t>(std::min(distance, 255));
+    result_.measured_distance[index] = distance;
     ++result_.distances_measured;
   }
 }
@@ -691,12 +635,12 @@ FR_HOT void Tracer::handle_main_response(std::uint32_t index,
     answered_mask_[index] |= std::uint64_t{1} << (probe.initial_ttl - 1);
   }
 
+  const auto flags = static_cast<std::uint8_t>(
+      current_hop_flags_ | (probe.preprobe ? RouteHop::kPreprobe : 0));
   if (parsed.is_time_exceeded()) {
     const std::uint8_t hop_ttl = probe.initial_ttl;
-    const bool was_known = result_.interfaces.contains(parsed.responder.value());
-    record_hop(index, parsed.responder.value(), hop_ttl,
-               current_hop_flags_ |
-                   (probe.preprobe ? RouteHop::kPreprobe : std::uint8_t{0}));
+    const bool was_known =
+        !recorder_.record_hop(index, parsed.responder.value(), hop_ttl, flags);
 
     const std::lock_guard guard(dcb);
     // Horizon: farthest responding hop + GapLimit (§3.4).
@@ -720,44 +664,22 @@ FR_HOT void Tracer::handle_main_response(std::uint32_t index,
     return;
   }
 
-  if (!parsed.is_destination_unreachable()) return;
-  if (parsed.icmp_code != net::kIcmpCodePortUnreachable &&
-      parsed.icmp_code != net::kIcmpCodeHostUnreachable &&
-      parsed.icmp_code != net::kIcmpCodeProtoUnreachable) {
-    return;
-  }
-
-  const int distance =
-      std::max(1, static_cast<int>(probe.initial_ttl) -
-                      static_cast<int>(probe.residual_ttl) + 1);
-  const auto clamped = static_cast<std::uint8_t>(std::min(distance, 255));
-  record_hop(index, parsed.responder.value(), clamped,
-             current_hop_flags_ | RouteHop::kFromDestination |
-                 (probe.preprobe ? RouteHop::kPreprobe : std::uint8_t{0}));
-  if (result_.destination_distance[index] == 0 ||
-      clamped < result_.destination_distance[index]) {
-    result_.destination_distance[index] = clamped;
-  }
-  if (result_.trigger_ttl[index] == 0 ||
-      probe.initial_ttl < result_.trigger_ttl[index]) {
-    result_.trigger_ttl[index] = probe.initial_ttl;
-  }
+  if (!ResponseRecorder::is_destination_reply(parsed)) return;
+  const std::uint8_t distance = recorder_.record_destination(
+      index, parsed.responder.value(), probe, flags);
 
   const std::lock_guard guard(dcb);
   if ((dcb.flags() & Dcb::kDestReached) == 0) {
     dcb.set_flag(Dcb::kDestReached);  // stops forward probing (§3.2)
-    ++result_.destinations_reached;
-    config_.telemetry.count(config_.telemetry.ids.destinations_reached);
   }
   if (probe.preprobe && fold_mode()) {
     // §3.3.5: the folded first round measured the distance — jump backward
     // probing straight below the destination.
     if (result_.measured_distance[index] == 0) {
-      result_.measured_distance[index] = clamped;
+      result_.measured_distance[index] = distance;
       ++result_.distances_measured;
     }
-    const auto below = static_cast<std::uint8_t>(distance > 1 ? distance - 1
-                                                              : 0);
+    const auto below = static_cast<std::uint8_t>(distance - 1);
     if (below < dcb.next_backward_hop()) dcb.set_next_backward_hop(below);
   }
 }

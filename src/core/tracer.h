@@ -26,7 +26,8 @@
 // Every phase sends through one core::ProbeSender, which gathers the probes
 // of consecutive destinations (and retransmissions) into batches; the loop
 // below keeps the scalar shape — decide, stage, mark the drain point — and
-// the sender proves each skipped drain empty (DESIGN.md §11).
+// the sender proves each skipped drain empty (DESIGN.md §11).  Every reply
+// is matched and recorded through one core::ResponseRecorder.
 
 #pragma once
 
@@ -39,6 +40,7 @@
 #include "core/exclusion.h"
 #include "core/probe_codec.h"
 #include "core/probe_sender.h"
+#include "core/response_recorder.h"
 #include "core/result.h"
 #include "core/runtime.h"
 #include "io/checkpoint.h"
@@ -243,8 +245,6 @@ class Tracer {
   FR_HOT void handle_main_response(std::uint32_t index,
                                    const net::ParsedResponse& parsed,
                                    const DecodedProbe& probe);
-  FR_HOT void record_hop(std::uint32_t index, std::uint32_t ip,
-                         std::uint8_t ttl, std::uint8_t flags);
   FR_HOT bool fold_mode() const noexcept;
   bool include_in_scan(std::uint32_t index) const;
   /// The full 32-bit address currently probed for a prefix offset: the /24
@@ -261,8 +261,8 @@ class Tracer {
   DcbArray dcbs_;
   ScanResult result_;
   ProbeSender sender_;
+  ResponseRecorder recorder_;
   std::uint8_t current_hop_flags_ = 0;
-  std::uint64_t target_seed_;
 
   /// Bit per prefix offset: set = the operator exclusion list covers part of
   /// this /24.  Filled once per scan by the trie's bulk pass, so ring

@@ -1,6 +1,7 @@
-// The standard metric set every probing engine (core::Tracer, the Yarrp
-// and Scamper baselines) reports, and ScanTelemetry — the nullable handle
-// a TracerConfig carries into the engine.
+// The standard metric set core::Tracer and core::ShardedTracer report, and
+// ScanTelemetry — the nullable handle a TracerConfig carries into the
+// engine.  The Yarrp and Scamper baselines report no telemetry: they hand
+// their ProbeSender and ResponseRecorder a disabled handle.
 //
 // Telemetry is opt-in at runtime: a default ScanTelemetry has a null lane,
 // enabled() is false, and every hook in the hot path reduces to one
@@ -15,8 +16,8 @@
 
 namespace flashroute::obs {
 
-/// Counter / histogram ids shared by all engines (registered once per
-/// registry by register_scan_metrics).
+/// Counter / histogram ids (registered once per registry by
+/// register_scan_metrics).
 struct ScanMetricIds {
   // Counters.
   CounterId probes_sent = 0;

@@ -30,11 +30,13 @@ bool read_full(int fd, char* out, std::size_t n) {
   return true;
 }
 
-/// write(2) exactly `n` bytes; false when the peer is gone.
+/// send(2) exactly `n` bytes; false when the peer is gone.  MSG_NOSIGNAL:
+/// a peer that hung up yields EPIPE here instead of a SIGPIPE that would
+/// kill the process.
 bool write_full(int fd, const char* data, std::size_t n) {
   std::size_t sent = 0;
   while (sent < n) {
-    const ssize_t w = ::write(fd, data + sent, n - sent);
+    const ssize_t w = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
     if (w > 0) {
       sent += static_cast<std::size_t>(w);
     } else if (w < 0 && errno != EINTR) {

@@ -1,8 +1,8 @@
 // frd transport: AF_UNIX stream sockets and frame I/O (DESIGN.md §12).
 //
 // This file and socket.cc are the service's *only* syscall boundary — every
-// socket(2)/bind(2)/accept(2)/connect(2)/poll(2)/read(2)/write(2) the
-// daemon or client performs lives here, behind RAII wrappers.  The rest of
+// socket(2)/bind(2)/accept(2)/connect(2)/poll(2)/read(2)/send(2)/write(2)
+// the daemon or client performs lives here, behind RAII wrappers.  The rest of
 // src/svc/ is pure logic over byte buffers (wire.h) and therefore
 // deterministic and unit-testable; fr-lint enforces the boundary by
 // refusing FR_HOT annotations in these two files (hot paths must never sit
@@ -11,7 +11,8 @@
 // Framing: each message is [u32 LE payload length][payload], length capped
 // at wire.h's kMaxFrame.  All reads and writes loop over partial transfers
 // and retry EINTR, so callers see whole frames or a closed connection —
-// nothing in between.
+// nothing in between.  Frames go out with send(MSG_NOSIGNAL), so a peer
+// that hung up is a failed write, never a SIGPIPE.
 //
 // Lock discipline (DESIGN.md §13): everything here can block indefinitely
 // on a peer, so no caller may hold a capability (any annotated mutex)

@@ -19,7 +19,9 @@
 // resilience counters, preprobe_time and the probe log (result_digest); the
 // telemetry case hashes the exported JSONL stream.  The simulator calls no
 // libm transcendental functions, so the digests hold on every compiler: a
-// mismatch is a behaviour change, never a reason to re-record.
+// mismatch is a behaviour change, never a reason to re-record.  The one
+// case re-recorded for a deliberate fix carries the proof of its new value
+// in its comment.
 
 #include <gtest/gtest.h>
 
@@ -206,11 +208,19 @@ TEST(BatchEquivalence, TracerBatchedScanIsBitIdenticalToScalar) {
 }
 
 TEST(BatchEquivalence, TracerBatchedScanWithPreprobeAndExtraScans) {
+  // Re-recorded once, for the destinations_reached fix: the engine used to
+  // count a destination again each time an extra scan reached it (14 here,
+  // digest 0xcf45991593e31889), and now counts each /24 once, when it first
+  // gets a destination distance (9).  Proof of the new value: run this case
+  // on the commit before core::ResponseRecorder, set destinations_reached
+  // to the number of nonzero destination_distance entries (9 instead of
+  // 14), and hash the result with result_digest: 0x22db4780a20c9aba, in
+  // both cadences.  Nothing else in the result moved.
   const sim::Topology topology(world_params(8, 21));
   core::TracerConfig config = tracer_config(topology);
   config.preprobe = core::PreprobeMode::kRandom;
   config.extra_scans = 2;
-  expect_tracer_golden(topology, config, 0xcf45991593e31889ULL);
+  expect_tracer_golden(topology, config, 0x22db4780a20c9abaULL);
 }
 
 TEST(BatchEquivalence, TracerBatchedScanUnderFaultPlane) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <random>
 #include <tuple>
@@ -204,6 +205,36 @@ TEST(ProbeCodec, EncodeTcpMatchesYarrpConventions) {
   EXPECT_EQ(tcp->dst_port, 80);
   EXPECT_EQ(tcp->src_port, net::address_checksum(kTarget));
   EXPECT_EQ(tcp->seq, 5000u);  // elapsed ms in the sequence number
+}
+
+TEST(ProbeCodec, EveryTcpProbeCarriesAValidTcpChecksum) {
+  // A live host drops a TCP segment whose checksum fails, so a Yarrp TCP-ACK
+  // probe would draw no RST.  The sum over the pseudo-header (source,
+  // destination, zero, protocol, TCP length) and the segment must fold to
+  // 0xFFFF for every destination, source port and sequence number.
+  std::mt19937 rng(0x7C9);
+  std::uniform_int_distribution<std::uint32_t> addr_dist;
+  std::uniform_int_distribution<std::int64_t> ms_dist(0, 5'000'000'000);
+  std::array<std::byte, ProbeCodec::kMaxProbeSize> buf;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const net::Ipv4Address dst(addr_dist(rng));
+    const ProbeCodec codec(kVantage,
+                           /*port_offset=*/static_cast<std::uint16_t>(trial));
+    const std::size_t size = codec.encode_tcp(
+        dst, static_cast<std::uint8_t>(1 + trial % 32),
+        ms_dist(rng) * util::kMillisecond, buf);
+    ASSERT_EQ(size, ProbeCodec::kTcpProbeSize);
+    std::array<std::byte, 12> pseudo{};
+    std::copy(buf.begin() + 12, buf.begin() + 20, pseudo.begin());
+    pseudo[9] = std::byte{net::kProtoTcp};
+    pseudo[11] = std::byte{net::TcpHeader::kSize};
+    const std::span<const std::byte> segment(
+        buf.data() + net::Ipv4Header::kSize, net::TcpHeader::kSize);
+    ASSERT_EQ(net::checksum_finish(net::checksum_partial(
+                  segment, net::checksum_partial(pseudo))),
+              0)
+        << "trial " << trial;
+  }
 }
 
 TEST(ProbeCodec, TemplatePatchingMatchesFullSerializationRandomized) {

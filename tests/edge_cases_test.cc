@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <vector>
 
 #include "baselines/scamper.h"
 #include "baselines/yarrp.h"
@@ -230,20 +232,133 @@ TEST(EdgeCases, ExtraScansWithEverythingDisabled) {
 }
 
 TEST(EdgeCases, ResultCountersAreInternallyConsistent) {
+  // Extra scans reach destinations the main scan already reached; each /24
+  // still counts once.
   const sim::Topology topology(tiny(9, 10));
-  auto config = config_for(topology.params());
-  config.preprobe = core::PreprobeMode::kRandom;
-  config.collect_probe_log = true;
-  const auto result = scan(topology, config);
-  EXPECT_EQ(result.probe_log.size(), result.probes_sent);
-  EXPECT_LE(result.preprobe_probes, result.probes_sent);
-  EXPECT_LE(result.destinations_reached, config.num_prefixes());
-  EXPECT_LE(result.distances_measured, config.num_prefixes());
-  std::uint64_t reached = 0;
-  for (std::uint32_t i = 0; i < config.num_prefixes(); ++i) {
-    if (result.destination_distance[i] != 0) ++reached;
+  for (const int extra_scans : {0, 2}) {
+    auto config = config_for(topology.params());
+    config.preprobe = core::PreprobeMode::kRandom;
+    config.collect_probe_log = true;
+    config.extra_scans = extra_scans;
+    const auto result = scan(topology, config);
+    EXPECT_EQ(result.probe_log.size(), result.probes_sent);
+    EXPECT_LE(result.preprobe_probes, result.probes_sent);
+    EXPECT_LE(result.destinations_reached, config.num_prefixes());
+    EXPECT_LE(result.distances_measured, config.num_prefixes());
+    std::uint64_t reached = 0;
+    for (std::uint32_t i = 0; i < config.num_prefixes(); ++i) {
+      if (result.destination_distance[i] != 0) ++reached;
+    }
+    EXPECT_GT(reached, 0u);
+    EXPECT_EQ(reached, result.destinations_reached)
+        << "extra_scans=" << extra_scans;
   }
-  EXPECT_EQ(reached, result.destinations_reached);
+}
+
+/// Answers every probe at once from the probed address: with a TCP RST
+/// when `rst` is set and the probe is TCP, then with an ICMP unreachable of
+/// `code` quoting the probe with a residual TTL.
+class AnsweringRuntime final : public core::ScanRuntime {
+ public:
+  AnsweringRuntime(std::uint8_t code, bool rst) : code_(code), rst_(rst) {}
+
+  util::Nanos now() const noexcept override { return now_; }
+  [[nodiscard]] bool try_send(std::span<const std::byte> probe) override {
+    now_ += 10 * util::kMicrosecond;
+    ++packets_sent_;
+    net::ByteReader reader(probe);
+    const auto ip = net::Ipv4Header::parse(reader);
+    if (!ip) return true;
+    if (rst_) {
+      if (auto reset = net::craft_tcp_rst(probe)) {
+        pending_.push_back(std::move(*reset));
+      }
+    }
+    auto reply = net::craft_icmp_response(net::kIcmpDestUnreachable, code_,
+                                          ip->dst, probe,
+                                          /*residual_ttl=*/20);
+    if (reply) pending_.push_back(std::move(*reply));
+    return true;
+  }
+  void drain(const Sink& sink) override {
+    for (const auto& reply : pending_) sink(reply, now_);
+    pending_.clear();
+  }
+  void idle_until(util::Nanos t, const Sink& sink) override {
+    now_ = std::max(now_, t);
+    drain(sink);
+  }
+
+ private:
+  std::uint8_t code_;
+  bool rst_;
+  util::Nanos now_ = 0;
+  std::vector<std::vector<std::byte>> pending_;
+};
+
+TEST(EdgeCases, ProhibitedUnreachableIsNotTheDestination) {
+  // Only port, host and protocol unreachables come from the probed host;
+  // no engine takes a filter's code 13 ("administratively prohibited") for
+  // the destination.
+  constexpr int kBits = 4;
+  constexpr std::uint8_t kAdminProhibited = 13;
+  const auto expect_no_destination = [](const core::ScanResult& result,
+                                        const char* engine) {
+    SCOPED_TRACE(engine);
+    EXPECT_GT(result.responses, 0u);
+    EXPECT_EQ(result.destinations_reached, 0u);
+    EXPECT_EQ(result.distances_measured, 0u);
+    EXPECT_EQ(std::count(result.destination_distance.begin(),
+                         result.destination_distance.end(), 0),
+              static_cast<std::ptrdiff_t>(result.destination_distance.size()));
+    std::size_t hops = 0;
+    for (const auto& route : result.routes) hops += route.size();
+    EXPECT_EQ(hops, 0u);
+  };
+
+  core::TracerConfig tracer;
+  tracer.prefix_bits = kBits;
+  tracer.preprobe = core::PreprobeMode::kRandom;
+  tracer.forward_probing = false;
+  tracer.split_ttl = 2;
+  tracer.min_round_duration = util::kMillisecond;
+  AnsweringRuntime tracer_runtime(kAdminProhibited, /*rst=*/false);
+  expect_no_destination(core::Tracer(tracer, tracer_runtime).run(), "tracer");
+
+  baselines::YarrpConfig yarrp;
+  yarrp.prefix_bits = kBits;
+  yarrp.exhaustive_ttl = 2;
+  yarrp.probe_type = baselines::YarrpConfig::ProbeType::kUdp;
+  AnsweringRuntime yarrp_runtime(kAdminProhibited, /*rst=*/false);
+  expect_no_destination(baselines::Yarrp(yarrp, yarrp_runtime).run(), "yarrp");
+
+  baselines::ScamperConfig scamper;
+  scamper.prefix_bits = kBits;
+  scamper.first_ttl = 2;
+  scamper.max_ttl = 3;
+  AnsweringRuntime scamper_runtime(kAdminProhibited, /*rst=*/false);
+  expect_no_destination(baselines::Scamper(scamper, scamper_runtime).run(),
+                        "scamper");
+}
+
+TEST(EdgeCases, YarrpCountsATargetOnceWhenARstAndAnUnreachableReachIt) {
+  // Every TCP-ACK probe draws a RST and then a port unreachable from its
+  // target.  The RST reaches the /24 first; the unreachable gives it a
+  // distance but is not a second reached destination.
+  baselines::YarrpConfig config;
+  config.prefix_bits = 4;
+  config.exhaustive_ttl = 2;
+  AnsweringRuntime runtime(net::kIcmpCodePortUnreachable, /*rst=*/true);
+  const auto result = baselines::Yarrp(config, runtime).run();
+  const auto with_distance =
+      std::count_if(result.destination_distance.begin(),
+                    result.destination_distance.end(),
+                    [](std::uint8_t distance) { return distance != 0; });
+  EXPECT_EQ(with_distance, std::ptrdiff_t{1} << config.prefix_bits);
+  EXPECT_EQ(result.destinations_reached,
+            static_cast<std::uint64_t>(with_distance));
+  EXPECT_EQ(result.responses, 2 * result.probes_sent);
+  EXPECT_EQ(result.mismatches, 0u);
 }
 
 }  // namespace

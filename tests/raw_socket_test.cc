@@ -73,39 +73,6 @@ std::vector<std::byte> udp_datagram(Ipv4Address src, Ipv4Address dst,
   return packet;
 }
 
-/// A bare TCP ACK, checksummed so the destination's kernel answers it with
-/// a RST.
-std::vector<std::byte> tcp_ack(Ipv4Address src, Ipv4Address dst) {
-  constexpr std::size_t kSize = Ipv4Header::kSize + TcpHeader::kSize;
-  std::vector<std::byte> packet(kSize);
-  ByteWriter writer(packet);
-  Ipv4Header ip;
-  ip.total_length = kSize;
-  ip.ttl = 64;
-  ip.protocol = kProtoTcp;
-  ip.src = src;
-  ip.dst = dst;
-  ip.serialize(writer);
-  TcpHeader tcp;
-  tcp.src_port = 40'000;
-  tcp.dst_port = 80;
-  tcp.seq = 1;
-  tcp.ack = 1;
-  tcp.flags = TcpHeader::kFlagAck;
-  tcp.window = 1024;
-  tcp.serialize(writer);
-  // Pseudo-header: source, destination, zero, protocol, TCP length.
-  std::array<std::byte, 12> pseudo{};
-  std::copy(packet.begin() + 12, packet.begin() + 20, pseudo.begin());
-  pseudo[9] = std::byte{kProtoTcp};
-  pseudo[11] = std::byte{TcpHeader::kSize};
-  const std::uint16_t sum = checksum_finish(checksum_partial(
-      std::span(packet).subspan(Ipv4Header::kSize), checksum_partial(pseudo)));
-  packet[Ipv4Header::kSize + 16] = std::byte(sum >> 8);
-  packet[Ipv4Header::kSize + 17] = std::byte(sum & 0xFF);
-  return packet;
-}
-
 /// The IPv4 total-length field of a received packet.
 std::size_t ip_total_length(std::span<const std::byte> packet) {
   return (std::to_integer<std::size_t>(packet[2]) << 8) |
@@ -176,17 +143,23 @@ TEST(RawSocket, TcpAckGetsKernelRst) {
   if (!raw) GTEST_SKIP() << "raw sockets unavailable (need CAP_NET_RAW)";
   core::ThreadedRuntime& runtime = raw->runtime;
 
-  // A destination answers a TCP ACK with a bare RST, which quotes nothing:
-  // the runtime must deliver it unclassified.
+  // The kernel answers Yarrp's TCP-ACK probe with a bare RST only when the
+  // probe's TCP checksum holds.  The RST quotes nothing, so the runtime must
+  // deliver it unclassified; its destination port echoes the probe's source
+  // port, the checksum of the target address.
   const Ipv4Address target = Ipv4Address::from_octets(127, 0, 0, 8);
-  EXPECT_TRUE(runtime.try_send(
-      tcp_ack(Ipv4Address::from_octets(127, 0, 0, 1), target)));
+  const core::ProbeCodec codec(Ipv4Address::from_octets(127, 0, 0, 1));
+  std::array<std::byte, core::ProbeCodec::kTcpProbeSize> probe;
+  ASSERT_EQ(codec.encode_tcp(target, 32, runtime.now(), probe),
+            probe.size());
+  EXPECT_TRUE(runtime.try_send(probe));
 
   bool rst = false;
   const core::ScanRuntime::Sink sink = [&](std::span<const std::byte> packet,
                                            util::Nanos) {
     const auto parsed = parse_response(packet);
-    rst = rst || (parsed && parsed->is_tcp_rst && parsed->responder == target);
+    rst = rst || (parsed && parsed->is_tcp_rst && parsed->responder == target &&
+                  parsed->tcp_dst_port == address_checksum(target));
   };
   const util::Nanos deadline = runtime.now() + 500 * util::kMillisecond;
   while (!rst && runtime.now() < deadline) {

@@ -24,6 +24,8 @@
 #include "svc/job.h"
 #include "svc/job_runner.h"
 #include "svc/journal.h"
+#include "svc/socket.h"
+#include "svc/wire.h"
 #include "util/clock.h"
 
 namespace flashroute::svc {
@@ -116,6 +118,25 @@ TEST(SvcDaemon, SubmitRunsToCompletionAndAnswersQueries) {
   EXPECT_NE(stream.find("\"event\":\"completed\""), std::string::npos);
   EXPECT_NE(stream.find("\"type\":\"job_summary\""), std::string::npos);
   EXPECT_NE(stream.find("\"clean_shutdown\":true"), std::string::npos);
+}
+
+TEST(SvcDaemon, SurvivesClientsThatHangUpBeforeTheirReply) {
+  // A client killed mid-request (Ctrl-C, its own timeout) closes its socket
+  // before frd answers.  Writing that reply must fail quietly: a SIGPIPE
+  // would kill the daemon, and this test process with it.
+  DaemonFixture fixture("hangup");
+  ASSERT_TRUE(fixture.daemon->start());
+  const Writer list(MsgType::kList);
+  for (int i = 0; i < 20; ++i) {
+    auto connection = connect_unix(fixture.socket_path);
+    ASSERT_TRUE(connection.has_value());
+    ASSERT_TRUE(connection->write_frame(list.bytes()));
+  }  // each connection closes here, before its reply
+
+  Client client = fixture.connect();
+  const auto views = client.list();
+  ASSERT_TRUE(views.has_value());
+  EXPECT_TRUE(views->empty());
 }
 
 TEST(SvcDaemon, IdenticalSpecsArchiveIdenticalPayloads) {
