@@ -8,6 +8,11 @@
 // not-yet-finished destinations in shuffled order and unlink completed ones
 // in O(1).  "Prefixes excluded from the scan still occupy their slots."
 //
+// The shuffled order makes every step of a ring walk a cache miss once the
+// array outgrows the caches (44 MiB at 2^22).  walk_ring, the only ring
+// walk, prefetches each successor's DCB before it visits the current one,
+// so the miss overlaps the visit's work.
+//
 // The array is templated on the DCB layout: `DcbArray` uses the packed
 // 11-byte `Dcb` (24-bit links — exactly enough for 2^24 slots, so the array
 // itself enforces the full-IPv4 bound), `MutexDcbArray` the paper-faithful
@@ -22,11 +27,13 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/dcb.h"
 #include "util/annotations.h"
 #include "util/permutation.h"
+#include "util/prefetch.h"
 
 namespace flashroute::core {
 
@@ -93,6 +100,35 @@ class BasicDcbArray {
   FR_HOT std::uint32_t ring_size() const noexcept { return ring_size_; }
   FR_HOT std::uint32_t next(std::uint32_t index) const noexcept {
     return dcbs_[index].next_index();
+  }
+
+  /// Visits each of the ring's current members once, from the head in ring
+  /// order, as `visit(index)`.  A visit may remove its own member (and only
+  /// that one), so the successor's link is read before the visit.  The
+  /// successor's DCB is then prefetched at both ends, because a packed DCB
+  /// can straddle two cache lines, and `also_prefetch(successor)` lets the
+  /// caller prefetch its own per-index state alongside.
+  template <typename Visit, typename AlsoPrefetch>
+  FR_HOT void walk_ring(Visit&& visit, AlsoPrefetch&& also_prefetch) {
+    std::uint32_t index = head_;
+    const std::uint32_t count = ring_size_;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint32_t successor = dcbs_[index].next_index();
+      const auto* bytes = reinterpret_cast<const char*>(&dcbs_[successor]);
+      util::prefetch(bytes);
+      util::prefetch(bytes + sizeof(DcbType) - 1);
+      // fr-lint: allow(hot-call): caller-supplied prefetch of per-index
+      // state; a hint, like the DCB prefetches above.
+      also_prefetch(successor);
+      // fr-lint: allow(hot-call): caller-supplied visit; every caller on
+      // the probe path (the Tracer's main rounds) is itself FR_HOT.
+      visit(index);
+      index = successor;
+    }
+  }
+  template <typename Visit>
+  FR_HOT void walk_ring(Visit&& visit) {
+    walk_ring(std::forward<Visit>(visit), [](std::uint32_t) {});
   }
   bool in_ring(std::uint32_t index) const noexcept {
     return (dcbs_[index].flags() & DcbType::kRemoved) == 0 && ring_size_ > 0;

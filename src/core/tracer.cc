@@ -6,6 +6,7 @@
 #include "core/targets.h"
 #include "net/icmp.h"
 #include "util/logging.h"
+#include "util/prefetch.h"
 
 namespace flashroute::core {
 
@@ -204,24 +205,27 @@ FR_HOT void Tracer::drain_wheel() {
 
 void Tracer::preprobe_phase() {
   const util::Nanos phase_start = sender_.now();
-  const std::uint32_t n = config_.num_prefixes();
-  std::uint32_t index = dcbs_.head();
-  const std::uint32_t count = dcbs_.ring_size();
-  for (std::uint32_t i = 0; i < count; ++i, index = dcbs_.next(index)) {
-    std::uint32_t target = destination_of(index);
-    if (config_.preprobe == PreprobeMode::kHitlist &&
-        config_.hitlist != nullptr && index < config_.hitlist->size() &&
-        (*config_.hitlist)[index] != 0) {
-      target = (*config_.hitlist)[index];
-    }
-    send_probe(codec_, index, target, config_.max_ttl, /*preprobe_flag=*/true,
-               ProbeSender::kPreprobe);
-    sender_.drain_point();
-  }
+  const std::vector<std::uint32_t>* hitlist =
+      config_.preprobe == PreprobeMode::kHitlist ? config_.hitlist : nullptr;
+  dcbs_.walk_ring(
+      [&](std::uint32_t index) {
+        std::uint32_t target = destination_of(index);
+        if (hitlist != nullptr && index < hitlist->size() &&
+            (*hitlist)[index] != 0) {
+          target = (*hitlist)[index];
+        }
+        send_probe(codec_, index, target, config_.max_ttl,
+                   /*preprobe_flag=*/true, ProbeSender::kPreprobe);
+        sender_.drain_point();
+      },
+      [&](std::uint32_t successor) {
+        if (hitlist != nullptr && successor < hitlist->size()) {
+          util::prefetch(hitlist->data() + successor);
+        }
+      });
   // Allow in-flight preprobe responses to land before splitting routes.
   sender_.idle_until(sender_.now() + config_.min_round_duration);
   result_.preprobe_time = sender_.now() - phase_start;
-  (void)n;
 }
 
 void Tracer::predict_distances() {
@@ -248,9 +252,7 @@ void Tracer::predict_distances() {
 }
 
 void Tracer::initialize_dcbs() {
-  std::uint32_t index = dcbs_.head();
-  const std::uint32_t count = dcbs_.ring_size();
-  for (std::uint32_t i = 0; i < count; ++i, index = dcbs_.next(index)) {
+  dcbs_.walk_ring([this](std::uint32_t index) {
     Dcb& dcb = dcbs_[index];
     int split = config_.split_ttl;
     if (result_.measured_distance[index] != 0) {
@@ -265,7 +267,7 @@ void Tracer::initialize_dcbs() {
     dcb.set_forward_horizon(static_cast<std::uint8_t>(
         std::min(split + config_.gap_limit, 255)));
     dcb.retain_flags(Dcb::kRemoved);  // clear everything but ring membership
-  }
+  });
 }
 
 FR_HOT void Tracer::main_rounds(const ProbeCodec& codec, bool flag_first_round,
@@ -282,11 +284,8 @@ FR_HOT void Tracer::main_rounds(const ProbeCodec& codec, bool flag_first_round,
 
   while (dcbs_.ring_size() > 0) {
     const util::Nanos round_start = sender_.now();
-    std::uint32_t current = dcbs_.head();
-    const std::uint32_t count = dcbs_.ring_size();
-
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint32_t next = dcbs_.next(current);
+    const bool flag_this_round = flag_first_round && first_round;
+    dcbs_.walk_ring([&](std::uint32_t current) {
       Dcb& dcb = dcbs_[current];
 
       std::uint8_t backward_ttl = 0;
@@ -338,12 +337,11 @@ FR_HOT void Tracer::main_rounds(const ProbeCodec& codec, bool flag_first_round,
           }
         }
         dcbs_.remove(current);
-        current = next;
-        continue;
+        return;
       }
       if (backward_ttl != 0) {
         send_probe(codec, current, destination_of(current), backward_ttl,
-                   flag_first_round && first_round);
+                   flag_this_round);
       }
       if (forward_ttl != 0) {
         send_probe(codec, current, destination_of(current), forward_ttl,
@@ -353,8 +351,7 @@ FR_HOT void Tracer::main_rounds(const ProbeCodec& codec, bool flag_first_round,
       // DCB decision — including stragglers addressed to it.
       sender_.drain_point();
       process_retransmits();
-      current = next;
-    }
+    });
 
     const util::Nanos barrier = round_start + config_.min_round_duration;
     if (sender_.now() < barrier) {
@@ -521,18 +518,16 @@ void Tracer::maybe_checkpoint() {
 }
 
 void Tracer::apply_fold_predictions() {
-  std::uint32_t index = dcbs_.head();
-  const std::uint32_t count = dcbs_.ring_size();
-  for (std::uint32_t i = 0; i < count; ++i, index = dcbs_.next(index)) {
-    if (result_.measured_distance[index] != 0) continue;
+  dcbs_.walk_ring([this](std::uint32_t index) {
+    if (result_.measured_distance[index] != 0) return;
     const std::uint8_t predicted = result_.predicted_distance[index];
-    if (predicted == 0) continue;
+    if (predicted == 0) return;
     Dcb& dcb = dcbs_[index];
     const std::lock_guard guard(dcb);
     if (predicted < dcb.next_backward_hop()) {
       dcb.set_next_backward_hop(predicted);
     }
-  }
+  });
 }
 
 void Tracer::run_extra_scans() {
@@ -558,9 +553,7 @@ void Tracer::run_extra_scans() {
     dcbs_.build_ring(permutation, [this](std::uint32_t index) {
       return include_in_scan(index);
     });
-    std::uint32_t index = dcbs_.head();
-    const std::uint32_t count = dcbs_.ring_size();
-    for (std::uint32_t i = 0; i < count; ++i, index = dcbs_.next(index)) {
+    dcbs_.walk_ring([&](std::uint32_t index) {
       Dcb& dcb = dcbs_[index];
       // Backward-only from a random split; the shared stop set terminates
       // re-exploration of already-known route sections.  With the §5.4
@@ -586,7 +579,7 @@ void Tracer::run_extra_scans() {
       dcb.set_next_forward_hop(config_.max_ttl + 1);
       dcb.set_forward_horizon(0);
       dcb.retain_flags(Dcb::kRemoved);
-    }
+    });
     main_rounds(extra_codec, false, RouteHop::kExtraScan);
     if (aborted_) return;  // cancel flag fired during this pass
   }

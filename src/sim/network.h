@@ -12,9 +12,11 @@
 // intrusiveness phenomenon Table 4 studies.
 //
 // Hot path (DESIGN.md §6): `process_into` is allocation-free in steady
-// state.  Route resolution goes through a direct-mapped per-(destination,
-// flow, epoch) cache (sim/route_cache.h; bypassable, bit-identical either
-// way), responses are encoded straight into a caller-provided buffer —
+// state.  Route resolution is O(1) per probe: a Route is a descriptor, and
+// only the interface the probe expires at is computed.  Below 2^20
+// prefixes a direct-mapped per-(destination, flow, epoch) cache
+// (sim/route_cache.h; bit-identical to bypassing it) memoizes it as well.
+// Responses are encoded straight into a caller-provided buffer —
 // normally a recycled sim/response_pool.h slot — and the per-responder ICMP
 // limiters live in a flat table indexed by interface-pool offset
 // (sim/rate_limit_table.h).
@@ -152,12 +154,12 @@ class SimNetwork {
   const Topology& topology_;
   NetworkStats stats_;
   RateLimitTable rate_limiters_;
-  /// Memoizes Topology::resolve; null when params.route_cache_bits == 0.
+  /// Memoizes Topology::resolve; null when
+  /// params.effective_route_cache_bits() == 0.
   std::optional<RouteCache> route_cache_;
-  /// Scratch for cache-bypassed resolution (avoids a 64-slot array on the
-  /// stack per probe and lets Route::reset skip the hops array).  Bypassing
-  /// re-derives the full response plan per probe — that is the cost the
-  /// route cache amortizes.
+  /// Scratch for cache-bypassed resolution.  Bypassing re-resolves the
+  /// route and re-draws the silence of the one hop a probe expires at —
+  /// the cost the route cache amortizes.
   Route scratch_route_;
   RouteSilence scratch_silence_;
   /// Current dynamics epoch, memoized over the non-decreasing send times so

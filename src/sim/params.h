@@ -256,10 +256,10 @@ struct SimParams {
   /// structurally capped by backward+forward pair reuse (~0.30 at 2^24,
   /// identical for 16- and 17-bit tables: the ring walk cycles the whole
   /// universe between revisits, so no feasible table captures more), and
-  /// with the single-derivation resolve path a miss is cheap enough that
-  /// the lookup+insert paid on the other ~70% of probes costs more than
-  /// the hits save — measured 1.98 Mpps cache-off vs 1.67 Mpps with a
-  /// 16-bit cache at 2^24, and 1.90 vs 1.58 at 2^20 (DESIGN.md §11).
+  /// a miss is one O(1) resolve (a Route is a descriptor, not a copy of
+  /// its hops), so the lookup+insert paid on the other ~70% of probes
+  /// costs more than the hits save (DESIGN.md §11, "Route cache at
+  /// scale").
   int route_cache_bits = -1;
 
   // --- Fault injection -------------------------------------------------------

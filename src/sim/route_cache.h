@@ -3,23 +3,24 @@
 // FlashRoute probes each /24 dozens of times with an identical
 // (destination, flow, epoch) triple — one representative target per prefix,
 // a Paris-constant flow label, and rounds that finish well inside one
-// dynamics epoch — yet the seed simulator re-expanded the stub's route
-// template from scratch for every probe.  Path caching is the standard trick
-// for making per-packet route models tractable at scale (Leguay et al.,
-// "Describing and Simulating Internet Routes"); because Topology::resolve is
-// a pure function of the exact triple, memoizing it is *provably*
-// bit-identical: a hit returns the very Route a fresh resolution would
-// produce, so cached and cache-bypassed scans yield the same ScanResult
-// (tests/sim_hotpath_test.cc proves this seed by seed).
+// dynamics epoch.  Path caching is the standard trick for making per-packet
+// route models tractable at scale (Leguay et al., "Describing and Simulating
+// Internet Routes"); because Topology::resolve is a pure function of the
+// exact triple, memoizing it is *provably* bit-identical: a hit returns the
+// very Route a fresh resolution would produce, so cached and cache-bypassed
+// scans yield the same ScanResult (tests/sim_hotpath_test.cc proves this
+// seed by seed).
 //
 // Each entry memoizes the route *and* its RouteSilence — the per-hop
 // interface_responds / host_responds answers for the probe's protocol, which
 // are pure over (route, protocol).  The plan fills *lazily*: fill() resets
 // it empty and the response path computes each hop/host answer on first
 // query (Topology::hop_silent_at / host_answers_lazy).  A scan asks about
-// 1-2 positions of a route per fill, so annotating all ~20-30 hops eagerly
-// was the dominant miss cost; laziness keeps hits just as cheap (memoized
-// bits) and makes misses ~5x cheaper, bit-identically — the draws are pure.
+// 1-2 positions of a route per fill, so only those draws are ever made.
+// The Route itself is an O(1) descriptor (template pointer, flow, segment
+// lengths, up to four tail hops): a miss costs one resolve, not a copy of
+// every hop, and Route::hop_at computes the one interface a probe expires
+// at.  A hit saves the resolve's hash draws and the silence draws.
 //
 // The cache is direct-mapped: one tag check plus an array read on the common
 // path, no probing chains, no allocation after construction.  Collisions
@@ -51,7 +52,7 @@ class RouteCache {
     RouteSilence silence;
   };
 
-  /// `bits` = log2 of the entry count (each entry holds a full Route).
+  /// `bits` = log2 of the entry count.
   explicit RouteCache(int bits)
       : mask_((std::size_t{1} << bits) - 1),
         entries_(std::size_t{1} << bits) {}

@@ -309,34 +309,21 @@ void Topology::apply_filtered_tail(const Stub& stub, util::Xoshiro256& rng) {
   int remaining = tail;
   for (int spine = static_cast<int>(stub.spine_base) - 1;
        spine >= 0 && remaining > 0; --spine, --remaining) {
-    forced_silent_.insert(stub.spine_ips[static_cast<std::size_t>(spine)]);
+    mark_forced_silent(stub.spine_ips[static_cast<std::size_t>(spine)]);
   }
   for (auto it = stub.path.rbegin(); it != stub.path.rend() && remaining > 0;
        ++it) {
     if (it->width != 0) break;  // stop at a load-balancer diamond
-    forced_silent_.insert(it->base_ip);
+    mark_forced_silent(it->base_ip);
     --remaining;
   }
 }
 
-FR_HOT std::uint32_t Topology::template_hop_ip(const TemplateHop& hop,
-                                        std::uint64_t flow) const noexcept {
-  if (hop.width == 0) return hop.base_ip;
-  const std::uint64_t branch =
-      util::mix64(hop.edge_key ^ flow) % hop.width;
-  return hop.base_ip + static_cast<std::uint32_t>(branch);
-}
-
-FR_HOT int Topology::expand_template(
-    const Stub& stub, std::uint64_t flow, int limit,
-    std::array<std::uint32_t, Route::kMaxHops>& hops) const noexcept {
-  const int count =
-      std::min(limit, static_cast<int>(stub.path.size()));
-  for (int i = 0; i < count; ++i) {
-    hops[static_cast<std::size_t>(i)] =
-        template_hop_ip(stub.path[static_cast<std::size_t>(i)], flow);
-  }
-  return count;
+void Topology::mark_forced_silent(std::uint32_t pool_ip) {
+  const std::uint32_t offset = pool_ip - params_.interface_pool_base;
+  const std::size_t word = offset / 64;
+  if (word >= forced_silent_.size()) forced_silent_.resize(word + 1, 0);
+  forced_silent_[word] |= std::uint64_t{1} << (offset % 64);
 }
 
 FR_HOT bool Topology::in_universe(net::Ipv4Address address) const noexcept {
@@ -452,7 +439,12 @@ FR_HOT bool Topology::host_responds_delivered(
 
 FR_HOT bool Topology::interface_responds(std::uint32_t interface_ip,
                                   std::uint8_t protocol) const noexcept {
-  if (forced_silent_.contains(interface_ip)) return false;
+  // Outside the pool the offset wraps past the bitmap: never forced silent.
+  const std::uint32_t offset = interface_ip - params_.interface_pool_base;
+  if (offset / 64 < forced_silent_.size() &&
+      ((forced_silent_[offset / 64] >> (offset % 64)) & 1) != 0) {
+    return false;
+  }
   if (util::stable_chance(seed_silent_, interface_ip,
                           params_.interface_silent_prob)) {
     return false;
@@ -471,8 +463,7 @@ FR_HOT bool Topology::hop_silent_at(const Route& route, int pos,
   if (pos <= route.num_hops) {
     const std::uint64_t bit = std::uint64_t{1} << (pos - 1);
     if ((plan.hop_known & bit) == 0) {
-      if (!interface_responds(route.hops[static_cast<std::size_t>(pos - 1)],
-                              protocol)) {
+      if (!interface_responds(route.hop_at(pos), protocol)) {
         plan.hop_silent |= bit;
       }
       plan.hop_known |= bit;
@@ -481,9 +472,9 @@ FR_HOT bool Topology::hop_silent_at(const Route& route, int pos,
   }
   if (!plan.loop_known) {
     plan.loop_a_silent =
-        route.loops && !interface_responds(route.loop_a, protocol);
+        route.loops && !interface_responds(route.loop_a(), protocol);
     plan.loop_b_silent =
-        route.loops && !interface_responds(route.loop_b, protocol);
+        route.loops && !interface_responds(route.loop_b(), protocol);
     plan.loop_known = true;
   }
   return ((pos - route.num_hops) % 2 == 1) ? plan.loop_a_silent
@@ -542,24 +533,42 @@ FR_HOT bool Topology::resolve(net::Ipv4Address destination, std::uint64_t flow,
     dyn_key = e.block_key;
   }
 
+  // The route is a descriptor (see Route): the template and spine stay in
+  // the stub, and only the per-destination tail is copied.  Every segment
+  // is capped so num_hops never passes Route::kMaxHops.
+  const Stub& stub = *stub_ptr;
+  const int full = static_cast<int>(stub.path.size());
+  const auto follow_path = [&](int limit) {
+    route.path = stub.path.data();
+    route.flow = flow;
+    route.path_len =
+        static_cast<std::uint8_t>(std::min({limit, full, Route::kMaxHops}));
+    route.spine_end = route.path_len;
+    route.num_hops = route.path_len;
+  };
+  const auto follow_spine = [&] {
+    const int spine = spine_length_keyed(stub.spine_base, dyn_key, epoch);
+    route.spine = stub.spine_ips.data();
+    route.spine_end = static_cast<std::uint8_t>(
+        route.path_len + std::min(spine, Route::kMaxHops - route.path_len));
+    route.num_hops = route.spine_end;
+  };
+  const auto append_tail = [&](std::uint32_t ip) {
+    if (route.num_hops >= Route::kMaxHops) return;
+    route.tail[route.tail_len++] = ip;
+    ++route.num_hops;
+  };
+
   if (!routed) {
     // Dark space: the path follows the provider of a nearby stub and dies
     // drop_back hops before that stub's gateway.
-    const Stub& provider = *stub_ptr;
-    const int full = static_cast<int>(provider.path.size());
-    const int drop_at = std::max(1, full - drop_back);
-    route.num_hops = expand_template(provider, flow, drop_at, route.hops);
-    if (dark_loop && route.num_hops >= 2) {
-      route.loops = true;
-      route.loop_a = route.hops[static_cast<std::size_t>(route.num_hops - 1)];
-      route.loop_b = route.hops[static_cast<std::size_t>(route.num_hops - 2)];
-    }
+    follow_path(std::max(1, full - drop_back));
+    route.loops = dark_loop && route.num_hops >= 2;
     return true;
   }
 
-  const Stub& stub = *stub_ptr;
-  const int gateway_pos =
-      expand_template(stub, flow, Route::kMaxHops, route.hops);
+  follow_path(Route::kMaxHops);
+  const int gateway_pos = route.num_hops;
   if (stub.mbox_reset != 0) {
     route.middlebox_pos = gateway_pos;
     route.middlebox_reset = stub.mbox_reset;
@@ -572,13 +581,7 @@ FR_HOT bool Topology::resolve(net::Ipv4Address destination, std::uint64_t flow,
   if (stub.rewrite) {
     // A NAT-ish middlebox at the gateway rewrites every inbound destination
     // to the segment appliance (§5.3).
-    int pos = gateway_pos;
-    const int spine = spine_length_keyed(stub.spine_base, dyn_key, epoch);
-    for (int j = 0; j < spine && pos < Route::kMaxHops; ++j) {
-      route.hops[static_cast<std::size_t>(pos++)] = stub.spine_ips[
-          static_cast<std::size_t>(j)];
-    }
-    route.num_hops = pos;
+    follow_spine();
     route.delivers = true;
     route.delivered_address = appliance;
     route.rewritten = destination.value() != appliance;
@@ -594,52 +597,29 @@ FR_HOT bool Topology::resolve(net::Ipv4Address destination, std::uint64_t flow,
       // The appliance forwards onto the dead LAN: the probe dies one hop
       // beyond it, so the route to an unassigned random target measures
       // *longer* than the route to the prefix's appliance (§5.1).
-      int pos = gateway_pos;
-      const int spine =
-          spine_length_keyed(stub.spine_base, dyn_key, epoch);
-      for (int j = 0; j < spine && pos < Route::kMaxHops; ++j) {
-        route.hops[static_cast<std::size_t>(pos++)] =
-            stub.spine_ips[static_cast<std::size_t>(j)];
-      }
-      if (pos < Route::kMaxHops) {
-        route.hops[static_cast<std::size_t>(pos++)] = appliance;
-      }
-      route.num_hops = pos;
+      follow_spine();
+      append_tail(appliance);
       return true;
     }
-    // Otherwise the gateway ingress-filters it...
-    route.num_hops = gateway_pos;
-    if (route.num_hops >= 2 &&
-        util::stable_chance(seed_loop_, destination.value(),
-                            params_.dark_loop_prob)) {
-      // ...unless the stub default-routes it back to the provider (§5.1).
-      route.loops = true;
-      route.loop_a = route.hops[static_cast<std::size_t>(route.num_hops - 1)];
-      route.loop_b = route.hops[static_cast<std::size_t>(route.num_hops - 2)];
-    }
+    // Otherwise the gateway ingress-filters it, unless the stub
+    // default-routes it back to the provider (§5.1).
+    route.loops = route.num_hops >= 2 &&
+                  util::stable_chance(seed_loop_, destination.value(),
+                                      params_.dark_loop_prob);
     return true;
   }
 
-  int pos = gateway_pos;
-  const int spine = spine_length_keyed(stub.spine_base, dyn_key, epoch);
-  for (int j = 0; j < spine && pos < Route::kMaxHops; ++j) {
-    route.hops[static_cast<std::size_t>(pos++)] =
-        stub.spine_ips[static_cast<std::size_t>(j)];
-  }
-
+  follow_spine();
   if (host_octet == kApplianceOctet) {
     // The appliance itself is the destination: the route ends at the
     // segment entrance — the hitlist bias in action (§5.1).
-    route.num_hops = pos;
     route.delivers = true;
     route.delivered_address = destination.value();
     return true;
   }
 
   // Assigned host 0..max_host_depth hops behind the appliance.
-  if (pos < Route::kMaxHops) {
-    route.hops[static_cast<std::size_t>(pos++)] = appliance;
-  }
+  append_tail(appliance);
   const auto depth_draw = static_cast<int>(
       util::stable_bounded(seed_depth_, destination.value(), 100));
   int depth = 3;
@@ -651,11 +631,9 @@ FR_HOT bool Topology::resolve(net::Ipv4Address destination, std::uint64_t flow,
     depth = 2;
   }
   depth = std::min(depth, params_.max_host_depth);
-  for (int level = 1; level <= depth && pos < Route::kMaxHops; ++level) {
-    route.hops[static_cast<std::size_t>(pos++)] =
-        (prefix << 8) | internal_octet(prefix, level);
+  for (int level = 1; level <= depth; ++level) {
+    append_tail((prefix << 8) | internal_octet(prefix, level));
   }
-  route.num_hops = pos;
   route.delivers = true;
   route.delivered_address = destination.value();
   return true;

@@ -29,7 +29,6 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -39,49 +38,92 @@
 
 namespace flashroute::sim {
 
-/// A resolved forwarding path for one (destination, flow, epoch) triple.
-struct Route {
-  static constexpr int kMaxHops = 64;
+/// One position of a stub's provider-path template.  width == 0: a fixed
+/// interface; width > 0: a load-balancer branch — the interface is
+/// base_ip + (branch hash % width).
+struct TemplateHop {
+  std::uint32_t base_ip = 0;
+  std::uint8_t width = 0;
+  std::uint64_t edge_key = 0;
 
-  /// hops[i] answers time-exceeded at TTL i+1 (interface IPs, host order).
-  std::array<std::uint32_t, kMaxHops> hops{};
+  /// The interface a probe of flow label `flow` crosses at this position.
+  /// Only a load-balancer branch hashes the flow.
+  FR_HOT std::uint32_t ip(std::uint64_t flow) const noexcept {
+    if (width == 0) return base_ip;
+    return base_ip +
+           static_cast<std::uint32_t>(util::mix64(edge_key ^ flow) % width);
+  }
+};
+
+/// A resolved forwarding path for one (destination, flow, epoch) triple,
+/// held as a descriptor rather than a list of interfaces: a probe expires
+/// at one hop, so hop_at computes only the interface asked for, in O(1).
+///
+/// Hops 1..path_len follow the stub's provider-path template (`path`,
+/// evaluated under `flow`), hops path_len+1..spine_end its spine, and the
+/// rest the per-destination `tail`: the appliance, then the interior
+/// levels toward the host.  `path` and `spine` point into the Topology
+/// that resolved the route; the topology is immutable, and no Route may
+/// outlive it.
+struct Route {
+  /// Cap on num_hops: RouteSilence keeps one bit per hop position.
+  static constexpr int kMaxHops = 64;
+  /// The appliance plus up to three interior levels.
+  static constexpr int kMaxTail = 4;
+
+  const TemplateHop* path = nullptr;
+  const std::uint32_t* spine = nullptr;
+  std::uint64_t flow = 0;
+  std::array<std::uint32_t, kMaxTail> tail{};
+  std::uint8_t path_len = 0;
+  std::uint8_t spine_end = 0;  ///< path_len + spine hops
+  std::uint8_t tail_len = 0;
   int num_hops = 0;  ///< routers before delivery or drop
 
   bool delivers = false;           ///< reaches an assigned host
   std::uint32_t delivered_address = 0;  ///< responder (after any rewriting)
   bool rewritten = false;          ///< destination rewritten en route (§5.3)
 
-  bool loops = false;              ///< dark tail bounces between two hops
-  std::uint32_t loop_a = 0;
-  std::uint32_t loop_b = 0;
+  /// The path bounces between its last two hops (loop_a, loop_b) forever.
+  bool loops = false;
 
   int middlebox_pos = 0;           ///< 1-based hop of TTL-reset box, 0 = none
   std::uint8_t middlebox_reset = 0;
 
-  /// Resets the scalar fields for reuse.  The `hops` array is deliberately
-  /// left stale: resolve() only writes (and callers only read) entries
-  /// [0, num_hops), so zero-filling all 64 slots per resolution would be
-  /// pure hot-path waste.  Debug builds assert the read bound in hop_at.
+  /// Resets the descriptor for reuse.  `tail` is left stale: only entries
+  /// [0, tail_len) are ever read.
   FR_HOT void reset() noexcept {
+    path = nullptr;
+    spine = nullptr;
+    path_len = 0;
+    spine_end = 0;
+    tail_len = 0;
     num_hops = 0;
     delivers = false;
     delivered_address = 0;
     rewritten = false;
     loops = false;
-    loop_a = 0;
-    loop_b = 0;
     middlebox_pos = 0;
     middlebox_reset = 0;
   }
 
   /// Interface that would see the probe expire at 1-based position `pos`.
-  /// Positions beyond num_hops are valid only when `loops`.
+  /// Positions beyond num_hops are valid only when `loops`: odd overshoots
+  /// land on loop_a, even ones on loop_b.
   FR_HOT std::uint32_t hop_at(int pos) const noexcept {
     assert(pos >= 1);
-    if (pos <= num_hops) return hops[static_cast<std::size_t>(pos - 1)];
-    assert(loops);
-    return ((pos - num_hops) % 2 == 1) ? loop_a : loop_b;
+    if (pos > num_hops) {
+      assert(loops);
+      pos = ((pos - num_hops) % 2 == 1) ? num_hops : num_hops - 1;
+    }
+    const int i = pos - 1;
+    if (i < path_len) return path[i].ip(flow);
+    if (i < spine_end) return spine[i - path_len];
+    assert(i - spine_end < tail_len);
+    return tail[static_cast<std::size_t>(i - spine_end)];
   }
+  FR_HOT std::uint32_t loop_a() const noexcept { return hop_at(num_hops); }
+  FR_HOT std::uint32_t loop_b() const noexcept { return hop_at(num_hops - 1); }
 };
 
 /// The response plan of a resolved route for one transport protocol: which
@@ -90,7 +132,7 @@ struct Route {
 /// memoizes it next to the Route so a cache hit answers every per-probe
 /// question without touching the Topology again (DESIGN.md §6).
 struct RouteSilence {
-  std::uint64_t hop_silent = 0;  ///< bit i set: hops[i] never answers
+  std::uint64_t hop_silent = 0;  ///< bit i set: hop_at(i + 1) never answers
   /// The plan fills on demand (Topology::hop_silent_at, host_answers_lazy):
   /// bit i of hop_known validates bit i of hop_silent, and the loop/host
   /// answers carry their own known flags.  A scan probes only 1-2 TTLs of a
@@ -147,8 +189,9 @@ class Topology {
 
   /// Whether the interface at 1-based position `pos` of a resolved route
   /// (beyond num_hops: the loop tail) stays silent to `protocol`: the
-  /// interface_responds draw, computed on first use and memoized in `plan`
-  /// so the route cache answers every later probe of the route from it.
+  /// interface_responds draw for route.hop_at(pos), computed on first use
+  /// and memoized in `plan` so the route cache answers every later probe of
+  /// the route from it.
   FR_HOT bool hop_silent_at(const Route& route, int pos,
                             std::uint8_t protocol,
                             RouteSilence& plan) const noexcept;
@@ -189,15 +232,6 @@ class Topology {
   FR_HOT bool stub_is_responsive(std::uint32_t prefix_index) const noexcept;
 
  private:
-  /// One position of a stub's provider-path template.  width == 0: a fixed
-  /// interface; width > 0: a load-balancer branch — the interface is
-  /// base_ip + (branch hash % width).
-  struct TemplateHop {
-    std::uint32_t base_ip = 0;
-    std::uint8_t width = 0;
-    std::uint64_t edge_key = 0;
-  };
-
   struct Stub {
     std::vector<TemplateHop> path;  ///< root .. gateway (gateway last)
     std::array<std::uint32_t, 4> spine_ips{};
@@ -207,6 +241,7 @@ class Topology {
   };
 
   void apply_filtered_tail(const Stub& stub, util::Xoshiro256& rng);
+  void mark_forced_silent(std::uint32_t pool_ip);
 
   struct DarkBlock {
     std::uint32_t provider_stub = 0;
@@ -228,11 +263,6 @@ class Topology {
   static constexpr std::int32_t kUnmapped = -1;
 
   std::uint32_t alloc_pool_ip() noexcept { return next_pool_ip_++; }
-  FR_HOT int expand_template(const Stub& stub, std::uint64_t flow, int limit,
-                             std::array<std::uint32_t, Route::kMaxHops>& hops)
-      const noexcept;
-  FR_HOT std::uint32_t template_hop_ip(const TemplateHop& hop,
-                                       std::uint64_t flow) const noexcept;
   FR_HOT std::uint8_t internal_octet(std::uint32_t prefix_index,
                                      int level) const noexcept;
   /// Stateless succinct derivation: superblock-hashed block size, aligned
@@ -269,8 +299,10 @@ class Topology {
   std::vector<DarkBlock> dark_blocks_;
   /// kSuccinctMaterialized only: derive_entry() expanded per prefix.
   std::vector<SuccinctEntry> materialized_entries_;
-  /// Interfaces silenced by a filtered stub tail (Fig 6's silent stretches).
-  std::unordered_set<std::uint32_t> forced_silent_;
+  /// Interfaces silenced by a filtered stub tail (Fig 6's silent stretches):
+  /// one bit per interface-pool offset, [interface_pool_base, next_pool_ip_).
+  /// Exact, because only pool-allocated interfaces are ever silenced.
+  std::vector<std::uint64_t> forced_silent_;
 
   // Derived seeds for independent stochastic aspects.
   std::uint64_t seed_host_;

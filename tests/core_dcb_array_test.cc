@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -33,6 +34,62 @@ TEST(DcbArray, RingFollowsPermutationOrder) {
     expected.push_back(static_cast<std::uint32_t>(perm(rank)));
   }
   EXPECT_EQ(walk_ring(array), expected);
+}
+
+TEST(DcbArray, WalkRingVisitsEachMemberOnceInRingOrder) {
+  DcbArray array(16);
+  const util::RandomPermutation perm(16, 5);
+  array.build_ring(perm, [](std::uint32_t) { return true; });
+  const std::vector<std::uint32_t> ring = walk_ring(array);
+
+  std::vector<std::uint32_t> visited;
+  std::vector<std::uint32_t> prefetched;
+  array.walk_ring([&](std::uint32_t index) { visited.push_back(index); },
+                  [&](std::uint32_t next) { prefetched.push_back(next); });
+  EXPECT_EQ(visited, ring);
+  // The hook sees each member's successor before the member is visited.
+  ASSERT_EQ(prefetched.size(), ring.size());
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(prefetched[i], ring[(i + 1) % ring.size()]);
+  }
+
+  DcbArray empty(4);
+  empty.build_ring(util::RandomPermutation(4, 5),
+                   [](std::uint32_t) { return false; });
+  int visits = 0;
+  empty.walk_ring([&](std::uint32_t) { ++visits; });
+  EXPECT_EQ(visits, 0);
+}
+
+TEST(DcbArray, WalkRingVisitMayRemoveItsMember) {
+  // The Tracer's main rounds unlink a finished destination during its own
+  // visit; the walk must still reach every other member exactly once.
+  DcbArray array(16);
+  const util::RandomPermutation perm(16, 7);
+  array.build_ring(perm, [](std::uint32_t) { return true; });
+  const std::vector<std::uint32_t> ring = walk_ring(array);
+
+  std::vector<std::uint32_t> visited;
+  std::vector<std::uint32_t> kept;
+  array.walk_ring([&](std::uint32_t index) {
+    visited.push_back(index);
+    if (visited.size() % 2 == 1) {
+      array.remove(index);
+    } else {
+      kept.push_back(index);
+    }
+  });
+  EXPECT_EQ(visited, ring);
+  EXPECT_EQ(array.ring_size(), 8u);
+  std::vector<std::uint32_t> survivors = walk_ring(array);
+  std::sort(survivors.begin(), survivors.end());
+  std::sort(kept.begin(), kept.end());
+  EXPECT_EQ(survivors, kept);
+
+  // Removing every member empties the ring.
+  array.walk_ring([&](std::uint32_t index) { array.remove(index); });
+  EXPECT_EQ(array.ring_size(), 0u);
+  EXPECT_EQ(array.head(), DcbArray::kNone);
 }
 
 TEST(DcbArray, RingIsCircularBothWays) {

@@ -149,8 +149,8 @@ TEST(EdgeCases, LoopingDarkTailsAnswerAboveTheDropPoint) {
       ASSERT_TRUE(parsed->is_time_exceeded());
       responders.push_back(parsed->responder.value());
     }
-    EXPECT_EQ(responders[0], route.loop_a);
-    EXPECT_EQ(responders[1], route.loop_b);
+    EXPECT_EQ(responders[0], route.loop_a());
+    EXPECT_EQ(responders[1], route.loop_b());
     EXPECT_NE(responders[0], responders[1]);
     return;
   }

@@ -63,10 +63,9 @@ class NetworkTest : public ::testing::Test {
           Route route;
           EXPECT_TRUE(topology_.resolve(host, flow_of(host), 0, route));
           bool clean = true;
-          for (int h = 0; h < route.num_hops; ++h) {
-            if (!topology_.interface_responds(
-                    route.hops[static_cast<std::size_t>(h)],
-                    net::kProtoUdp)) {
+          for (int pos = 1; pos <= route.num_hops; ++pos) {
+            if (!topology_.interface_responds(route.hop_at(pos),
+                                              net::kProtoUdp)) {
               clean = false;
               break;
             }
@@ -102,8 +101,7 @@ TEST_F(NetworkTest, ExpiryMatchesResolvedPath) {
     const auto parsed = net::parse_response(delivery->packet);
     ASSERT_TRUE(parsed);
     EXPECT_TRUE(parsed->is_time_exceeded());
-    EXPECT_EQ(parsed->responder.value(),
-              route.hops[static_cast<std::size_t>(ttl - 1)]);
+    EXPECT_EQ(parsed->responder.value(), route.hop_at(ttl));
   }
 }
 

@@ -32,17 +32,18 @@ SimParams succinct_params(int bits, std::uint64_t seed,
 void expect_routes_equal(const Route& a, const Route& b,
                          std::uint32_t prefix) {
   ASSERT_EQ(a.num_hops, b.num_hops) << "prefix " << prefix;
-  for (int h = 0; h < a.num_hops; ++h) {
-    ASSERT_EQ(a.hops[static_cast<std::size_t>(h)],
-              b.hops[static_cast<std::size_t>(h)])
-        << "prefix " << prefix << " hop " << h;
+  for (int pos = 1; pos <= a.num_hops; ++pos) {
+    ASSERT_EQ(a.hop_at(pos), b.hop_at(pos))
+        << "prefix " << prefix << " hop " << pos;
   }
   ASSERT_EQ(a.delivers, b.delivers) << "prefix " << prefix;
   ASSERT_EQ(a.delivered_address, b.delivered_address) << "prefix " << prefix;
   ASSERT_EQ(a.rewritten, b.rewritten) << "prefix " << prefix;
   ASSERT_EQ(a.loops, b.loops) << "prefix " << prefix;
-  ASSERT_EQ(a.loop_a, b.loop_a) << "prefix " << prefix;
-  ASSERT_EQ(a.loop_b, b.loop_b) << "prefix " << prefix;
+  if (a.loops) {
+    ASSERT_EQ(a.loop_a(), b.loop_a()) << "prefix " << prefix;
+    ASSERT_EQ(a.loop_b(), b.loop_b()) << "prefix " << prefix;
+  }
   ASSERT_EQ(a.middlebox_pos, b.middlebox_pos) << "prefix " << prefix;
   ASSERT_EQ(a.middlebox_reset, b.middlebox_reset) << "prefix " << prefix;
 }

@@ -11,6 +11,7 @@
 
 #include "core/targets.h"
 #include "net/headers.h"
+#include "util/rng.h"
 
 namespace flashroute::sim {
 namespace {
@@ -63,9 +64,8 @@ TEST(Topology, DeterministicForSameSeed) {
     Route ra, rb;
     ASSERT_EQ(a.resolve(dest, 123, 0, ra), b.resolve(dest, 123, 0, rb));
     ASSERT_EQ(ra.num_hops, rb.num_hops);
-    for (int h = 0; h < ra.num_hops; ++h) {
-      ASSERT_EQ(ra.hops[static_cast<std::size_t>(h)],
-                rb.hops[static_cast<std::size_t>(h)]);
+    for (int pos = 1; pos <= ra.num_hops; ++pos) {
+      ASSERT_EQ(ra.hop_at(pos), rb.hop_at(pos));
     }
     ASSERT_EQ(ra.delivers, rb.delivers);
   }
@@ -107,13 +107,13 @@ TEST_P(TopologyInvariants, RoutesAreWellFormed) {
       }
       if (route.loops) {
         ASSERT_FALSE(route.delivers);
-        ASSERT_NE(route.loop_a, 0u);
-        ASSERT_NE(route.loop_b, 0u);
-        ASSERT_NE(route.loop_a, route.loop_b);
+        ASSERT_NE(route.loop_a(), 0u);
+        ASSERT_NE(route.loop_b(), 0u);
+        ASSERT_NE(route.loop_a(), route.loop_b());
       }
       // Every hop interface is an allocated pool IP or inside the prefix.
-      for (int h = 0; h < route.num_hops; ++h) {
-        const std::uint32_t ip = route.hops[static_cast<std::size_t>(h)];
+      for (int pos = 1; pos <= route.num_hops; ++pos) {
+        const std::uint32_t ip = route.hop_at(pos);
         const bool in_pool =
             ip >= params.interface_pool_base &&
             ip < params.interface_pool_base +
@@ -138,9 +138,8 @@ TEST_P(TopologyInvariants, ParisConsistency) {
     EXPECT_TRUE(topo.resolve(dest, 0xAAAA, 0, r2));
     EXPECT_TRUE(topo.resolve(dest, 0xBBBB, 0, r3));
     ASSERT_EQ(r1.num_hops, r2.num_hops);
-    for (int h = 0; h < r1.num_hops; ++h) {
-      ASSERT_EQ(r1.hops[static_cast<std::size_t>(h)],
-                r2.hops[static_cast<std::size_t>(h)]);
+    for (int pos = 1; pos <= r1.num_hops; ++pos) {
+      ASSERT_EQ(r1.hop_at(pos), r2.hop_at(pos));
     }
     // A different flow keeps the same length (diamonds are hop-parallel).
     ASSERT_EQ(r1.num_hops, r3.num_hops);
@@ -159,9 +158,8 @@ TEST_P(TopologyInvariants, SomeFlowsDiverge) {
     Route r1, r2;
     EXPECT_TRUE(topo.resolve(dest, 1, 0, r1));
     EXPECT_TRUE(topo.resolve(dest, 2, 0, r2));
-    for (int h = 0; h < r1.num_hops; ++h) {
-      if (r1.hops[static_cast<std::size_t>(h)] !=
-          r2.hops[static_cast<std::size_t>(h)]) {
+    for (int pos = 1; pos <= r1.num_hops; ++pos) {
+      if (r1.hop_at(pos) != r2.hop_at(pos)) {
         ++divergent;
         break;
       }
@@ -180,7 +178,7 @@ TEST_P(TopologyInvariants, SharedProviderSections) {
     const net::Ipv4Address dest(((params.first_prefix + i) << 8) | 10);
     Route route;
     EXPECT_TRUE(topo.resolve(dest, 7, 0, route));
-    first_hops.insert(route.hops[0]);
+    first_hops.insert(route.hop_at(1));
   }
   EXPECT_EQ(first_hops.size(), 1u);
 }
@@ -334,18 +332,89 @@ TEST(Topology, RouteDynamicsChangeSomeLengthsAcrossEpochs) {
 }
 
 TEST(Topology, HopAtExtendsIntoLoops) {
+  // A two-hop route held entirely in its tail: past the end, the probe
+  // bounces between the last hop (loop_a) and the one before it (loop_b).
   Route route;
+  route.tail = {10, 20};
+  route.tail_len = 2;
   route.num_hops = 2;
-  route.hops[0] = 10;
-  route.hops[1] = 20;
   route.loops = true;
-  route.loop_a = 100;
-  route.loop_b = 200;
+  EXPECT_EQ(route.loop_a(), 20u);
+  EXPECT_EQ(route.loop_b(), 10u);
   EXPECT_EQ(route.hop_at(1), 10u);
   EXPECT_EQ(route.hop_at(2), 20u);
-  EXPECT_EQ(route.hop_at(3), 100u);
-  EXPECT_EQ(route.hop_at(4), 200u);
-  EXPECT_EQ(route.hop_at(5), 100u);
+  EXPECT_EQ(route.hop_at(3), 20u);
+  EXPECT_EQ(route.hop_at(4), 10u);
+  EXPECT_EQ(route.hop_at(5), 20u);
+}
+
+// Route golden.  A digest of every route the topology resolves over a
+// 2^12 universe: for each /24, its random target and its appliance, under
+// three flow labels and two dynamics epochs.  It hashes num_hops, every
+// hop_at(1..num_hops), two positions into the loop when the route loops,
+// and the delivery, rewrite and middlebox fields.  Middleboxes are made
+// common enough that every kind of route occurs.  The digests were
+// recorded from the resolver that wrote every hop of a route into a
+// 64-slot array; the descriptor that computes one hop per query must
+// reproduce them in all three topology modes.
+std::uint64_t route_digest(TopologyMode mode) {
+  SimParams params;
+  params.prefix_bits = 12;
+  params.seed = 7;
+  params.topology_mode = mode;
+  params.ttl_reset_middlebox_prob = 0.1;
+  params.rewrite_middlebox_prob = 0.05;
+  const Topology topo(params);
+  std::uint64_t digest = 0;
+  int loops = 0, rewritten = 0, middleboxes = 0, delivered = 0;
+  Route route;
+  for (std::uint32_t i = 0; i < params.num_prefixes(); ++i) {
+    const std::uint32_t prefix = params.first_prefix + i;
+    for (const std::uint32_t target :
+         {core::random_target(11, prefix), topo.appliance_address(prefix)}) {
+      for (const std::uint64_t flow :
+           {std::uint64_t{1}, std::uint64_t{0x5bd1e995},
+            std::uint64_t{0xdeadbeefcafef00d}}) {
+        for (const std::int64_t epoch : {std::int64_t{0}, std::int64_t{9}}) {
+          EXPECT_TRUE(
+              topo.resolve(net::Ipv4Address(target), flow, epoch, route));
+          digest = util::hash_combine(
+              digest, static_cast<std::uint64_t>(route.num_hops),
+              std::uint64_t{route.delivers} |
+                  std::uint64_t{route.rewritten} << 1 |
+                  std::uint64_t{route.loops} << 2,
+              route.delivered_address);
+          digest = util::hash_combine(
+              digest, static_cast<std::uint64_t>(route.middlebox_pos),
+              route.middlebox_reset);
+          for (int pos = 1; pos <= route.num_hops; ++pos) {
+            digest = util::hash_combine(digest, route.hop_at(pos));
+          }
+          if (route.loops) {
+            digest = util::hash_combine(digest,
+                                        route.hop_at(route.num_hops + 1),
+                                        route.hop_at(route.num_hops + 2));
+          }
+          loops += route.loops ? 1 : 0;
+          rewritten += route.rewritten ? 1 : 0;
+          middleboxes += route.middlebox_pos > 0 ? 1 : 0;
+          delivered += route.delivers ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(loops, 0);
+  EXPECT_GT(rewritten, 0);
+  EXPECT_GT(middleboxes, 0);
+  EXPECT_GT(delivered, 0);
+  return digest;
+}
+
+TEST(Topology, RouteGoldenDigest) {
+  EXPECT_EQ(route_digest(TopologyMode::kMaterialized), 0xa3104f64afbf598aull);
+  EXPECT_EQ(route_digest(TopologyMode::kSuccinct), 0xd24b8604ca7c9dd7ull);
+  EXPECT_EQ(route_digest(TopologyMode::kSuccinctMaterialized),
+            0xd24b8604ca7c9dd7ull);
 }
 
 TEST(Topology, InterfaceResponsivenessIsPersistent) {
