@@ -22,8 +22,7 @@ Scamper::Scamper(const ScamperConfig& config, core::ScanRuntime& runtime)
           },
           result_, telemetry_, config_.collect_probe_log),
       recorder_(result_, telemetry_, config.first_prefix,
-                config.num_prefixes(), config.collect_routes),
-      timeouts_(std::max<util::Nanos>(config.probe_timeout / 32, 1)) {}
+                config.num_prefixes(), config.collect_routes) {}
 
 void Scamper::admit_next() {
   const std::uint32_t n = config_.num_prefixes();
@@ -60,8 +59,8 @@ void Scamper::send_probe(std::uint32_t index, TraceState& state,
   state.awaiting = true;
   ++state.attempts;
   ++state.probe_token;
-  timeouts_.schedule(sender_.now() + config_.probe_timeout,
-                     {index, state.probe_token});
+  timeouts_.push(sender_.now() + config_.probe_timeout,
+                 {index, state.probe_token});
 }
 
 void Scamper::finish(std::uint32_t index) {

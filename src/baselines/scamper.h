@@ -35,8 +35,8 @@
 #include "core/runtime.h"
 #include "net/ipv4.h"
 #include "obs/scan_metrics.h"
+#include "util/deadline_queue.h"
 #include "util/permutation.h"
-#include "util/timing_wheel.h"
 
 namespace flashroute::baselines {
 
@@ -93,10 +93,11 @@ class Scamper {
     std::uint32_t probe_token = 0;   ///< invalidates stale timeouts
   };
 
-  /// Timing-wheel payload; the deadline lives in the wheel itself.  Probe
-  /// timeouts are scheduled in strictly increasing virtual-time order, so
-  /// the wheel's (deadline, insertion) expiry order matches the former
-  /// priority queue's exactly — the Fig-7 regression depends on it.
+  /// Deadline-queue payload; the deadline lives in the queue itself.  Probe
+  /// timeouts are pushed in non-decreasing virtual-time order (send instant
+  /// plus one constant timeout), so the queue's front-first expiry keeps
+  /// the (deadline, insertion) order of the former priority queue exactly —
+  /// the Fig-7 regression depends on it.
   struct Timeout {
     std::uint32_t index;
     std::uint32_t token;
@@ -122,7 +123,7 @@ class Scamper {
 
   std::unordered_map<std::uint32_t, TraceState> active_;  // by prefix offset
   std::deque<std::uint32_t> ready_;
-  util::TimingWheel<Timeout> timeouts_;
+  util::DeadlineQueue<Timeout> timeouts_;
   std::uint64_t admit_cursor_ = 0;
   const util::RandomPermutation* permutation_ = nullptr;
 };

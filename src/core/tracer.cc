@@ -24,8 +24,7 @@ Tracer::Tracer(const TracerConfig& config, ScanRuntime& runtime)
           result_, config_.telemetry, config_.collect_probe_log,
           config_.cycles),
       recorder_(result_, config_.telemetry, config.first_prefix,
-                config.num_prefixes(), config.collect_routes),
-      wheel_(std::max<util::Nanos>(config.retransmit_timeout / 32, 1)) {}
+                config.num_prefixes(), config.collect_routes) {}
 
 std::uint64_t Tracer::checkpoint_digest() const noexcept {
   using util::hash_combine;
@@ -93,10 +92,15 @@ ScanResult Tracer::run() {
     return include_in_scan(index);
   });
 
+  // Start from a clean resilience state: a cancelled run leaves probes
+  // outstanding, and a run that ended backed off left the runtime's rate
+  // reduced.
+  outstanding_.clear();
   if (resilience_enabled()) {
     answered_mask_.assign(n, 0);
     retransmit_left_.assign(n, config_.max_retransmits);
   }
+  if (backoff_level_ > 0) sender_.set_rate(config_.probes_per_second);
   backoff_level_ = 0;
   rounds_completed_ = 0;
   resume_elapsed_base_ = 0;
@@ -158,44 +162,51 @@ FR_HOT void Tracer::send_probe(const ProbeCodec& codec, std::uint32_t index,
                                 preprobe_flag, send_time, slot);
       });
   if (!staged || !retransmit_active_ || ttl < 1 || ttl > 64) return;
-  // Track the probe on the retransmission wheel — failed sends too: the
+  // Track the probe on the retransmission queue — failed sends too: the
   // timeout/retransmit path is exactly how a swallowed probe recovers.  No
   // response is delivered before the staged probe is submitted, so this
   // bookkeeping may run at staging time, with the post-send deadline.
   answered_mask_[index] &= ~(std::uint64_t{1} << (ttl - 1));
-  wheel_.schedule(sender_.now() + config_.retransmit_timeout,
-                  {index, ttl});
+  outstanding_.push(sender_.now() + config_.retransmit_timeout, {index, ttl});
   ++round_probes_;
 }
 
 FR_HOT void Tracer::process_retransmits() {
-  if (!retransmit_active_ || wheel_.empty()) return;
-  wheel_.expire_due(sender_.now(), [this](const Outstanding& probe) {
-    if ((answered_mask_[probe.index] &
-         (std::uint64_t{1} << (probe.ttl - 1))) != 0) {
-      return;  // answered within the timeout
-    }
-    ++round_loss_events_;
-    if (config_.max_retransmits > 0 && retransmit_left_[probe.index] > 0) {
-      --retransmit_left_[probe.index];
-      // The re-sent probe carries a fresh send time, so the fault plane
-      // draws an independent loss decision for it.
-      send_probe(*active_codec_, probe.index, destination_of(probe.index),
-                 probe.ttl, false, ProbeSender::kRetransmit);
-    } else {
-      ++result_.probe_timeouts;
-      const obs::ScanTelemetry& tel = config_.telemetry;
-      if (tel.ids.resilience) sender_.count(tel.ids.probe_timeouts);
-    }
-  });
+  if (!retransmit_active_ || outstanding_.empty()) return;
+  outstanding_.expire_due(
+      sender_.now(),
+      [this](const Outstanding& probe) {
+        if ((answered_mask_[probe.index] &
+             (std::uint64_t{1} << (probe.ttl - 1))) != 0) {
+          return;  // answered within the timeout
+        }
+        ++round_loss_events_;
+        if (config_.max_retransmits > 0 &&
+            retransmit_left_[probe.index] > 0) {
+          --retransmit_left_[probe.index];
+          // The re-sent probe carries a fresh send time, so the fault plane
+          // draws an independent loss decision for it.
+          send_probe(*active_codec_, probe.index, destination_of(probe.index),
+                     probe.ttl, false, ProbeSender::kRetransmit);
+        } else {
+          ++result_.probe_timeouts;
+          const obs::ScanTelemetry& tel = config_.telemetry;
+          if (tel.ids.resilience) sender_.count(tel.ids.probe_timeouts);
+        }
+      },
+      [this](const Outstanding& ahead) {
+        // Expiry reads both per-/24 words at random: fetch them early.
+        util::prefetch(&answered_mask_[ahead.index]);
+        util::prefetch(&retransmit_left_[ahead.index]);
+      });
 }
 
-FR_HOT void Tracer::drain_wheel() {
-  // Walk the wheel on its natural deadlines: idle to each next deadline so
+FR_HOT void Tracer::drain_outstanding() {
+  // Walk the queue on its natural deadlines: idle to each next deadline so
   // a late response still wins the race against its retransmission, and
-  // keep going until retransmissions stop scheduling new entries.
-  while (retransmit_active_ && !wheel_.empty()) {
-    if (const auto deadline = wheel_.next_deadline()) {
+  // keep going until retransmissions stop pushing new entries.
+  while (retransmit_active_ && !outstanding_.empty()) {
+    if (const auto deadline = outstanding_.next_deadline()) {
       sender_.idle_until(std::max(*deadline, sender_.now()));
     }
     process_retransmits();
@@ -285,73 +296,79 @@ FR_HOT void Tracer::main_rounds(const ProbeCodec& codec, bool flag_first_round,
   while (dcbs_.ring_size() > 0) {
     const util::Nanos round_start = sender_.now();
     const bool flag_this_round = flag_first_round && first_round;
-    dcbs_.walk_ring([&](std::uint32_t current) {
-      Dcb& dcb = dcbs_[current];
+    const bool tracking = retransmit_active_;
+    dcbs_.walk_ring(
+        [&](std::uint32_t current) {
+          Dcb& dcb = dcbs_[current];
 
-      std::uint8_t backward_ttl = 0;
-      std::uint8_t forward_ttl = 0;
-      bool done = false;
-      bool dest_reached = false;
-      std::uint8_t last_forward = 0;
-      std::uint8_t horizon = 0;
-      {
-        const std::lock_guard guard(dcb);
-        const bool forward_active =
-            config_.forward_probing &&
-            (dcb.flags() & Dcb::kDestReached) == 0 &&
-            dcb.next_forward_hop() <= dcb.forward_horizon() &&
-            dcb.next_forward_hop() <= config_.max_ttl;
-        if (dcb.next_backward_hop() == 0 && !forward_active) {
-          done = true;
-          dest_reached = (dcb.flags() & Dcb::kDestReached) != 0;
-          last_forward =
-              dcb.next_forward_hop() > 0
-                  ? static_cast<std::uint8_t>(dcb.next_forward_hop() - 1)
-                  : std::uint8_t{0};
-          horizon = dcb.forward_horizon();
-        } else {
-          if (dcb.next_backward_hop() > 0) {
-            backward_ttl = dcb.next_backward_hop();
-            dcb.set_next_backward_hop(
-                static_cast<std::uint8_t>(backward_ttl - 1));
+          std::uint8_t backward_ttl = 0;
+          std::uint8_t forward_ttl = 0;
+          bool done = false;
+          bool dest_reached = false;
+          std::uint8_t last_forward = 0;
+          std::uint8_t horizon = 0;
+          {
+            const std::lock_guard guard(dcb);
+            const bool forward_active =
+                config_.forward_probing &&
+                (dcb.flags() & Dcb::kDestReached) == 0 &&
+                dcb.next_forward_hop() <= dcb.forward_horizon() &&
+                dcb.next_forward_hop() <= config_.max_ttl;
+            if (dcb.next_backward_hop() == 0 && !forward_active) {
+              done = true;
+              dest_reached = (dcb.flags() & Dcb::kDestReached) != 0;
+              last_forward =
+                  dcb.next_forward_hop() > 0
+                      ? static_cast<std::uint8_t>(dcb.next_forward_hop() - 1)
+                      : std::uint8_t{0};
+              horizon = dcb.forward_horizon();
+            } else {
+              if (dcb.next_backward_hop() > 0) {
+                backward_ttl = dcb.next_backward_hop();
+                dcb.set_next_backward_hop(
+                    static_cast<std::uint8_t>(backward_ttl - 1));
+              }
+              if (forward_active) {
+                forward_ttl = dcb.next_forward_hop();
+                dcb.set_next_forward_hop(
+                    static_cast<std::uint8_t>(forward_ttl + 1));
+              }
+            }
           }
-          if (forward_active) {
-            forward_ttl = dcb.next_forward_hop();
-            dcb.set_next_forward_hop(
-                static_cast<std::uint8_t>(forward_ttl + 1));
+          if (done) {
+            // Gap-run length (§3.2): how many trailing forward probes went
+            // unanswered before the gap limit retired this destination.  Only
+            // main-scan DCBs that were forward-probing and never reached the
+            // destination have a meaningful run.
+            const obs::ScanTelemetry& tel = config_.telemetry;
+            if (tel.enabled() && current_hop_flags_ == 0 &&
+                config_.forward_probing && !dest_reached && horizon > 0) {
+              const int run = static_cast<int>(last_forward) -
+                              (static_cast<int>(horizon) - config_.gap_limit);
+              if (run > 0) {
+                tel.sample(tel.ids.gap_run, static_cast<std::uint64_t>(run));
+              }
+            }
+            dcbs_.remove(current);
+            return;
           }
-        }
-      }
-      if (done) {
-        // Gap-run length (§3.2): how many trailing forward probes went
-        // unanswered before the gap limit retired this destination.  Only
-        // main-scan DCBs that were forward-probing and never reached the
-        // destination have a meaningful run.
-        const obs::ScanTelemetry& tel = config_.telemetry;
-        if (tel.enabled() && current_hop_flags_ == 0 &&
-            config_.forward_probing && !dest_reached && horizon > 0) {
-          const int run = static_cast<int>(last_forward) -
-                          (static_cast<int>(horizon) - config_.gap_limit);
-          if (run > 0) {
-            tel.sample(tel.ids.gap_run, static_cast<std::uint64_t>(run));
+          if (backward_ttl != 0) {
+            send_probe(codec, current, destination_of(current), backward_ttl,
+                       flag_this_round);
           }
-        }
-        dcbs_.remove(current);
-        return;
-      }
-      if (backward_ttl != 0) {
-        send_probe(codec, current, destination_of(current), backward_ttl,
-                   flag_this_round);
-      }
-      if (forward_ttl != 0) {
-        send_probe(codec, current, destination_of(current), forward_ttl,
-                   false);
-      }
-      // Every response due by now is handled before the next destination's
-      // DCB decision — including stragglers addressed to it.
-      sender_.drain_point();
-      process_retransmits();
-    });
+          if (forward_ttl != 0) {
+            send_probe(codec, current, destination_of(current), forward_ttl,
+                       false);
+          }
+          // Every response due by now is handled before the next destination's
+          // DCB decision — including stragglers addressed to it.
+          sender_.drain_point();
+          process_retransmits();
+        },
+        [&](std::uint32_t successor) {
+          // send_probe clears the successor's answered bit when it stages.
+          if (tracking) util::prefetch(&answered_mask_[successor]);
+        });
 
     const util::Nanos barrier = round_start + config_.min_round_duration;
     if (sender_.now() < barrier) {
@@ -401,7 +418,7 @@ FR_HOT void Tracer::main_rounds(const ProbeCodec& codec, bool flag_first_round,
 
   // Ring empty: see every still-outstanding probe through its deadline
   // (retiring or retransmitting it), then collect straggler responses.
-  drain_wheel();
+  drain_outstanding();
   sender_.idle_until(sender_.now() + config_.min_round_duration);
   retransmit_active_ = false;
 }
@@ -431,10 +448,10 @@ void Tracer::update_backoff() {
 }
 
 void Tracer::quiesce() {
-  // Bring the engine to a probe-free instant: every outstanding wheel entry
+  // Bring the engine to a probe-free instant: every outstanding probe
   // retired on its natural deadline, then a grace idle long enough for any
   // retransmitted probe's response (and the rate limiters' refill) to land.
-  drain_wheel();
+  drain_outstanding();
   sender_.idle_until(sender_.now() + 2 * util::kSecond);
 }
 
@@ -623,7 +640,7 @@ FR_HOT void Tracer::handle_main_response(std::uint32_t index,
   Dcb& dcb = dcbs_[index];
   if (retransmit_active_ && probe.initial_ttl >= 1 &&
       probe.initial_ttl <= 64) {
-    // The wheel entry for this (destination, ttl) will find its bit set
+    // The queue entry for this (destination, ttl) will find its bit set
     // and retire without retransmitting.
     answered_mask_[index] |= std::uint64_t{1} << (probe.initial_ttl - 1);
   }

@@ -48,7 +48,7 @@
 #include "obs/cycle_ledger.h"
 #include "obs/scan_metrics.h"
 #include "util/annotations.h"
-#include "util/timing_wheel.h"
+#include "util/deadline_queue.h"
 
 namespace flashroute::core {
 
@@ -156,7 +156,7 @@ struct TracerConfig {
   int max_backoff_level = 4;
 
   /// Checkpointing: at the first main-phase round barrier past each
-  /// interval the engine quiesces (drains the retransmission wheel and
+  /// interval the engine quiesces (drains the retransmission queue and
   /// in-flight responses) and hands a checkpoint to `checkpoint_sink`.
   /// The sink returning false aborts the scan — the hook tests use to kill
   /// a scan mid-sweep.  0 = no checkpointing.
@@ -209,7 +209,7 @@ class Tracer {
   bool aborted() const noexcept { return aborted_; }
 
  private:
-  /// A main-phase probe awaiting its response on the retransmission wheel.
+  /// A main-phase probe awaiting its response on the retransmission queue.
   struct Outstanding {
     std::uint32_t index;
     std::uint8_t ttl;
@@ -223,12 +223,12 @@ class Tracer {
                           std::uint8_t hop_flags);
   void run_extra_scans();
   /// Stages one probe; `flags` are ProbeSender's per-probe bookkeeping.
-  /// Main-phase probes go on the retransmission wheel when it is active.
+  /// Main-phase probes go on the retransmission queue when it is active.
   FR_HOT void send_probe(const ProbeCodec& codec, std::uint32_t index,
                          std::uint32_t destination, std::uint8_t ttl,
                          bool preprobe_flag, std::uint8_t flags = 0);
   FR_HOT void process_retransmits();
-  FR_HOT void drain_wheel();
+  FR_HOT void drain_outstanding();
   FR_HOT bool resilience_enabled() const noexcept {
     return config_.max_retransmits > 0 || config_.adaptive_backoff;
   }
@@ -270,10 +270,10 @@ class Tracer {
   std::vector<std::uint64_t> excluded_bitmap_;
 
   // --- Resilience state (DESIGN.md §9) ------------------------------------
-  /// Virtual-time deadlines of outstanding main-phase probes.
-  util::TimingWheel<Outstanding> wheel_;
+  /// Deadlines of outstanding main-phase probes, in send order.
+  util::DeadlineQueue<Outstanding> outstanding_;
   /// Bit (ttl - 1) set = the probe at that TTL was answered; checked on
-  /// wheel expiry, cleared on each (re)send.  Empty when resilience is off.
+  /// expiry, cleared on each (re)send.  Empty when resilience is off.
   std::vector<std::uint64_t> answered_mask_;
   /// Remaining retransmission budget per destination.
   std::vector<std::uint8_t> retransmit_left_;

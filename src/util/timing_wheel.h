@@ -1,14 +1,15 @@
 // Deterministic hashed timing wheel for virtual-time deadlines.
 //
-// Two engines need per-probe deadlines: the Tracer's retransmission layer
-// (re-send a main-phase probe whose response missed its window) and the
-// Scamper baseline's per-probe timeouts.  Both schedule deadlines of the
-// form `now + constant timeout`, expire them in batches, and need the
-// earliest pending deadline to pace their idling.  A std::priority_queue
-// serves one engine; this wheel serves both, with a property the heap
-// lacks: expiry happens in (deadline, insertion-sequence) order — a total
-// order independent of container internals — so virtual-time replays are
-// byte-identical across runs, shard decompositions, and resumes.
+// The simulator's delivery queue (sim::SimScanRuntime) parks every
+// in-flight response until its arrival time, expires them in batches, and
+// needs the earliest pending arrival to size its batches.  Arrival times
+// are not monotone in send order (each response's RTT depends on its hop
+// and jitter), so a FIFO cannot serve it; the engines' own per-probe
+// deadlines are monotone and use util::DeadlineQueue instead.  The wheel
+// schedules in O(1) and, unlike a std::priority_queue, expires in
+// (deadline, insertion-sequence) order — a total order independent of
+// container internals — so virtual-time replays are byte-identical across
+// runs, shard decompositions, and resumes.
 //
 // Layout: 2^slot_bits slots of `tick` nanoseconds each.  An entry parks in
 // slot (deadline / tick) mod slots; the cursor advances one tick at a time
@@ -21,10 +22,9 @@
 // happen to hash into (per-slot vectors would re-allocate every time the
 // cursor wandered onto a slot it had not warmed yet).
 //
-// The wheel is externally synchronized (owned per engine, like the DCB
-// ring).  expire_due must not be re-entered from its callback; scheduling
-// new entries from the callback is fine (retransmission chains), but they
-// fire no earlier than the next expire_due call.
+// The wheel is externally synchronized (owned per runtime).  expire_due
+// must not be re-entered from its callback; scheduling new entries from
+// the callback is fine.
 
 #pragma once
 
@@ -44,8 +44,8 @@ template <typename Payload>
 class TimingWheel {
  public:
   /// `tick` is the slot granularity; one rotation spans tick << slot_bits
-  /// of virtual time.  Pick tick so the common timeout sits well inside a
-  /// rotation (e.g. timeout / 32 with the default 7 slot bits).
+  /// of virtual time.  Pick tick so the common deadline horizon sits well
+  /// inside a rotation.
   explicit TimingWheel(Nanos tick, int slot_bits = 7)
       : tick_(tick > 0 ? tick : 1),
         mask_((std::size_t{1} << slot_bits) - 1),
@@ -208,9 +208,8 @@ class TimingWheel {
                                                 : a.seq < b.seq;
               });
     for (const Entry& entry : batch_) {
-      // fr-lint: allow(hot-call): caller-supplied expiry action; both users
-      // (Tracer retransmission, Scamper timeout advance) are hot-path
-      // members of their engines.
+      // fr-lint: allow(hot-call): caller-supplied expiry action; the sim
+      // runtime's delivery of a due response to the engine's sink.
       fn(entry.payload);
     }
   }

@@ -1,12 +1,17 @@
 // Tests for the engine resilience layer (DESIGN.md §9): retransmission
 // recovering discovery under loss, send-failure accounting, adaptive rate
-// backoff, telemetry counters, and worker-count invariance of a sharded
-// scan under an active fault plane.
+// backoff, telemetry counters, worker-count invariance of a sharded scan
+// under an active fault plane, and a second run() on the same Tracer
+// starting from a clean resilience state.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <span>
 
+#include "core/runtime.h"
 #include "core/sharded_tracer.h"
 #include "core/tracer.h"
 #include "obs/metrics.h"
@@ -35,6 +40,37 @@ TracerConfig base_config(const sim::SimParams& params) {
   config.min_round_duration = 50 * util::kMillisecond;
   return config;
 }
+
+/// Virtual time in which no probe is ever answered: every main-phase probe
+/// times out, so the retransmission queue and the backoff see only loss.
+class SilentRuntime final : public ScanRuntime {
+ public:
+  explicit SilentRuntime(double probes_per_second, util::Nanos start = 0)
+      : now_(start), interval_(interval_of(probes_per_second)) {}
+
+  util::Nanos now() const noexcept override { return now_; }
+  [[nodiscard]] bool try_send(std::span<const std::byte>) override {
+    now_ += interval_;
+    ++packets_sent_;
+    return true;
+  }
+  void set_rate(double probes_per_second) override {
+    interval_ = interval_of(probes_per_second);
+  }
+  void drain(const Sink&) override {}
+  void idle_until(util::Nanos t, const Sink&) override {
+    now_ = std::max(now_, t);
+  }
+
+ private:
+  static util::Nanos interval_of(double probes_per_second) {
+    return static_cast<util::Nanos>(static_cast<double>(util::kSecond) /
+                                    probes_per_second);
+  }
+
+  util::Nanos now_;
+  util::Nanos interval_;
+};
 
 ScanResult scan(const sim::Topology& topology, const sim::FaultParams& faults,
                 const TracerConfig& config) {
@@ -186,6 +222,57 @@ TEST(Resilience, ShardedScanUnderFaultsIsWorkerCountInvariant) {
   EXPECT_EQ(one.probe_timeouts, four.probe_timeouts);
   EXPECT_EQ(one.rate_backoffs, four.rate_backoffs);
   EXPECT_EQ(one.destination_distance, four.destination_distance);
+}
+
+TEST(Resilience, RunAfterACancelledRunMatchesAFreshTracer) {
+  const sim::SimParams params = world_params();
+  TracerConfig config = base_config(params);
+  config.max_retransmits = 2;
+  std::atomic<bool> cancel{true};
+  config.cancel = &cancel;
+
+  SilentRuntime runtime(config.probes_per_second);
+  Tracer tracer(config, runtime);
+  // Stops at the first round barrier with every probe of the round still
+  // awaiting its timeout.
+  (void)tracer.run();
+  ASSERT_TRUE(tracer.aborted());
+  cancel = false;
+  const util::Nanos start = runtime.now();
+  const ScanResult again = tracer.run();
+
+  SilentRuntime fresh_runtime(config.probes_per_second, start);
+  Tracer fresh_tracer(config, fresh_runtime);
+  const ScanResult fresh = fresh_tracer.run();
+  EXPECT_FALSE(tracer.aborted());
+  EXPECT_GT(fresh.probe_timeouts, 0u);
+  // The cancelled run's outstanding probes must not expire against the new
+  // run's budgets.
+  EXPECT_EQ(again.probe_timeouts, fresh.probe_timeouts);
+  EXPECT_EQ(again.retransmits, fresh.retransmits);
+  EXPECT_EQ(again.probes_sent, fresh.probes_sent);
+  EXPECT_EQ(again.scan_time, fresh.scan_time);
+}
+
+TEST(Resilience, RunAfterABackedOffRunStartsAtTheConfiguredRate) {
+  const sim::SimParams params = world_params(12);
+  TracerConfig config = base_config(params);
+  config.adaptive_backoff = true;
+
+  SilentRuntime runtime(config.probes_per_second);
+  Tracer tracer(config, runtime);
+  // Every round loses every probe, so the run ends backed off.
+  const ScanResult first = tracer.run();
+  ASSERT_GT(first.rate_backoffs, 0u);
+  const util::Nanos start = runtime.now();
+  const ScanResult again = tracer.run();
+
+  SilentRuntime fresh_runtime(config.probes_per_second, start);
+  Tracer fresh_tracer(config, fresh_runtime);
+  const ScanResult fresh = fresh_tracer.run();
+  EXPECT_EQ(again.rate_backoffs, fresh.rate_backoffs);
+  EXPECT_EQ(again.probes_sent, fresh.probes_sent);
+  EXPECT_EQ(again.scan_time, fresh.scan_time);
 }
 
 }  // namespace

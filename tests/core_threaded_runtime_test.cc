@@ -1,6 +1,7 @@
 // Tests for the real-time decoupled runtime (core/threaded_runtime.h): the
 // paper's sender/receiver thread architecture running an actual FlashRoute
-// scan against the simulator over an in-memory wire, in real time.
+// scan against the simulator over an in-memory wire, in real time, with
+// and without retransmissions under probe loss.
 
 #include "core/threaded_runtime.h"
 
@@ -71,6 +72,40 @@ TEST(ThreadedRuntime, RealTimeScanMatchesVirtualTimeScan) {
   // ...which keeps the probe count well below exhaustive probing.
   EXPECT_LT(threaded.probes_sent,
             std::uint64_t{config.num_prefixes()} * 32u);
+}
+
+TEST(ThreadedRuntime, RetransmittingScanCompletes) {
+  sim::SimParams params;
+  params.prefix_bits = 6;
+  params.seed = 12;
+  params.rtt_base = 200'000;     // 0.2 ms
+  params.rtt_per_hop = 50'000;   // 0.05 ms
+  params.rtt_jitter = 100'000;
+  params.faults.probe_loss = 0.2;
+  const sim::Topology topology(params);
+
+  TracerConfig config;
+  config.first_prefix = params.first_prefix;
+  config.prefix_bits = params.prefix_bits;
+  config.vantage = net::Ipv4Address(params.vantage_address);
+  config.preprobe = PreprobeMode::kNone;
+  config.min_round_duration = 10 * util::kMillisecond;
+  config.probes_per_second = 20'000.0;
+  config.max_retransmits = 2;
+  config.retransmit_timeout = 5 * util::kMillisecond;
+
+  // Retransmission deadlines come from the wall clock here: the queue's
+  // non-decreasing-deadline precondition must hold on this path too.
+  RealTimeSimWire wire(topology, params.first_prefix,
+                       std::uint32_t{1} << params.prefix_bits);
+  ThreadedRuntime runtime(wire, config.probes_per_second);
+  Tracer tracer(config, runtime);
+  const ScanResult result = tracer.run();
+
+  EXPECT_FALSE(tracer.aborted());
+  EXPECT_GT(result.retransmits, 0u);
+  EXPECT_GT(result.interfaces.size(), 0u);
+  EXPECT_GT(result.destinations_reached, 0u);
 }
 
 TEST(ThreadedRuntime, DrainDeliversFromReceiverThread) {
