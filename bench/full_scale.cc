@@ -107,7 +107,6 @@ struct ScanStage {
   std::uint64_t probes = 0;
   double wall_seconds = 0.0;
   std::uint64_t interfaces = 0;
-  double route_cache_hit_rate = 0.0;
   /// Per-stage cycle attribution (ns/unit), obs/cycle_ledger.h stages.
   double encode_ns = 0.0;
   double send_ns = 0.0;
@@ -129,14 +128,6 @@ core::TracerConfig scan_config(const sim::Topology& topology) {
   config.preprobe = core::PreprobeMode::kNone;
   config.collect_routes = false;
   return config;
-}
-
-double hit_rate(const sim::NetworkStats& stats) {
-  const std::uint64_t lookups =
-      stats.route_cache_hits + stats.route_cache_misses;
-  return lookups == 0 ? 0.0
-                      : static_cast<double>(stats.route_cache_hits) /
-                            static_cast<double>(lookups);
 }
 
 /// A real end-to-end scan: DCB ring, Doubletree sets, exclusion bitmap —
@@ -167,7 +158,6 @@ ScanStage real_scan(const sim::Topology& topology, bool attribute) {
   stage.probes = result.probes_sent;
   stage.wall_seconds = static_cast<double>(elapsed) / util::kSecond;
   stage.interfaces = result.interfaces.size();
-  stage.route_cache_hit_rate = hit_rate(network.stats());
   using Stage = obs::CycleLedger::Stage;
   stage.encode_ns = cycles.nanos_per_unit(Stage::kEncode);
   stage.send_ns = cycles.nanos_per_unit(Stage::kSend);
@@ -178,7 +168,7 @@ ScanStage real_scan(const sim::Topology& topology, bool attribute) {
 
 /// The same full-scale scan through the sharded engine: the universe splits
 /// into 2^3 logical shards, each a virtual-time sub-scan with its own DCB
-/// ring, route cache, and delivery wheel.  Even on one core this buys
+/// ring, sim network and delivery wheel.  Even on one core this buys
 /// per-shard locality (a 2^21-slot working set instead of 2^24); on real
 /// hardware the workers overlap round-barrier waits too.
 ScanStage sharded_scan(const sim::Topology& topology, int workers) {
@@ -199,7 +189,6 @@ ScanStage sharded_scan(const sim::Topology& topology, int workers) {
   stage.probes = result.probes_sent;
   stage.wall_seconds = static_cast<double>(elapsed) / util::kSecond;
   stage.interfaces = result.interfaces.size();
-  stage.route_cache_hit_rate = hit_rate(provider.stats());
   return stage;
 }
 
@@ -231,12 +220,10 @@ void print_stage(const StageReport& report) {
               report.bits, report.pipeline,
               static_cast<double>(report.rss_kb) / 1024.0);
   if (report.scanned) {
-    std::printf(", scan %.0f probes/s (%llu probes, %llu interfaces, "
-                "hit rate %.3f)",
+    std::printf(", scan %.0f probes/s (%llu probes, %llu interfaces)",
                 report.scan.pps(),
                 static_cast<unsigned long long>(report.scan.probes),
-                static_cast<unsigned long long>(report.scan.interfaces),
-                report.scan.route_cache_hit_rate);
+                static_cast<unsigned long long>(report.scan.interfaces));
   }
   std::printf("\n");
   if (report.scanned && report.scan.send_ns > 0.0) {
@@ -299,11 +286,10 @@ int main() {
     const sim::Topology topology(world_params(full_bits, seed));
     sharded = sharded_scan(topology, workers);
     std::printf("2^%-2d sharded  : scan %.0f probes/s (%llu probes, %llu "
-                "interfaces, hit rate %.3f, %d workers)\n",
+                "interfaces, %d workers)\n",
                 full_bits, sharded.pps(),
                 static_cast<unsigned long long>(sharded.probes),
-                static_cast<unsigned long long>(sharded.interfaces),
-                sharded.route_cache_hit_rate, workers);
+                static_cast<unsigned long long>(sharded.interfaces), workers);
   }
 
   // The §3.4 control state itself, allocated for real at full scale.
@@ -353,13 +339,11 @@ int main() {
       "  \"full_scan\": %s,\n"
       "  \"full_scan_pps\": %.1f,\n"
       "  \"full_scan_probes\": %llu,\n"
-      "  \"full_scan_route_cache_hit_rate\": %.4f,\n"
       "  \"mid_scan_cycles_ns\": {\"encode\": %.1f, \"submit\": %.1f, "
       "\"process\": %.1f, \"deliver\": %.1f},\n"
       "  \"sharded_scan\": %s,\n"
       "  \"sharded_scan_pps\": %.1f,\n"
       "  \"sharded_scan_probes\": %llu,\n"
-      "  \"sharded_scan_route_cache_hit_rate\": %.4f,\n"
       "  \"sharded_workers\": %d,\n"
       "  \"scan_pps_floor\": %.1f,\n"
       "  \"sharded_pps_floor\": %.1f,\n"
@@ -378,12 +362,11 @@ int main() {
       full.pipeline, full.scanned ? "true" : "false",
       full.scanned ? full.scan.pps() : 0.0,
       static_cast<unsigned long long>(full.scanned ? full.scan.probes : 0),
-      full.scanned ? full.scan.route_cache_hit_rate : 0.0,
       mid.scan.encode_ns, mid.scan.send_ns, mid.scan.process_ns,
       mid.scan.deliver_ns,
       with_sharded ? "true" : "false", with_sharded ? sharded.pps() : 0.0,
       static_cast<unsigned long long>(with_sharded ? sharded.probes : 0),
-      with_sharded ? sharded.route_cache_hit_rate : 0.0, workers,
+      workers,
       scan_pps_floor, sharded_pps_floor, sizeof(core::Dcb),
       static_cast<double>(array.memory_bytes()) / (1024.0 * 1024.0),
       static_cast<unsigned long long>(final_rss_kb), rss_limit_mb,

@@ -1,9 +1,7 @@
 // Hot-path microbenchmark for the allocation-free probe/response pipeline
 // (DESIGN.md §6).  Reports, in BENCH_hotpath.json:
 //
-//  * probes/sec through SimNetwork::process_into with the route cache on
-//    (sim defaults) vs bypassed (route_cache_bits = 0, the pre-cache
-//    behaviour), plus the measured cache hit rate;
+//  * probes/sec through SimNetwork::process_into;
 //  * the same pipeline with scan telemetry enabled (DESIGN.md §7) vs the
 //    default-off telemetry, exercising the per-probe counter bump, the
 //    per-response histogram record and the tracer tick exactly as the
@@ -12,10 +10,8 @@
 //    reference encoder that serializes both headers from scratch and
 //    recomputes the RFC 1071 checksum per probe (what the codec used to do).
 //
-// The probe stream is destination-major — for each /24, a TTL sweep against
-// one representative target — matching how FlashRoute actually probes: each
-// prefix is visited dozens of times with an identical (destination, flow,
-// epoch) triple, which is exactly the redundancy the route cache collapses.
+// The probe stream is destination-major: for each /24, a TTL sweep against
+// one representative target.
 //
 // Environment overrides:
 //   FR_PREFIX_BITS  universe size exponent (default 16, the sim default)
@@ -80,7 +76,6 @@ struct PipelineRun {
   double wall_seconds = 0.0;
   std::uint64_t probes = 0;
   std::uint64_t responses = 0;
-  double hit_rate = 0.0;
 
   double pps() const { return static_cast<double>(probes) / wall_seconds; }
 };
@@ -139,10 +134,6 @@ PipelineRun run_pipeline(const sim::Topology& topology,
   run.wall_seconds = static_cast<double>(elapsed) / util::kSecond;
   run.probes = sent;
   run.responses = delivered;
-  const auto& stats = network.stats();
-  run.hit_rate = static_cast<double>(stats.route_cache_hits) /
-                 static_cast<double>(stats.route_cache_hits +
-                                     stats.route_cache_misses);
   return run;
 }
 
@@ -226,34 +217,17 @@ int main() {
     }
   }
 
-  // --- process(): cached vs bypassed ---------------------------------------
-  sim::SimParams bypass_params = params;
-  bypass_params.route_cache_bits = 0;
-  const sim::Topology cached_topology(params);
-  const sim::Topology bypass_topology(bypass_params);
+  // --- process() -------------------------------------------------------------
+  const sim::Topology topology(params);
 
-  // Warm one untimed pass each (page in the topology, size the tables).
-  (void)run_pipeline(cached_topology, codec, num_probes / 10);
-  (void)run_pipeline(bypass_topology, codec, num_probes / 10);
+  // Warm one untimed pass (page in the topology, size the tables).
+  (void)run_pipeline(topology, codec, num_probes / 10);
 
-  const PipelineRun cached = run_pipeline(cached_topology, codec, num_probes);
-  const PipelineRun bypassed =
-      run_pipeline(bypass_topology, codec, num_probes);
-  const double process_speedup = cached.pps() / bypassed.pps();
-
-  std::printf("process_into, route cache on : %11.0f probes/s  "
-              "(hit rate %.1f%%, %llu responses)\n",
-              cached.pps(), 100.0 * cached.hit_rate,
-              static_cast<unsigned long long>(cached.responses));
-  std::printf("process_into, cache bypassed : %11.0f probes/s  "
-              "(%llu responses)\n",
-              bypassed.pps(),
-              static_cast<unsigned long long>(bypassed.responses));
-  std::printf("speedup                      : %.2fx\n\n", process_speedup);
-  if (cached.responses != bypassed.responses) {
-    std::fprintf(stderr, "response counts diverge: cache is not transparent\n");
-    return 1;
-  }
+  const PipelineRun process = run_pipeline(topology, codec, num_probes);
+  std::printf("process_into                 : %11.0f probes/s  "
+              "(%llu responses)\n\n",
+              process.pps(),
+              static_cast<unsigned long long>(process.responses));
 
   // --- process(): telemetry on vs off ---------------------------------------
   // The on pass wires a lane + tracer exactly as the CLI does and pays the
@@ -274,10 +248,10 @@ int main() {
   PipelineRun metrics_off;
   PipelineRun metrics_on;
   for (int pass = 0; pass < 3; ++pass) {
-    const PipelineRun off = run_pipeline(cached_topology, codec, num_probes);
+    const PipelineRun off = run_pipeline(topology, codec, num_probes);
     if (pass == 0 || off.pps() > metrics_off.pps()) metrics_off = off;
     const PipelineRun on =
-        run_pipeline(cached_topology, codec, num_probes, telemetry_on);
+        run_pipeline(topology, codec, num_probes, telemetry_on);
     if (pass == 0 || on.pps() > metrics_on.pps()) metrics_on = on;
   }
   const double metrics_overhead_pct =
@@ -327,10 +301,7 @@ int main() {
       "  \"prefix_bits\": %d,\n"
       "  \"seed\": %llu,\n"
       "  \"probes_per_pass\": %llu,\n"
-      "  \"process_cached_pps\": %.1f,\n"
-      "  \"process_bypassed_pps\": %.1f,\n"
-      "  \"process_speedup\": %.3f,\n"
-      "  \"route_cache_hit_rate\": %.4f,\n"
+      "  \"process_pps\": %.1f,\n"
       "  \"responses_per_pass\": %llu,\n"
       "  \"process_metrics_off_pps\": %.1f,\n"
       "  \"process_metrics_on_pps\": %.1f,\n"
@@ -340,9 +311,8 @@ int main() {
       "  \"encode_speedup\": %.3f\n"
       "}\n",
       params.prefix_bits, static_cast<unsigned long long>(params.seed),
-      static_cast<unsigned long long>(num_probes), cached.pps(),
-      bypassed.pps(), process_speedup, cached.hit_rate,
-      static_cast<unsigned long long>(cached.responses), metrics_off.pps(),
+      static_cast<unsigned long long>(num_probes), process.pps(),
+      static_cast<unsigned long long>(process.responses), metrics_off.pps(),
       metrics_on.pps(), metrics_overhead_pct, tmpl.pps(), reference.pps(),
       encode_speedup);
   std::fclose(out);

@@ -268,14 +268,11 @@ int main(int argc, char** argv) {
   }
 
   if (!options->inspect_file.empty()) {
-    std::ifstream in(options->inspect_file, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", options->inspect_file.c_str());
-      return 1;
-    }
-    const auto loaded = io::read_archive(in);
+    const auto loaded = io::load_archive_file(options->inspect_file);
     if (!loaded) {
-      std::fprintf(stderr, "%s: not a FlashRoute scan archive\n",
+      std::fprintf(stderr,
+                   "%s: not a readable FlashRoute scan archive (missing, "
+                   "damaged, or written before archives carried a CRC)\n",
                    options->inspect_file.c_str());
       return 1;
     }
@@ -633,16 +630,13 @@ int main(int argc, char** argv) {
                 options->routes_format.c_str());
   }
   if (!options->archive_file.empty()) {
-    std::ofstream out(options->archive_file, std::ios::binary);
-    if (!out) {
+    if (!io::save_archive_file(
+            options->archive_file, result,
+            {config.first_prefix, config.prefix_bits, options->seed})) {
       std::fprintf(stderr, "cannot write %s\n",
                    options->archive_file.c_str());
       return 1;
     }
-    io::write_archive(result,
-                      {config.first_prefix, config.prefix_bits,
-                       options->seed},
-                      out);
     std::printf("archive written to %s\n", options->archive_file.c_str());
   }
   return 0;

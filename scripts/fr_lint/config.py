@@ -60,7 +60,7 @@ TYPE_ALLOWLIST = frozenset({
     "Ipv4Address", "ByteReader", "ByteWriter", "PacketSlot", "TokenBucket",
     "ProcessedResponse", "Pending", "Slot", "Entry", "RouteHop",
     "Ipv4Header", "UdpHeader", "TcpHeader", "IcmpHeader", "ParsedResponse",
-    "DecodedProbe", "Route", "RouteSilence",
+    "DecodedProbe", "Route",
 })
 
 # Call names that mean heap allocation (or unbounded growth) — banned in

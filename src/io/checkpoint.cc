@@ -11,7 +11,6 @@
 
 #include "io/record_log.h"
 #include "io/varint.h"
-#include "util/crash_point.h"
 
 namespace flashroute::io {
 
@@ -168,38 +167,12 @@ std::optional<std::vector<ScanCheckpoint>> read_checkpoint_set(
   return checkpoints;
 }
 
-// --- atomic file publish -----------------------------------------------------
-
-namespace {
-
-// Serialized bytes → one frame in a fresh tmp file → [fdatasync] →
-// rename(2).  The crash point fires after the write, before the rename.
-bool publish_frame_atomic(const std::string& path, const char (&magic)[4],
-                          const std::ostringstream& out, bool sync) {
-  const std::string tmp = path + ".tmp";
-  std::remove(tmp.c_str());
-  bool ok = false;
-  {
-    RecordLog file(tmp, std::string_view(magic, sizeof magic),
-                   sync ? Durability::kFsync : Durability::kFlush,
-                   util::crash::kCheckpointPublish, 0,
-                   [](const RecordLog::Frame&, std::string_view) {});
-    ok = out && file.append(out.view()).has_value();
-  }
-  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 bool save_checkpoint_atomic(const std::string& path,
                             const ScanCheckpoint& checkpoint, bool sync) {
   std::ostringstream out;
   write_checkpoint(checkpoint, out);
-  return publish_frame_atomic(path, kMagic, out, sync);
+  const std::string_view magic(kMagic, sizeof kMagic);
+  return out && publish_frame_atomic(path, magic, out.view(), sync);
 }
 
 bool save_checkpoint_set_atomic(const std::string& path,
@@ -207,7 +180,8 @@ bool save_checkpoint_set_atomic(const std::string& path,
                                 bool sync) {
   std::ostringstream out;
   write_checkpoint_set(checkpoints, out);
-  return publish_frame_atomic(path, kSetMagic, out, sync);
+  const std::string_view magic(kSetMagic, sizeof kSetMagic);
+  return out && publish_frame_atomic(path, magic, out.view(), sync);
 }
 
 std::optional<ScanCheckpoint> load_checkpoint_file(const std::string& path) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <limits>
 
 #include "io/varint.h"
@@ -149,6 +150,24 @@ std::optional<std::string> read_frame_file(const std::string& path,
   }
   if (fd >= 0) ::close(fd);
   return payload;
+}
+
+bool publish_frame_atomic(const std::string& path, std::string_view magic,
+                          std::string_view payload, bool sync) {
+  const std::string tmp = path + ".tmp";
+  std::remove(tmp.c_str());
+  bool ok = false;
+  {
+    RecordLog file(tmp, magic, sync ? Durability::kFsync : Durability::kFlush,
+                   util::crash::kCheckpointPublish, 0,
+                   [](const RecordLog::Frame&, std::string_view) {});
+    ok = file.append(payload).has_value();
+  }
+  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
 }
 
 RecordLog::RecordLog(const std::string& path, std::string_view magic,

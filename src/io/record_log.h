@@ -5,9 +5,10 @@
 //   magic(4)  u32 LE payload size  payload  u32 LE CRC32C(size, payload)
 //
 // with a per-file magic: "FRWJ" for the job journal, "FRSJ" for the job
-// archive, "FRCK"/"FRCS" for a checkpoint file (which holds exactly one
-// frame).  The CRC covers the size field too, so a flipped length is caught
-// like a flipped payload byte.
+// archive, "FRCK"/"FRCS" for a checkpoint file and "FRSA" for a scan
+// archive file (each of the last three holds exactly one frame).  The CRC
+// covers the size field too, so a flipped length is caught like a flipped
+// payload byte.
 //
 // Opening a RecordLog is recovery.  The walk keeps every frame that
 // verifies and classifies everything else:
@@ -66,6 +67,15 @@ std::uint32_t crc32c(std::uint32_t crc, std::string_view bytes);
 /// frame under `magic`; nullopt when it is absent, damaged or foreign.
 std::optional<std::string> read_frame_file(const std::string& path,
                                            std::string_view magic);
+
+/// Publishes `payload` as a file at `path` that read_frame_file reads back:
+/// one frame under `magic`, written to `<path>.tmp` (plus fdatasync when
+/// `sync`), then renamed over `path`, so a reader sees the old file or the
+/// new one, never a prefix.  The crash point checkpoint.publish fires
+/// between the write and the rename.  False when any step fails; the temp
+/// file is then removed and `path` is left as it was.
+bool publish_frame_atomic(const std::string& path, std::string_view magic,
+                          std::string_view payload, bool sync);
 
 class RecordLog {
  public:

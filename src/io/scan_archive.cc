@@ -18,6 +18,8 @@ namespace {
 
 constexpr char kMagic[4] = {'F', 'R', 'S', 'C'};
 constexpr std::uint64_t kFormatVersion = 1;
+// The frame magic of an archive file (save_archive_file).
+constexpr std::string_view kFileMagic = "FRSA";
 // A JobArchive payload is the job id, then the FRSC bytes.
 constexpr std::size_t kJobIdBytes = 8;
 
@@ -212,6 +214,22 @@ std::optional<LoadedArchive> read_archive(std::istream& in) {
     }
   }
   return loaded;
+}
+
+bool save_archive_file(const std::string& path,
+                       const core::ScanResult& result,
+                       const ArchiveHeader& header) {
+  std::ostringstream out;
+  write_archive(result, header, out);
+  return out && publish_frame_atomic(path, kFileMagic, out.view(),
+                                     /*sync=*/true);
+}
+
+std::optional<LoadedArchive> load_archive_file(const std::string& path) {
+  std::optional<std::string> payload = read_frame_file(path, kFileMagic);
+  if (!payload.has_value()) return std::nullopt;
+  std::istringstream in(std::move(*payload));
+  return read_archive(in);
 }
 
 // --- JobArchive --------------------------------------------------------------

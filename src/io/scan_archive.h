@@ -8,7 +8,7 @@
 //  * a versioned binary archive ("FRSC" magic) with varint coding, carrying
 //    everything in core::ScanResult (routes, distances, counters) so a scan
 //    can be analysed later without re-running it.  write_archive/read_archive
-//    round-trip exactly.
+//    round-trip exactly; on disk it sits inside a CRC-checked frame.
 
 #pragma once
 
@@ -62,6 +62,19 @@ struct LoadedArchive {
 /// Reads an archive; returns nullopt on a bad magic, unsupported version,
 /// or truncated/corrupt input.
 std::optional<LoadedArchive> read_archive(std::istream& in);
+
+/// Archive file (flashroute_cli --archive): the write_archive bytes as the
+/// one CRC-checked frame of a file under the "FRSA" magic, fdatasync'd and
+/// renamed into place by io::publish_frame_atomic.  False when any step
+/// fails; `path` is then left as it was.
+bool save_archive_file(const std::string& path,
+                       const core::ScanResult& result,
+                       const ArchiveHeader& header);
+
+/// Reads a file save_archive_file wrote; nullopt when it is missing,
+/// damaged or foreign, including a bare FRSC file written before archive
+/// files carried a CRC.
+std::optional<LoadedArchive> load_archive_file(const std::string& path);
 
 /// Multi-job archive file: many FRSC payloads appended by concurrent scan
 /// jobs into one io::RecordLog under the "FRSJ" magic (DESIGN.md §12).

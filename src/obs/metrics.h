@@ -132,7 +132,7 @@ class MetricsRegistry {
   /// Registers a named log2 histogram; must be called before freeze().
   HistogramId add_histogram(std::string name);
 
-  /// Registers a sampled gauge (e.g. route-cache hit rate) owned by a
+  /// Registers a sampled gauge (e.g. response-pool occupancy) owned by a
   /// lane.  The callback is invoked on the snapshotting thread, so it must
   /// be safe to call concurrently with the scan (the sim counters it reads
   /// are plain uint64s written by the lane's own thread; snapshots taken

@@ -19,10 +19,6 @@ SimNetwork::SimNetwork(const Topology& topology, const FaultParams& faults)
                      static_cast<std::uint32_t>(
                          topology.allocated_pool_interfaces())),
       seed_rtt_(util::hash_combine(topology.params().seed, 0x727474)) {
-  if (const int bits = topology.params().effective_route_cache_bits();
-      bits > 0) {
-    route_cache_.emplace(bits);
-  }
   if (faults.any()) fault_plane_.emplace(faults, topology.params().seed);
 }
 
@@ -137,33 +133,11 @@ FR_HOT std::optional<ProcessedResponse> SimNetwork::process_into(
   }
   const std::int64_t epoch = current_epoch_;
 
-  const Route* route;
-  RouteSilence* silence;
-  if (route_cache_) {
-    RouteCache::Entry* entry =
-        route_cache_->find(dst_address, flow, epoch, protocol);
-    if (entry != nullptr) {
-      ++stats_.route_cache_hits;
-    } else {
-      ++stats_.route_cache_misses;
-      entry = route_cache_->fill(topology_, dst_address, flow, epoch, protocol);
-    }
-    if (entry == nullptr) {
-      ++stats_.out_of_universe;
-      return std::nullopt;
-    }
-    route = &entry->route;
-    silence = &entry->silence;
-  } else {
-    ++stats_.route_cache_misses;
-    if (!topology_.resolve(dst_address, flow, epoch, scratch_route_)) {
-      ++stats_.out_of_universe;
-      return std::nullopt;
-    }
-    scratch_silence_.reset_lazy();
-    route = &scratch_route_;
-    silence = &scratch_silence_;
+  if (!topology_.resolve(dst_address, flow, epoch, route_)) {
+    ++stats_.out_of_universe;
+    return std::nullopt;
   }
+  const Route& route = route_;
 
   // Where does the probe's TTL run out?  A TTL-rewriting middlebox at
   // (1-based) hop m resets the residual TTL of packets it forwards, so a
@@ -174,30 +148,30 @@ FR_HOT std::optional<ProcessedResponse> SimNetwork::process_into(
   int residual;
   int expire_pos;
   const int ttl_signed = ttl;
-  if (route->middlebox_pos >= 1 && route->middlebox_pos <= route->num_hops &&
-      ttl_signed > route->middlebox_pos) {
-    const int reborn = route->middlebox_pos + route->middlebox_reset - 1;
-    if (route->middlebox_reset >= 2 && reborn <= route->num_hops) {
+  if (route.middlebox_pos >= 1 && route.middlebox_pos <= route.num_hops &&
+      ttl_signed > route.middlebox_pos) {
+    const int reborn = route.middlebox_pos + route.middlebox_reset - 1;
+    if (route.middlebox_reset >= 2 && reborn <= route.num_hops) {
       expire_pos = reborn;
       residual = 1;
     } else {
       expire_pos = 0;
-      residual = route->middlebox_pos + route->middlebox_reset - 1 -
-                 route->num_hops;
+      residual = route.middlebox_pos + route.middlebox_reset - 1 -
+                 route.num_hops;
     }
-  } else if (ttl_signed <= route->num_hops) {
+  } else if (ttl_signed <= route.num_hops) {
     expire_pos = ttl_signed;
     residual = 1;
   } else {
     expire_pos = 0;
-    residual = ttl_signed - route->num_hops;
+    residual = ttl_signed - route.num_hops;
   }
 
-  if (expire_pos == 0 && !route->delivers) {
-    if (route->loops) {
+  if (expire_pos == 0 && !route.delivers) {
+    if (route.loops) {
       // The dark tail bounces between two hops; the probe expires
       // `residual` hops into the loop.
-      expire_pos = route->num_hops + residual;
+      expire_pos = route.num_hops + residual;
     } else {
       ++stats_.dropped_dark;
       return std::nullopt;
@@ -205,11 +179,11 @@ FR_HOT std::optional<ProcessedResponse> SimNetwork::process_into(
   }
 
   if (expire_pos != 0) {
-    if (topology_.hop_silent_at(*route, expire_pos, protocol, *silence)) {
+    const std::uint32_t responder = route.hop_at(expire_pos);
+    if (!topology_.interface_responds(responder, protocol)) {
       ++stats_.silent_interface;
       return std::nullopt;
     }
-    const std::uint32_t responder = route->hop_at(expire_pos);
     if (!admit_response(responder, send_time)) return std::nullopt;
     const std::size_t size = net::craft_icmp_response_into(
         net::kIcmpTimeExceeded, net::kIcmpCodeTtlExceeded,
@@ -227,8 +201,8 @@ FR_HOT std::optional<ProcessedResponse> SimNetwork::process_into(
   }
 
   // Delivered to a host: `residual` is the TTL it arrives with.
-  const net::Ipv4Address host(route->delivered_address);
-  if (!topology_.host_answers_lazy(*route, protocol, *silence)) {
+  const net::Ipv4Address host(route.delivered_address);
+  if (!topology_.host_responds_delivered(host, protocol)) {
     ++stats_.silent_host;
     return std::nullopt;
   }
@@ -241,7 +215,7 @@ FR_HOT std::optional<ProcessedResponse> SimNetwork::process_into(
     size = net::craft_icmp_response_into(
         net::kIcmpDestUnreachable, net::kIcmpCodePortUnreachable, host, probe,
         static_cast<std::uint8_t>(residual), out,
-        route->rewritten ? std::optional(host) : std::nullopt);
+        route.rewritten ? std::optional(host) : std::nullopt);
   }
   if (size == 0) {
     ++stats_.malformed;
@@ -252,7 +226,7 @@ FR_HOT std::optional<ProcessedResponse> SimNetwork::process_into(
       dst_value, ttl, flow, static_cast<std::uint64_t>(epoch) ^ 1);
   return finish_response(
       dst_value, ttl, send_time,
-      arrival_time(send_time, route->num_hops + 1, jitter_key), size, out);
+      arrival_time(send_time, route.num_hops + 1, jitter_key), size, out);
 }
 
 // Response-direction faults, applied after the router/host has "sent" the

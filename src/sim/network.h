@@ -12,10 +12,9 @@
 // intrusiveness phenomenon Table 4 studies.
 //
 // Hot path (DESIGN.md §6): `process_into` is allocation-free in steady
-// state.  Route resolution is O(1) per probe: a Route is a descriptor, and
-// only the interface the probe expires at is computed.  Below 2^20
-// prefixes a direct-mapped per-(destination, flow, epoch) cache
-// (sim/route_cache.h; bit-identical to bypassing it) memoizes it as well.
+// state.  Each probe resolves its route afresh in O(1): a Route is a
+// descriptor, and only the interface the probe expires at is computed and
+// asked whether it answers.  Nothing is memoized across probes.
 // Responses are encoded straight into a caller-provided buffer —
 // normally a recycled sim/response_pool.h slot — and the per-responder ICMP
 // limiters live in a flat table indexed by interface-pool offset
@@ -35,7 +34,6 @@
 #include "sim/fault_plane.h"
 #include "sim/rate_limit_table.h"
 #include "sim/response_pool.h"
-#include "sim/route_cache.h"
 #include "sim/topology.h"
 #include "util/annotations.h"
 #include "util/clock.h"
@@ -52,11 +50,23 @@ struct NetworkStats {
   std::uint64_t silent_host = 0;
   std::uint64_t rate_limited = 0;
   std::uint64_t dropped_dark = 0;  // probe died with no responder in range
-  std::uint64_t route_cache_hits = 0;
-  std::uint64_t route_cache_misses = 0;  // probes resolved, cache bypassed too
 
   std::uint64_t responses() const noexcept {
     return time_exceeded_sent + destination_responses;
+  }
+
+  /// Adds another network's counters (lane totals of the sharded runtimes).
+  NetworkStats& operator+=(const NetworkStats& other) noexcept {
+    probes += other.probes;
+    malformed += other.malformed;
+    out_of_universe += other.out_of_universe;
+    time_exceeded_sent += other.time_exceeded_sent;
+    destination_responses += other.destination_responses;
+    silent_interface += other.silent_interface;
+    silent_host += other.silent_host;
+    rate_limited += other.rate_limited;
+    dropped_dark += other.dropped_dark;
+    return *this;
   }
 };
 
@@ -114,9 +124,8 @@ class SimNetwork {
   /// duplicates directly after their original, exactly the scalar claim
   /// order — and the count written is returned (`out` must hold at least
   /// 2 * ProbeBatch::kMaxPackets entries).  One call replaces up to 64
-  /// virtual per-probe dispatches; dest-adjacent batch probes reuse the
-  /// same hot route-cache line, and the pool claim/duplicate-copy handling
-  /// is centralized here instead of per send.
+  /// virtual per-probe dispatches, and the pool claim/duplicate-copy
+  /// handling is centralized here instead of per send.
   [[nodiscard]] FR_HOT std::uint32_t process_batch(
       const core::ProbeBatch& batch, std::uint64_t sent_mask,
       util::Nanos first_send_time, util::Nanos interval, ResponsePool& pool,
@@ -154,14 +163,8 @@ class SimNetwork {
   const Topology& topology_;
   NetworkStats stats_;
   RateLimitTable rate_limiters_;
-  /// Memoizes Topology::resolve; null when
-  /// params.effective_route_cache_bits() == 0.
-  std::optional<RouteCache> route_cache_;
-  /// Scratch for cache-bypassed resolution.  Bypassing re-resolves the
-  /// route and re-draws the silence of the one hop a probe expires at —
-  /// the cost the route cache amortizes.
-  Route scratch_route_;
-  RouteSilence scratch_silence_;
+  /// The current probe's route, overwritten by every resolve.
+  Route route_;
   /// Current dynamics epoch, memoized over the non-decreasing send times so
   /// the 64-bit division only runs at epoch boundaries.
   std::int64_t current_epoch_ = 0;

@@ -246,22 +246,6 @@ struct SimParams {
   util::Nanos rtt_per_hop = 2'500'000;  // 2.5 ms per hop
   util::Nanos rtt_jitter = 3 * util::kMillisecond;
 
-  // --- Simulator hot path ----------------------------------------------------
-  /// Route-cache size, as log2 of the entry count, for SimNetwork's
-  /// direct-mapped memoization of Topology::resolve (sim/route_cache.h).
-  /// 0 bypasses the cache entirely (every probe re-resolves; results are
-  /// bit-identical either way).  -1 sizes it automatically from the
-  /// universe: prefix_bits - 2, clamped to [8, 14], for scans below 2^20 —
-  /// and *disables* it at prefix_bits >= 20.  At scale the hit rate is
-  /// structurally capped by backward+forward pair reuse (~0.30 at 2^24,
-  /// identical for 16- and 17-bit tables: the ring walk cycles the whole
-  /// universe between revisits, so no feasible table captures more), and
-  /// a miss is one O(1) resolve (a Route is a descriptor, not a copy of
-  /// its hops), so the lookup+insert paid on the other ~70% of probes
-  /// costs more than the hits save (DESIGN.md §11, "Route cache at
-  /// scale").
-  int route_cache_bits = -1;
-
   // --- Fault injection -------------------------------------------------------
   /// Adversity model (loss, duplication, reordering, corruption, blackholes,
   /// flapping links, transient send failures).  All-zero by default: the
@@ -279,12 +263,6 @@ struct SimParams {
     if (core_routers > 0) return core_routers;
     const auto auto_size = static_cast<int>(num_prefixes() / 128);
     return auto_size < 64 ? 64 : auto_size;
-  }
-  int effective_route_cache_bits() const noexcept {
-    if (route_cache_bits >= 0) return route_cache_bits;
-    if (prefix_bits >= 20) return 0;  // net-negative at scale; see above
-    const int auto_bits = prefix_bits - 2;
-    return auto_bits < 8 ? 8 : (auto_bits > 14 ? 14 : auto_bits);
   }
 };
 

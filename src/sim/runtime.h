@@ -168,8 +168,8 @@ class SimScanRuntime final : public core::ScanRuntime {
   util::SimClock& clock() noexcept { return clock_; }
 
   /// Registers this runtime's observability gauges on `lane` of a metrics
-  /// registry (DESIGN.md §7): the sim network's rate-limit drops and
-  /// route-cache hit rate, plus response-pool occupancy.  The gauge
+  /// registry (DESIGN.md §7): the sim network's rate-limit drops, plus
+  /// response-pool occupancy and responses in flight.  The gauge
   /// callbacks read plain counters owned by this runtime's scan thread;
   /// they are sampled either on that thread (interval ticks) or after the
   /// scan (the summary snapshot), so sim scans stay deterministic.  This —
@@ -179,19 +179,6 @@ class SimScanRuntime final : public core::ScanRuntime {
     const SimNetwork* network = &network_;
     registry.add_gauge("sim.rate_limit_drops", lane, [network] {
       return static_cast<double>(network->stats().rate_limited);
-    });
-    registry.add_gauge("sim.route_cache_hits", lane, [network] {
-      return static_cast<double>(network->stats().route_cache_hits);
-    });
-    registry.add_gauge("sim.route_cache_misses", lane, [network] {
-      return static_cast<double>(network->stats().route_cache_misses);
-    });
-    registry.add_gauge("sim.route_cache_hit_rate", lane, [network] {
-      const NetworkStats& s = network->stats();
-      const std::uint64_t lookups = s.route_cache_hits + s.route_cache_misses;
-      return lookups == 0 ? 0.0
-                          : static_cast<double>(s.route_cache_hits) /
-                                static_cast<double>(lookups);
     });
     const ResponsePool* pool = &pool_;
     const util::TimingWheel<InFlight>* wheel = &wheel_;
@@ -326,18 +313,7 @@ class SimShardRuntimeProvider final : public core::ShardRuntimeProvider {
   NetworkStats stats() const {
     NetworkStats total;
     for (const auto& lane : lanes_) {
-      const NetworkStats& s = lane->network.stats();
-      total.probes += s.probes;
-      total.malformed += s.malformed;
-      total.out_of_universe += s.out_of_universe;
-      total.time_exceeded_sent += s.time_exceeded_sent;
-      total.destination_responses += s.destination_responses;
-      total.silent_interface += s.silent_interface;
-      total.silent_host += s.silent_host;
-      total.rate_limited += s.rate_limited;
-      total.dropped_dark += s.dropped_dark;
-      total.route_cache_hits += s.route_cache_hits;
-      total.route_cache_misses += s.route_cache_misses;
+      total += lane->network.stats();
     }
     return total;
   }

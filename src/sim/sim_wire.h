@@ -148,18 +148,7 @@ class RealTimeSimWire final : public core::Wire {
     NetworkStats total;
     for (const auto& lane : lanes_) {
       const util::MutexLock guard(lane->mutex);
-      const NetworkStats& s = lane->network.stats();
-      total.probes += s.probes;
-      total.malformed += s.malformed;
-      total.out_of_universe += s.out_of_universe;
-      total.time_exceeded_sent += s.time_exceeded_sent;
-      total.destination_responses += s.destination_responses;
-      total.silent_interface += s.silent_interface;
-      total.silent_host += s.silent_host;
-      total.rate_limited += s.rate_limited;
-      total.dropped_dark += s.dropped_dark;
-      total.route_cache_hits += s.route_cache_hits;
-      total.route_cache_misses += s.route_cache_misses;
+      total += lane->network.stats();
     }
     return total;
   }

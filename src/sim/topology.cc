@@ -457,43 +457,6 @@ FR_HOT bool Topology::interface_responds(std::uint32_t interface_ip,
   return true;
 }
 
-FR_HOT bool Topology::hop_silent_at(const Route& route, int pos,
-                                    std::uint8_t protocol,
-                                    RouteSilence& plan) const noexcept {
-  if (pos <= route.num_hops) {
-    const std::uint64_t bit = std::uint64_t{1} << (pos - 1);
-    if ((plan.hop_known & bit) == 0) {
-      if (!interface_responds(route.hop_at(pos), protocol)) {
-        plan.hop_silent |= bit;
-      }
-      plan.hop_known |= bit;
-    }
-    return (plan.hop_silent & bit) != 0;
-  }
-  if (!plan.loop_known) {
-    plan.loop_a_silent =
-        route.loops && !interface_responds(route.loop_a(), protocol);
-    plan.loop_b_silent =
-        route.loops && !interface_responds(route.loop_b(), protocol);
-    plan.loop_known = true;
-  }
-  return ((pos - route.num_hops) % 2 == 1) ? plan.loop_a_silent
-                                           : plan.loop_b_silent;
-}
-
-FR_HOT bool Topology::host_answers_lazy(const Route& route,
-                                        std::uint8_t protocol,
-                                        RouteSilence& plan) const noexcept {
-  if (!plan.host_known) {
-    plan.host_answers =
-        route.delivers &&
-        host_responds_delivered(net::Ipv4Address(route.delivered_address),
-                                protocol);
-    plan.host_known = true;
-  }
-  return plan.host_answers;
-}
-
 FR_HOT bool Topology::resolve(net::Ipv4Address destination, std::uint64_t flow,
                        std::int64_t epoch, Route& route) const noexcept {
   if (!in_universe(destination)) return false;

@@ -66,7 +66,7 @@ struct TemplateHop {
 /// that resolved the route; the topology is immutable, and no Route may
 /// outlive it.
 struct Route {
-  /// Cap on num_hops: RouteSilence keeps one bit per hop position.
+  /// Cap on num_hops, applied by Topology::resolve to every segment.
   static constexpr int kMaxHops = 64;
   /// The appliance plus up to three interior levels.
   static constexpr int kMaxTail = 4;
@@ -126,35 +126,6 @@ struct Route {
   FR_HOT std::uint32_t loop_b() const noexcept { return hop_at(num_hops - 1); }
 };
 
-/// The response plan of a resolved route for one transport protocol: which
-/// hop positions would stay silent if a probe expired there, and whether the
-/// delivered-to host answers.  Pure over (route, protocol) — the route cache
-/// memoizes it next to the Route so a cache hit answers every per-probe
-/// question without touching the Topology again (DESIGN.md §6).
-struct RouteSilence {
-  std::uint64_t hop_silent = 0;  ///< bit i set: hop_at(i + 1) never answers
-  /// The plan fills on demand (Topology::hop_silent_at, host_answers_lazy):
-  /// bit i of hop_known validates bit i of hop_silent, and the loop/host
-  /// answers carry their own known flags.  A scan probes only 1-2 TTLs of a
-  /// route per cache fill, so only the draws a probe asks for are computed;
-  /// they are pure over (ip, protocol), so a memoized answer is the one a
-  /// fresh query would give.
-  std::uint64_t hop_known = 0;
-  bool loop_a_silent = false;
-  bool loop_b_silent = false;
-  bool host_answers = false;
-  bool loop_known = false;
-  bool host_known = false;
-
-  /// Empties the plan for a fresh (route, protocol) pairing.
-  FR_HOT void reset_lazy() noexcept {
-    hop_silent = 0;
-    hop_known = 0;
-    loop_known = false;
-    host_known = false;
-  }
-};
-
 class Topology {
  public:
   explicit Topology(const SimParams& params);
@@ -187,18 +158,12 @@ class Topology {
   FR_HOT bool interface_responds(std::uint32_t interface_ip,
                                  std::uint8_t protocol) const noexcept;
 
-  /// Whether the interface at 1-based position `pos` of a resolved route
-  /// (beyond num_hops: the loop tail) stays silent to `protocol`: the
-  /// interface_responds draw for route.hop_at(pos), computed on first use
-  /// and memoized in `plan` so the route cache answers every later probe of
-  /// the route from it.
-  FR_HOT bool hop_silent_at(const Route& route, int pos,
-                            std::uint8_t protocol,
-                            RouteSilence& plan) const noexcept;
-
-  /// Lazy host-answer query, memoized in `plan` like hop_silent_at.
-  FR_HOT bool host_answers_lazy(const Route& route, std::uint8_t protocol,
-                                RouteSilence& plan) const noexcept;
+  /// host_responds() for the delivered address of a resolved route.  Every
+  /// route with `delivers` set has host_exists(delivered_address) true by
+  /// construction (resolve() either verified the draw or delivered to the
+  /// always-assigned appliance), so only the protocol draw remains.
+  FR_HOT bool host_responds_delivered(net::Ipv4Address address,
+                                      std::uint8_t protocol) const noexcept;
 
   // --- Metadata --------------------------------------------------------------
   FR_HOT const SimParams& params() const noexcept { return params_; }
@@ -280,12 +245,6 @@ class Topology {
   /// bit-for-bit the same.
   FR_HOT bool host_exists_routed(net::Ipv4Address address,
                                  std::uint64_t dyn_key) const noexcept;
-  /// host_responds() for the delivered address of a resolved route.  Every
-  /// route with `delivers` set has host_exists(delivered_address) true by
-  /// construction (resolve() either verified the draw or delivered to the
-  /// always-assigned appliance), so only the protocol draw remains.
-  FR_HOT bool host_responds_delivered(net::Ipv4Address address,
-                                      std::uint8_t protocol) const noexcept;
 
   SimParams params_;
   std::uint32_t next_pool_ip_;

@@ -19,9 +19,9 @@
 // resilience counters, preprobe_time and the probe log (result_digest); the
 // telemetry case hashes the exported JSONL stream.  The simulator calls no
 // libm transcendental functions, so the digests hold on every compiler: a
-// mismatch is a behaviour change, never a reason to re-record.  The one
-// case re-recorded for a deliberate fix carries the proof of its new value
-// in its comment.
+// mismatch is a behaviour change, never a reason to re-record.  The two
+// cases re-recorded for a deliberate change carry the proof of their new
+// values in their comments.
 
 #include <gtest/gtest.h>
 
@@ -337,6 +337,13 @@ TEST(BatchEquivalence, TelemetryStreamOfPreprobingRetransmittingScan) {
   // retransmit and timeout lands in, and what the simulator had processed
   // when each capture ran; a 1 ms interval at 100 Kpps puts tick boundaries
   // inside gathers.  Wired as the CLI wires it.
+  //
+  // Re-recorded when the simulator lost its route cache and with it the
+  // three gauges the cache registered: its hits, misses and hit rate (was
+  // 0xf44f6916178e26a3).  Proof: on the commit before, deleting exactly
+  // those three entries from every interval record's "gauges" object and
+  // from the summary's "gauges" list, then digesting as below, gives the
+  // new value in both cadences.
   sim::SimParams params = world_params(8, 47);
   params.faults.probe_loss = 0.15;
   params.faults.response_loss = 0.1;
@@ -348,7 +355,7 @@ TEST(BatchEquivalence, TelemetryStreamOfPreprobingRetransmittingScan) {
   config.max_retransmits = 2;
   config.adaptive_backoff = true;
 
-  expect_golden(0xf44f6916178e26a3ULL, [&](Cadence cadence) {
+  expect_golden(0xadd08e24d76ef2e5ULL, [&](Cadence cadence) {
     obs::MetricsRegistry registry;
     core::TracerConfig metered = config;
     metered.telemetry.registry = &registry;

@@ -1,12 +1,18 @@
 // Tests for scan persistence (io/scan_archive.h): varint coding, the binary
-// archive round-trip (including on real scan results), and the text/CSV
-// writers.
+// archive round-trip (including on real scan results), archive files (one
+// CRC-checked frame, published atomically), and the text/CSV writers.
 
 #include "io/scan_archive.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "core/tracer.h"
 #include "io/varint.h"
@@ -155,6 +161,86 @@ TEST(Archive, RejectsWrongVersion) {
   stream.write("FRSC", 4);
   write_varint(stream, 99);  // unsupported version
   EXPECT_FALSE(read_archive(stream));
+}
+
+// --- Archive files -----------------------------------------------------------
+
+std::string temp_path(const char* tag) {
+  return "/tmp/fr_scan_archive_" + std::string(tag) + "_" +
+         std::to_string(static_cast<long>(::getpid())) + ".frsc";
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string archive_bytes(const core::ScanResult& result,
+                          const ArchiveHeader& header) {
+  std::ostringstream out;
+  write_archive(result, header, out);
+  return out.str();
+}
+
+bool exists(const std::string& path) {
+  struct stat st = {};
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+TEST(ArchiveFile, RoundTripsThroughOneVerifiedFrame) {
+  const std::string path = temp_path("roundtrip");
+  const core::ScanResult original = sample_result();
+  const ArchiveHeader header{0x010200, 2, 77};
+  ASSERT_TRUE(save_archive_file(path, original, header));
+  EXPECT_FALSE(exists(path + ".tmp"));
+  // The file is one frame around exactly the FRSC bytes.
+  EXPECT_EQ(read_frame_file(path, "FRSA"), archive_bytes(original, header));
+
+  const auto loaded = load_archive_file(path);
+  ASSERT_TRUE(loaded);
+  EXPECT_EQ(archive_bytes(loaded->result, loaded->header),
+            archive_bytes(original, header));
+  std::remove(path.c_str());
+}
+
+TEST(ArchiveFile, EveryFlippedByteAndABareFrscFileAreRefused) {
+  const std::string path = temp_path("flip");
+  ASSERT_TRUE(save_archive_file(path, sample_result(), {0x010200, 2, 77}));
+  const std::string good = read_file(path);
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    std::string bad = good;
+    bad[i] = static_cast<char>(bad[i] ^ 0x10);
+    write_file(path, bad);
+    EXPECT_FALSE(load_archive_file(path)) << "flip at byte " << i;
+  }
+  // What --archive wrote before archive files carried a CRC.
+  write_file(path, archive_bytes(sample_result(), {0x010200, 2, 77}));
+  EXPECT_FALSE(load_archive_file(path));
+  std::remove(path.c_str());
+}
+
+TEST(ArchiveFile, FailedPublishReportsFalseAndLeavesNoTempFile) {
+  const std::string missing_dir =
+      "/tmp/fr_scan_archive_missing_" +
+      std::to_string(static_cast<long>(::getpid()));
+  const std::string in_missing = missing_dir + "/a.frsc";
+  EXPECT_FALSE(save_archive_file(in_missing, sample_result(), {0, 1, 0}));
+  EXPECT_FALSE(exists(missing_dir));
+  EXPECT_FALSE(load_archive_file(in_missing));
+
+  // The rename fails when the target is a directory: the directory stays,
+  // and the written temp file is removed.
+  const std::string dir = temp_path("dir");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  EXPECT_FALSE(save_archive_file(dir, sample_result(), {0, 1, 0}));
+  EXPECT_FALSE(exists(dir + ".tmp"));
+  EXPECT_EQ(::rmdir(dir.c_str()), 0);
 }
 
 TEST(TextWriter, ListsRoutesWithAnnotations) {

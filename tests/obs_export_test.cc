@@ -135,7 +135,7 @@ TEST(SnapshotExport, SummaryCountersMatchScanResult) {
                                     std::to_string(r.interfaces.size())));
 
   // The sim gauges registered on lane 0 made it into the summary.
-  EXPECT_TRUE(contains(summary, "\"sim.route_cache_hit_rate\""));
+  EXPECT_TRUE(contains(summary, "\"sim.response_pool_slots\""));
   EXPECT_TRUE(contains(summary, "\"sim.rate_limit_drops\""));
 }
 
