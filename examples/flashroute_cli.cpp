@@ -254,6 +254,16 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
   return options;
 }
 
+/// Closes a finished output file; false, after printing "cannot write
+/// FILE", when any byte failed to reach it.  A full disk shows up only
+/// here, when the buffered tail is flushed.
+bool written(std::ofstream& out, const std::string& path) {
+  out.close();
+  if (out) return true;
+  std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -359,7 +369,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     resume_checkpoint = std::move(*loaded);
-    config.resume_from = &*resume_checkpoint;
     std::printf("resuming from %s: %s elapsed, %llu rounds done\n",
                 options->resume_file.c_str(),
                 util::format_duration(resume_checkpoint->scan_elapsed).c_str(),
@@ -567,9 +576,10 @@ int main(int argc, char** argv) {
       }
     }
     tracer = std::make_unique<core::Tracer>(config, *active_runtime);
-    result = tracer->run();
+    result = tracer->run(std::move(resume_checkpoint));
   }
   if (capturing) {
+    if (!written(pcap_out, options->pcap_file)) return 1;
     std::printf("capture written to %s\n", options->pcap_file.c_str());
   }
 
@@ -582,6 +592,7 @@ int main(int argc, char** argv) {
     obs::SnapshotExporter exporter(mout);
     exporter.write_intervals(*scan_tracer, metrics_registry);
     exporter.write_summary(*scan_tracer, metrics_registry, result.scan_time);
+    if (!written(mout, options->metrics_file)) return 1;
     std::printf("metrics written to %s\n", options->metrics_file.c_str());
   }
 
@@ -626,6 +637,7 @@ int main(int argc, char** argv) {
                    options->routes_format.c_str());
       return 2;
     }
+    if (!written(out, options->routes_file)) return 1;
     std::printf("routes written to %s (%s)\n", options->routes_file.c_str(),
                 options->routes_format.c_str());
   }

@@ -1,6 +1,7 @@
 #include "baselines/scamper.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/targets.h"
 #include "net/icmp.h"
@@ -142,6 +143,10 @@ core::ScanResult Scamper::run() {
                                             config_.seed);
   permutation_ = &permutation;
   admit_cursor_ = 0;
+  // A finished run leaves the timeouts of answered probes queued.  Their
+  // (index, token) pairs would match a new trace's: tokens restart with
+  // each TraceState.
+  timeouts_.clear();
 
   const util::Nanos start = sender_.now();
   admit_next();
@@ -194,7 +199,7 @@ core::ScanResult Scamper::run() {
   sender_.idle_until(sender_.now() + util::kSecond);
   result_.scan_time = sender_.now() - start;
   permutation_ = nullptr;
-  return result_;
+  return std::move(result_);
 }
 
 void Scamper::on_packet(std::span<const std::byte> packet,

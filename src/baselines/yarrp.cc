@@ -1,5 +1,7 @@
 #include "baselines/yarrp.h"
 
+#include <utility>
+
 #include "core/targets.h"
 #include "net/checksum.h"
 #include "net/icmp.h"
@@ -77,7 +79,7 @@ core::ScanResult Yarrp::run() {
 
   sender_.submit();  // the last fill probes may still be staged
   result_.scan_time = sender_.now() - start;
-  return result_;
+  return std::move(result_);
 }
 
 void Yarrp::flush_fill_queue() {

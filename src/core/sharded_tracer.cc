@@ -1,7 +1,9 @@
 #include "core/sharded_tracer.h"
 
 #include <algorithm>
+#include <optional>
 #include <thread>
+#include <utility>
 
 #include "core/targets.h"
 #include "util/rng.h"
@@ -80,25 +82,17 @@ TracerConfig ShardedTracer::shard_config(const ShardInfo& shard) const {
     cfg.telemetry.lane = cfg.telemetry.registry->lane(shard.index);
     cfg.telemetry.lane_id = shard.index;
   }
-  // Checkpoint fan-out: shard-tag the set-level sink, and hand each shard
-  // its own slice of the resume set.
-  const std::size_t index = static_cast<std::size_t>(shard.index);
+  // Checkpoint fan-out: shard-tag the set-level sink.
   if (config_.checkpoint_sink) {
     cfg.checkpoint_sink = [sink = config_.checkpoint_sink,
-                           index](const io::ScanCheckpoint& checkpoint) {
-      return sink(index, checkpoint);
+                           i](io::ScanCheckpoint& checkpoint) {
+      return sink(i, checkpoint);
     };
-  }
-  cfg.resume_from = nullptr;
-  if (config_.resume_from != nullptr &&
-      index < config_.resume_from->size() &&
-      !(*config_.resume_from)[index].next_backward.empty()) {
-    cfg.resume_from = &(*config_.resume_from)[index];
   }
   return cfg;
 }
 
-ScanResult ShardedTracer::run() {
+ScanResult ShardedTracer::run(std::vector<io::ScanCheckpoint> resume_from) {
   const std::vector<ShardInfo> shards = plan(config_);
   const int workers = shards.empty() ? 1 : shards.back().worker + 1;
 
@@ -128,15 +122,22 @@ ScanResult ShardedTracer::run() {
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([this, w, &shards, &results] {
+    threads.emplace_back([this, w, &shards, &results, &resume_from] {
       for (const ShardInfo& shard : shards) {
         if (shard.worker != w) continue;
+        const auto index = static_cast<std::size_t>(shard.index);
+        // Each shard consumes its own entry of the resume set.
+        std::optional<io::ScanCheckpoint> resume;
+        if (index < resume_from.size() &&
+            !resume_from[index].next_backward.empty()) {
+          resume = std::move(resume_from[index]);
+        }
         // The Tracer — and with it the shard's DCB segment — is constructed
         // *inside* the owning worker, so first-touch places each segment on
         // the worker's NUMA node and ring walks stay node-local
         // (DESIGN.md §10).
         Tracer tracer(shard_config(shard), provider_.runtime_for(shard));
-        results[static_cast<std::size_t>(shard.index)] = tracer.run();
+        results[index] = tracer.run(std::move(resume));
       }
     });
   }

@@ -82,15 +82,10 @@ struct ShardedTracerConfig {
   /// checkpointing, each shard's Tracer hands its checkpoints here (tagged
   /// with the shard index) instead of base.checkpoint_sink.  Called from
   /// worker threads — the installed sink must be thread-safe.  Returning
-  /// false kills that shard's sub-scan, like the unsharded sink contract.
-  std::function<bool(std::size_t shard, const io::ScanCheckpoint&)>
+  /// false kills that shard's sub-scan; the checkpoint follows the
+  /// unsharded sink contract (TracerConfig::checkpoint_sink).
+  std::function<bool(std::size_t shard, io::ScanCheckpoint&)>
       checkpoint_sink;
-
-  /// Resume each shard from the matching entry of a previously captured
-  /// checkpoint set (index = shard index; must outlive run()).  An entry
-  /// with empty per-DCB state (next_backward.empty()) means "no checkpoint
-  /// for this shard — start it fresh".
-  const std::vector<io::ScanCheckpoint>* resume_from = nullptr;
 
   int num_shards() const noexcept {
     const int bits = shard_prefix_bits < base.prefix_bits
@@ -107,7 +102,14 @@ class ShardedTracer {
 
   /// Runs all shards to completion across the configured workers and returns
   /// the deterministically merged result.
-  [[nodiscard]] ScanResult run();
+  ///
+  /// With `resume_from`, a previously captured checkpoint set (index =
+  /// shard index), each shard resumes from its entry and consumes it, as
+  /// Tracer::run does.  An entry with empty per-DCB state
+  /// (next_backward.empty()) means "no checkpoint for this shard — start
+  /// it fresh".
+  [[nodiscard]] ScanResult run(
+      std::vector<io::ScanCheckpoint> resume_from = {});
 
   /// Same per-/24 target the sub-scans probe (global target_seed keyed by
   /// absolute prefix, so identical for every decomposition).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <utility>
 
 #include "core/targets.h"
 #include "net/icmp.h"
@@ -71,7 +72,7 @@ std::uint32_t Tracer::target_of(std::uint32_t prefix_offset) const noexcept {
                          config_.first_prefix, prefix_offset);
 }
 
-ScanResult Tracer::run() {
+ScanResult Tracer::run(std::optional<io::ScanCheckpoint> resume_from) {
   const std::uint32_t n = config_.num_prefixes();
   recorder_.reset();
   result_.measured_distance.assign(n, 0);
@@ -109,9 +110,9 @@ ScanResult Tracer::run() {
   scan_start_ = sender_.now();
 
   bool resuming = false;
-  if (config_.resume_from != nullptr) {
-    if (config_.resume_from->config_digest == checkpoint_digest()) {
-      restore_checkpoint(*config_.resume_from);
+  if (resume_from.has_value()) {
+    if (resume_from->config_digest == checkpoint_digest()) {
+      restore_checkpoint(*resume_from);
       resuming = true;
     } else {
       FR_LOG_WARN("checkpoint config digest mismatch; starting fresh");
@@ -128,7 +129,7 @@ ScanResult Tracer::run() {
     if (config_.preprobe_only) {
       result_.scan_time = sender_.now() - scan_start_;
       config_.telemetry.finish(sender_.now());
-      return result_;
+      return std::move(result_);
     }
     initialize_dcbs();
   }
@@ -149,7 +150,7 @@ ScanResult Tracer::run() {
   sender_.submit();  // a cancelled round may end with staged retransmits
   result_.scan_time = resume_elapsed_base_ + (sender_.now() - scan_start_);
   config_.telemetry.finish(sender_.now());
-  return result_;
+  return std::move(result_);
 }
 
 FR_HOT void Tracer::send_probe(const ProbeCodec& codec, std::uint32_t index,
@@ -479,13 +480,13 @@ io::ScanCheckpoint Tracer::capture_checkpoint() {
     checkpoint.dcb_flags[i] = dcb.flags();
   }
   checkpoint.retransmit_left = retransmit_left_;
-  checkpoint.result = result_;
+  checkpoint.result = std::move(result_);
   checkpoint.result.scan_time = checkpoint.scan_elapsed;
   return checkpoint;
 }
 
-void Tracer::restore_checkpoint(const io::ScanCheckpoint& checkpoint) {
-  result_ = checkpoint.result;
+void Tracer::restore_checkpoint(io::ScanCheckpoint& checkpoint) {
+  result_ = std::move(checkpoint.result);
   rounds_completed_ = checkpoint.rounds_completed;
   backoff_level_ = checkpoint.backoff_level;
   resume_elapsed_base_ = checkpoint.scan_elapsed;
@@ -525,9 +526,16 @@ void Tracer::maybe_checkpoint() {
   quiesce();
   next_checkpoint_ = sender_.now() + config_.checkpoint_interval;
   if (!config_.checkpoint_sink) return;
-  const io::ScanCheckpoint checkpoint = capture_checkpoint();
+  // The checkpoint borrows result_ for the sink's call and gives it back,
+  // with the scan time the capture overwrote.  A sink that kept the
+  // checkpoint hands back only the scalar counters.
+  const util::Nanos scan_time = result_.scan_time;
+  io::ScanCheckpoint checkpoint = capture_checkpoint();
+  const bool keep_going = config_.checkpoint_sink(checkpoint);
+  result_ = std::move(checkpoint.result);
+  result_.scan_time = scan_time;
   const obs::ScanTelemetry& tel = config_.telemetry;
-  if (config_.checkpoint_sink(checkpoint)) {
+  if (keep_going) {
     if (tel.ids.resilience) tel.count(tel.ids.checkpoints_written);
   } else {
     aborted_ = true;  // the sink's way of killing the scan mid-sweep

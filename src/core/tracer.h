@@ -34,6 +34,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "core/dcb_array.h"
@@ -160,13 +161,15 @@ struct TracerConfig {
   /// in-flight responses) and hands a checkpoint to `checkpoint_sink`.
   /// The sink returning false aborts the scan — the hook tests use to kill
   /// a scan mid-sweep.  0 = no checkpointing.
+  ///
+  /// The checkpoint's result is the scan's own, lent for the call and taken
+  /// back when the sink returns, so a barrier copies no routes or
+  /// interfaces.  A sink that returns false may keep the checkpoint by
+  /// moving from it; the result leaves with it, and run() then returns
+  /// only the scalar counters.  A sink that returns true must leave the
+  /// checkpoint intact.
   util::Nanos checkpoint_interval = 0;
-  std::function<bool(const io::ScanCheckpoint&)> checkpoint_sink;
-
-  /// Resume a scan from this checkpoint (must outlive run()).  The config
-  /// must match the checkpointed scan's (checkpoint_digest()); preprobing
-  /// is skipped — the checkpoint captured post-initialization state.
-  const io::ScanCheckpoint* resume_from = nullptr;
+  std::function<bool(io::ScanCheckpoint&)> checkpoint_sink;
 
   /// Cooperative cancellation (job-granular pause/stop for the svc layer):
   /// when set and the pointee becomes true, the scan stops at the next
@@ -193,7 +196,15 @@ class Tracer {
   Tracer(const TracerConfig& config, ScanRuntime& runtime);
 
   /// Runs the configured scan to completion and returns the results.
-  [[nodiscard]] ScanResult run();
+  ///
+  /// With `resume_from`, continues the checkpointed scan instead, and
+  /// consumes the checkpoint: its result becomes the scan's.  The config
+  /// must match the checkpointed scan's (checkpoint_digest(); a mismatch
+  /// starts fresh), and the runtime's clock must start at the checkpoint's
+  /// virtual_now.  Preprobing is skipped — the checkpoint captured
+  /// post-initialization state.
+  [[nodiscard]] ScanResult run(
+      std::optional<io::ScanCheckpoint> resume_from = std::nullopt);
 
   /// The target address the engine probes for a /24 (random host octet
   /// unless overridden) — exposed for analyses that need it.
@@ -235,8 +246,10 @@ class Tracer {
   void update_backoff();
   void maybe_checkpoint();
   void quiesce();
+  /// Builds the barrier's checkpoint; result_ moves into it.
   io::ScanCheckpoint capture_checkpoint();
-  void restore_checkpoint(const io::ScanCheckpoint& checkpoint);
+  /// Restores engine state; the checkpoint's result moves into result_.
+  void restore_checkpoint(io::ScanCheckpoint& checkpoint);
   FR_HOT void on_packet(std::span<const std::byte> packet,
                         util::Nanos arrival);
   FR_HOT void handle_preprobe_response(std::uint32_t index,

@@ -296,6 +296,7 @@ bool Daemon::reap_for_shutdown() {
       continue;
     }
     if (scheduler_.cancel(view.id) == CancelOutcome::kCancelled) {
+      runners_[view.id - 1].reset();
       lanes_[0].inc(ids_.jobs_cancelled);
       JobEvent event;
       event.job_id = view.id;
@@ -506,6 +507,7 @@ std::string Daemon::handle_cancel(Reader& reader) {
   const std::uint64_t job_id = reader.u64();
   if (!reader.ok()) return error_reply("malformed cancel");
   CancelOutcome outcome = CancelOutcome::kNotFound;
+  std::unique_ptr<JobRunner> cancelled;  // freed after the lock is released
   {
     const util::MutexLock lock(mutex_);
     outcome = scheduler_.cancel(job_id);
@@ -513,6 +515,7 @@ std::string Daemon::handle_cancel(Reader& reader) {
       JobRunner* runner = runners_[job_id - 1].get();
       if (runner != nullptr) runner->request_cancel();
     } else if (outcome == CancelOutcome::kCancelled) {
+      cancelled = std::move(runners_[job_id - 1]);  // no worker holds it
       lanes_[0].inc(ids_.jobs_cancelled);
       JobEvent event;
       event.job_id = job_id;
@@ -640,7 +643,8 @@ void Daemon::worker_loop(int worker_index) {
     // and a crash simply resumes from the last published file (or reruns
     // from scratch) with byte-identical output.
     SliceResult slice = runner->run_slice(
-        checkpoint, [&](const io::ScanCheckpoint& barrier_checkpoint) {
+        std::move(checkpoint),
+        [&](const io::ScanCheckpoint& barrier_checkpoint) {
           BarrierDecision decision;
           bool due = false;
           {
@@ -696,6 +700,9 @@ void Daemon::worker_loop(int worker_index) {
       }
     }
 
+    // A terminal job's runner, freed with its topology at the end of this
+    // iteration, outside the lock.
+    std::unique_ptr<JobRunner> finished;
     {
       const util::MutexLock lock(mutex_);
       lane.inc(ids_.probes_executed, slice.probes_total > base_probes
@@ -731,7 +738,10 @@ void Daemon::worker_loop(int worker_index) {
           break;
       }
       if (slice.outcome != SliceOutcome::kPreempted) {
+        // Nothing else holds the runner: a cancel reaches one only while
+        // its job is running, under this same lock.
         checkpoint_published_at_.erase(*id);
+        finished = std::move(runners_[*id - 1]);
       }
       events_->emit(done);
     }

@@ -172,7 +172,9 @@ class Daemon {
   mutable util::Mutex mutex_;
   util::CondVar cv_;
   Scheduler scheduler_ FR_GUARDED_BY(mutex_);
-  /// runners_[id - 1]; null for rejected jobs.  Grows under mutex_ only.
+  /// runners_[id - 1]; null for rejected jobs, and for every job once it
+  /// turns terminal (its runner and topology are freed then).  Changes
+  /// under mutex_ only.
   std::vector<std::unique_ptr<JobRunner>> runners_ FR_GUARDED_BY(mutex_);
   bool shutdown_requested_ FR_GUARDED_BY(mutex_) = false;
   bool stop_workers_ FR_GUARDED_BY(mutex_) = false;

@@ -58,7 +58,7 @@ io::ArchiveHeader JobRunner::archive_header() const {
 }
 
 SliceResult JobRunner::run_slice(
-    const std::optional<io::ScanCheckpoint>& resume,
+    std::optional<io::ScanCheckpoint> resume,
     const std::function<BarrierDecision(const io::ScanCheckpoint&)>&
         on_barrier) {
   sim::SimNetwork network(topology());
@@ -68,14 +68,14 @@ SliceResult JobRunner::run_slice(
 
   SliceResult slice;
   core::TracerConfig config = tracer_config_for(spec_);
-  if (resume.has_value()) config.resume_from = &*resume;
   config.cancel = &cancel_;
-  config.checkpoint_sink = [&](const io::ScanCheckpoint& checkpoint) {
+  config.checkpoint_sink = [&](io::ScanCheckpoint& checkpoint) {
     switch (on_barrier(checkpoint)) {
       case BarrierDecision::kContinue:
         return true;
       case BarrierDecision::kPreempt:
-        slice.checkpoint = checkpoint;  // deep copy: the slice owns it now
+        // The slice keeps the checkpoint, and the scan's result with it.
+        slice.checkpoint = std::move(checkpoint);
         return false;
       case BarrierDecision::kCancel:
         break;
@@ -85,16 +85,18 @@ SliceResult JobRunner::run_slice(
   };
 
   core::Tracer tracer(config, runtime);
-  core::ScanResult result = tracer.run();
-  slice.probes_total = result.probes_sent;
+  core::ScanResult result = tracer.run(std::move(resume));
 
   if (!tracer.aborted()) {
     slice.outcome = SliceOutcome::kCompleted;
+    slice.probes_total = result.probes_sent;
     slice.result = std::move(result);
   } else if (slice.checkpoint.has_value()) {
     slice.outcome = SliceOutcome::kPreempted;
+    slice.probes_total = slice.checkpoint->result.probes_sent;
   } else {
     slice.outcome = SliceOutcome::kCancelled;
+    slice.probes_total = result.probes_sent;
   }
   return slice;
 }

@@ -6,7 +6,11 @@
 // (resuming from the job's checkpoint when it has one) and runs until the
 // engine either finishes or hits a checkpoint barrier at which the
 // scheduler's verdict is preempt/cancel.  The expensive part — the
-// simulated topology — is built once and retained across slices.
+// simulated topology — is built once and retained across slices; the
+// daemon frees the runner, topology and all, when the job turns terminal.
+// The scan result is never copied between slices: a preempted slice keeps
+// it inside its checkpoint, and the next slice moves it back into its
+// engine.
 //
 // Determinism: the spec fixes checkpoint_interval > 0, so the engine
 // quiesces at every barrier whether or not the slice ends there (PR 5's
@@ -51,12 +55,12 @@ class JobRunner {
   explicit JobRunner(const JobSpec& spec);
 
   /// Runs one slice.  `resume` is the checkpoint a previous slice saved
-  /// (nullopt = first slice); it must stay alive for the whole call.
-  /// `on_barrier` is consulted at every checkpoint barrier with the
-  /// engine's checkpoint — returning kPreempt keeps it as the slice's
-  /// result, kCancel discards it and kills the job.
+  /// (nullopt = first slice); the slice consumes it.  `on_barrier` is
+  /// consulted at every checkpoint barrier with the engine's checkpoint —
+  /// returning kPreempt moves it into the slice's result, kCancel discards
+  /// it and kills the job.
   SliceResult run_slice(
-      const std::optional<io::ScanCheckpoint>& resume,
+      std::optional<io::ScanCheckpoint> resume,
       const std::function<BarrierDecision(const io::ScanCheckpoint&)>&
           on_barrier);
 

@@ -1,5 +1,6 @@
 #include "svc/scheduler.h"
 
+#include <memory>
 #include <utility>
 
 namespace flashroute::svc {
@@ -71,7 +72,10 @@ std::uint64_t Scheduler::restore(const JobSpec& spec, JobState state,
   entry.state = state == JobState::kRunning ? JobState::kQueued : state;
   entry.probes = probes;
   entry.slices = slices;
-  entry.checkpoint = std::move(checkpoint);
+  if (checkpoint.has_value()) {
+    entry.checkpoint =
+        std::make_unique<io::ScanCheckpoint>(std::move(*checkpoint));
+  }
   entry.detail = std::move(detail);
   jobs_.push_back(std::move(entry));
   return jobs_.back().id;
@@ -92,8 +96,8 @@ std::optional<std::uint64_t> Scheduler::acquire(util::Nanos now) {
 std::optional<io::ScanCheckpoint> Scheduler::take_checkpoint(
     std::uint64_t job_id) {
   Entry* entry = find(job_id);
-  if (entry == nullptr || !entry->checkpoint.has_value()) return std::nullopt;
-  std::optional<io::ScanCheckpoint> checkpoint = std::move(entry->checkpoint);
+  if (entry == nullptr || entry->checkpoint == nullptr) return std::nullopt;
+  std::optional<io::ScanCheckpoint> checkpoint = std::move(*entry->checkpoint);
   entry->checkpoint.reset();
   return checkpoint;
 }
@@ -148,7 +152,8 @@ void Scheduler::release_preempted(std::uint64_t job_id,
   if (entry == nullptr || entry->state != JobState::kRunning) return;
   release_running(*entry);
   entry->state = JobState::kPreempted;
-  entry->checkpoint = std::move(checkpoint);
+  entry->checkpoint =
+      std::make_unique<io::ScanCheckpoint>(std::move(checkpoint));
 }
 
 void Scheduler::release_completed(std::uint64_t job_id,
@@ -252,7 +257,7 @@ JobView Scheduler::view_of(const Entry& entry) {
   view.probes_per_second = entry.spec.probes_per_second;
   view.probes = entry.probes;
   view.slices = entry.slices;
-  view.has_checkpoint = entry.checkpoint.has_value();
+  view.has_checkpoint = entry.checkpoint != nullptr;
   view.detail = entry.detail;
   return view;
 }

@@ -40,6 +40,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -127,8 +128,8 @@ class Scheduler {
   /// nothing is dispatchable.
   std::optional<std::uint64_t> acquire(util::Nanos now);
 
-  /// Moves the job's saved checkpoint out (nullopt = start fresh).  The
-  /// caller keeps it alive for the duration of the resumed slice.
+  /// Moves the job's saved checkpoint out (nullopt = start fresh), for the
+  /// caller to hand to the resumed slice.
   std::optional<io::ScanCheckpoint> take_checkpoint(std::uint64_t job_id);
 
   /// Decision point at a checkpoint barrier of a running job.
@@ -178,7 +179,9 @@ class Scheduler {
     bool cancel_requested = false;
     std::uint64_t probes = 0;  ///< cumulative, updated at barriers
     std::uint64_t slices = 0;
-    std::optional<io::ScanCheckpoint> checkpoint;
+    /// Set only while the job waits to resume.  Held by pointer so that
+    /// every other job's record, finished ones included, stays small.
+    std::unique_ptr<io::ScanCheckpoint> checkpoint;
     std::string detail;
 
     Entry(std::uint64_t id_in, JobSpec spec_in, util::TokenBucket bucket_in)

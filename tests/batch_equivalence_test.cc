@@ -30,8 +30,10 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/scamper.h"
@@ -182,13 +184,14 @@ core::TracerConfig tracer_config(const sim::Topology& topology) {
   return config;
 }
 
-core::ScanResult run_tracer(const sim::Topology& topology,
-                            const core::TracerConfig& config, Cadence cadence,
-                            util::Nanos start_time = 0) {
+core::ScanResult run_tracer(
+    const sim::Topology& topology, const core::TracerConfig& config,
+    Cadence cadence, util::Nanos start_time = 0,
+    std::optional<io::ScanCheckpoint> resume = std::nullopt) {
   return on_sim(
       topology, config.probes_per_second, cadence,
       [&](core::ScanRuntime& runtime) {
-        return core::Tracer(config, runtime).run();
+        return core::Tracer(config, runtime).run(std::move(resume));
       },
       start_time);
 }
@@ -323,10 +326,9 @@ TEST(BatchEquivalence, TracerCheckpointResumeWithRetransmits) {
     const auto loaded = io::read_checkpoint(stream);
     EXPECT_TRUE(loaded.has_value()) << "the scan never reached a checkpoint";
     if (!loaded) return result_digest(partial);
-    core::TracerConfig resumed = config;
-    resumed.resume_from = &*loaded;
+    const util::Nanos start = loaded->virtual_now;
     const core::ScanResult completed =
-        run_tracer(topology, resumed, cadence, loaded->virtual_now);
+        run_tracer(topology, config, cadence, start, std::move(*loaded));
     return fnv1a(result_digest(completed), result_digest(partial));
   });
 }

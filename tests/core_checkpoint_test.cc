@@ -1,7 +1,7 @@
 // Tests for checkpoint/resume (io/checkpoint.h + core::Tracer resume):
 // FRCK round-trips, kill-at-checkpoint resume equivalence under an active
-// fault plane, config-digest validation, and the sharded checkpoint-set
-// fan-out.
+// fault plane, config-digest validation, the sharded checkpoint-set
+// fan-out, and a barrier's allocations staying flat in the scan's result.
 //
 // The equivalence contract (DESIGN.md §9): a checkpointing scan quiesces at
 // every checkpoint barrier, so the reference for a killed-and-resumed scan
@@ -17,8 +17,10 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sharded_tracer.h"
@@ -26,6 +28,7 @@
 #include "sim/network.h"
 #include "sim/runtime.h"
 #include "sim/topology.h"
+#include "thread_allocations.h"
 
 namespace flashroute::core {
 namespace {
@@ -53,11 +56,12 @@ TracerConfig checkpointing_config(const sim::SimParams& params) {
 }
 
 ScanResult run_once(const sim::Topology& topology, TracerConfig config,
-                    util::Nanos start_time = 0) {
+                    util::Nanos start_time = 0,
+                    std::optional<io::ScanCheckpoint> resume = std::nullopt) {
   sim::SimNetwork network(topology);
   sim::SimScanRuntime runtime(network, config.probes_per_second, start_time);
   Tracer tracer(config, runtime);
-  return tracer.run();
+  return tracer.run(std::move(resume));
 }
 
 void expect_equal_results(const ScanResult& a, const ScanResult& b) {
@@ -241,10 +245,10 @@ TEST(Checkpoint, KillAndResumeReproducesTheUninterruptedScan) {
     ASSERT_TRUE(loaded.has_value());
 
     TracerConfig resumed = checkpointing_config(params);
-    resumed.resume_from = &*loaded;
     resumed.checkpoint_sink = [](const io::ScanCheckpoint&) { return true; };
+    const util::Nanos start = loaded->virtual_now;
     const ScanResult completed =
-        run_once(topology, resumed, loaded->virtual_now);
+        run_once(topology, resumed, start, std::move(*loaded));
     expect_equal_results(completed, reference);
   }
 }
@@ -266,8 +270,8 @@ TEST(Checkpoint, DigestMismatchStartsFresh) {
   TracerConfig other = checkpointing_config(params);
   other.gap_limit = 7;
   other.checkpoint_interval = 0;
-  other.resume_from = &taken.front();
-  const ScanResult resumed = run_once(topology, other);
+  const ScanResult resumed =
+      run_once(topology, other, 0, std::move(taken.front()));
 
   TracerConfig fresh = checkpointing_config(params);
   fresh.gap_limit = 7;
@@ -315,7 +319,6 @@ TEST(Checkpoint, ShardedCheckpointSetResumesEveryShard) {
   ShardedTracerConfig resumed = config;
   resumed.checkpoint_sink = nullptr;
   resumed.base.checkpoint_sink = nullptr;
-  resumed.resume_from = &latest;
   std::vector<util::Nanos> start_times;
   for (const auto& cp : latest) {
     start_times.push_back(cp.next_backward.empty() ? 0 : cp.virtual_now);
@@ -324,9 +327,55 @@ TEST(Checkpoint, ShardedCheckpointSetResumesEveryShard) {
   {
     sim::SimShardRuntimeProvider provider(topology, resumed, start_times);
     ShardedTracer tracer(resumed, provider);
-    rerun = tracer.run();
+    rerun = tracer.run(std::move(latest));
   }
   expect_equal_results(rerun, reference);
+}
+
+// A barrier lends the scan's result to its checkpoint instead of copying
+// it.  The quiesce runs with or without a sink, so a scan whose sink keeps
+// nothing follows the sinkless scan's timeline and may allocate only the
+// checkpoint's per-DCB state on top: a few vectors per barrier, however
+// many routes and interfaces the scan has found by then.
+TEST(Checkpoint, BarrierAllocationsDoNotGrowWithTheResult) {
+  sim::SimParams params;
+  params.prefix_bits = 10;
+  params.seed = 12;
+  const sim::Topology topology(params);
+  TracerConfig config = checkpointing_config(params);
+  config.checkpoint_interval = config.min_round_duration;
+  ASSERT_TRUE(config.collect_routes);
+
+  std::uint64_t barriers = 0;
+  const auto scan = [&](bool with_sink, std::uint64_t& allocations) {
+    TracerConfig run = config;
+    if (with_sink) {
+      run.checkpoint_sink = [&barriers](const io::ScanCheckpoint&) {
+        ++barriers;
+        return true;
+      };
+    }
+    sim::SimNetwork network(topology);
+    sim::SimScanRuntime runtime(network, run.probes_per_second);
+    Tracer tracer(run, runtime);
+    const std::uint64_t before = g_thread_allocations;
+    ScanResult result = tracer.run();
+    allocations = g_thread_allocations - before;
+    return result;
+  };
+  std::uint64_t with_sink = 0;
+  std::uint64_t without_sink = 0;
+  const ScanResult lent = scan(true, with_sink);
+  const ScanResult plain = scan(false, without_sink);
+  expect_equal_results(lent, plain);
+
+  std::size_t routed = 0;
+  for (const auto& route : plain.routes) routed += route.empty() ? 0 : 1;
+  ASSERT_GE(barriers, 3u) << "scan too short to exercise checkpoints";
+  ASSERT_GT(routed, 100u) << "too few routes to show a copy";
+  constexpr std::uint64_t kPerBarrier = 8;
+  EXPECT_LE(with_sink, without_sink + kPerBarrier * barriers)
+      << barriers << " barriers, " << routed << " /24s with routes";
 }
 
 }  // namespace

@@ -1,19 +1,30 @@
 // Tests for the engine resilience layer (DESIGN.md §9): retransmission
 // recovering discovery under loss, send-failure accounting, adaptive rate
 // backoff, telemetry counters, worker-count invariance of a sharded scan
-// under an active fault plane, and a second run() on the same Tracer
-// starting from a clean resilience state.
+// under an active fault plane, and a second run() of every engine — the
+// Tracer after a cancelled, backed-off or preempted run, Yarrp and
+// Scamper after a finished one — equalling a fresh engine's.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <optional>
 #include <span>
+#include <utility>
 
+#include "baselines/scamper.h"
+#include "baselines/yarrp.h"
 #include "core/runtime.h"
 #include "core/sharded_tracer.h"
 #include "core/tracer.h"
+#include "io/checkpoint.h"
+#include "net/headers.h"
+#include "net/icmp.h"
 #include "obs/metrics.h"
 #include "obs/scan_metrics.h"
 #include "sim/network.h"
@@ -71,6 +82,114 @@ class SilentRuntime final : public ScanRuntime {
   util::Nanos now_;
   util::Nanos interval_;
 };
+
+/// Virtual time in which every probe is answered one millisecond after it
+/// leaves: a time-exceeded from hop `ttl` of one shared path below
+/// kDistance, a port unreachable from the destination at it.  Traces run
+/// without a single timeout, so a scan finishes in well under a second.
+class EchoRuntime final : public ScanRuntime {
+ public:
+  static constexpr std::uint8_t kDistance = 18;
+
+  explicit EchoRuntime(double probes_per_second)
+      : interval_(static_cast<util::Nanos>(static_cast<double>(util::kSecond) /
+                                           probes_per_second)) {}
+
+  util::Nanos now() const noexcept override { return now_; }
+  [[nodiscard]] bool try_send(std::span<const std::byte> packet) override {
+    now_ += interval_;
+    ++packets_sent_;
+    const auto ttl = std::to_integer<std::uint8_t>(packet[8]);
+    std::uint32_t destination = 0;
+    for (int i = 16; i < 20; ++i) {  // the IPv4 destination, big-endian
+      destination = destination << 8 |
+                    std::to_integer<std::uint32_t>(packet[i]);
+    }
+    Reply reply{now_ + util::kMillisecond, {}, 0};
+    reply.size =
+        ttl >= kDistance
+            ? net::craft_icmp_response_into(
+                  net::kIcmpDestUnreachable, net::kIcmpCodePortUnreachable,
+                  net::Ipv4Address(destination), packet,
+                  static_cast<std::uint8_t>(ttl - kDistance + 1), reply.bytes)
+            : net::craft_icmp_response_into(
+                  net::kIcmpTimeExceeded, net::kIcmpCodeTtlExceeded,
+                  net::Ipv4Address(0x0A000000u | ttl), packet, 1, reply.bytes);
+    replies_.push_back(reply);
+    return true;
+  }
+  void drain(const Sink& sink) override { idle_until(now_, sink); }
+  void idle_until(util::Nanos t, const Sink& sink) override {
+    while (!replies_.empty() && replies_.front().arrival <= t) {
+      const Reply reply = replies_.front();
+      replies_.pop_front();
+      now_ = std::max(now_, reply.arrival);
+      sink(std::span<const std::byte>(reply.bytes.data(), reply.size),
+           reply.arrival);
+    }
+    now_ = std::max(now_, t);
+  }
+
+ private:
+  struct Reply {
+    util::Nanos arrival;
+    std::array<std::byte, net::kMaxResponseSize> bytes;
+    std::size_t size;
+  };
+
+  util::Nanos now_ = 0;
+  util::Nanos interval_;
+  std::deque<Reply> replies_;
+};
+
+/// Forwards to a runtime that can be replaced between runs, so an engine's
+/// second run() meets a fresh world exactly as a new engine does: any
+/// difference between the two is state the engine carried over.
+class SwappableRuntime final : public ScanRuntime {
+ public:
+  explicit SwappableRuntime(ScanRuntime& inner) : inner_(&inner) {}
+  void swap_to(ScanRuntime& inner) { inner_ = &inner; }
+
+  util::Nanos now() const noexcept override { return inner_->now(); }
+  [[nodiscard]] bool try_send(std::span<const std::byte> packet) override {
+    return inner_->try_send(packet);
+  }
+  [[nodiscard]] std::uint64_t try_send_batch(
+      const ProbeBatch& batch) override {
+    return inner_->try_send_batch(batch);
+  }
+  void drain_batch(const Sink& sink) override { inner_->drain_batch(sink); }
+  std::uint32_t batch_budget() const noexcept override {
+    return inner_->batch_budget();
+  }
+  util::Nanos send_time_of(std::uint32_t k) const noexcept override {
+    return inner_->send_time_of(k);
+  }
+  void set_rate(double probes_per_second) override {
+    inner_->set_rate(probes_per_second);
+  }
+  void drain(const Sink& sink) override { inner_->drain(sink); }
+  void idle_until(util::Nanos t, const Sink& sink) override {
+    inner_->idle_until(t, sink);
+  }
+
+ private:
+  ScanRuntime* inner_;
+};
+
+void expect_same_scan(const ScanResult& a, const ScanResult& b) {
+  EXPECT_EQ(a.interfaces, b.interfaces);
+  EXPECT_EQ(a.routes, b.routes);
+  EXPECT_EQ(a.destination_distance, b.destination_distance);
+  EXPECT_EQ(a.trigger_ttl, b.trigger_ttl);
+  EXPECT_EQ(a.probes_sent, b.probes_sent);
+  EXPECT_EQ(a.responses, b.responses);
+  EXPECT_EQ(a.destinations_reached, b.destinations_reached);
+  EXPECT_EQ(a.convergence_stops, b.convergence_stops);
+  EXPECT_EQ(a.probe_timeouts, b.probe_timeouts);
+  EXPECT_EQ(a.retransmits, b.retransmits);
+  EXPECT_EQ(a.scan_time, b.scan_time);
+}
 
 ScanResult scan(const sim::Topology& topology, const sim::FaultParams& faults,
                 const TracerConfig& config) {
@@ -252,6 +371,107 @@ TEST(Resilience, RunAfterACancelledRunMatchesAFreshTracer) {
   EXPECT_EQ(again.retransmits, fresh.retransmits);
   EXPECT_EQ(again.probes_sent, fresh.probes_sent);
   EXPECT_EQ(again.scan_time, fresh.scan_time);
+}
+
+TEST(Resilience, RunAfterAPreemptedRunMatchesAFreshTracer) {
+  const sim::SimParams params = world_params();
+  TracerConfig config = base_config(params);
+  config.max_retransmits = 2;
+  config.checkpoint_interval = 200 * util::kMillisecond;
+  // The first barrier preempts the first run, and the sink takes its
+  // checkpoint — the scan's result with it.  Every later barrier continues.
+  std::optional<io::ScanCheckpoint> kept;
+  config.checkpoint_sink = [&kept](io::ScanCheckpoint& checkpoint) {
+    if (kept.has_value()) return true;
+    kept = std::move(checkpoint);
+    return false;
+  };
+
+  SilentRuntime runtime(config.probes_per_second);
+  Tracer tracer(config, runtime);
+  const ScanResult preempted = tracer.run();
+  ASSERT_TRUE(tracer.aborted());
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_GT(kept->result.probes_sent, 0u);
+  EXPECT_EQ(preempted.probes_sent, kept->result.probes_sent);
+  const util::Nanos start = runtime.now();
+  const ScanResult again = tracer.run();
+
+  SilentRuntime fresh_runtime(config.probes_per_second, start);
+  Tracer fresh_tracer(config, fresh_runtime);
+  const ScanResult fresh = fresh_tracer.run();
+  EXPECT_FALSE(tracer.aborted());
+  EXPECT_GT(fresh.probe_timeouts, 0u);
+  expect_same_scan(again, fresh);
+  EXPECT_EQ(again.measured_distance, fresh.measured_distance);
+  EXPECT_EQ(again.predicted_distance, fresh.predicted_distance);
+}
+
+// The baselines have no cancel or checkpoint, but they keep per-run state
+// too: Yarrp's fill queue and protection clocks, Scamper's traces and
+// timeout queue.
+TEST(Resilience, SecondYarrpRunMatchesAFreshYarrp) {
+  const sim::SimParams params = world_params();
+  const sim::Topology topology(params);
+  baselines::YarrpConfig config;
+  config.first_prefix = params.first_prefix;
+  config.prefix_bits = params.prefix_bits;
+  config.vantage = net::Ipv4Address(params.vantage_address);
+  config.probes_per_second = 20'000.0;
+  config.fill_mode = true;
+  config.exhaustive_ttl = 16;
+
+  // The second run meets a fresh simulator whose clock starts where the
+  // first run ended, exactly as a new Yarrp does.
+  sim::SimNetwork first_network(topology);
+  sim::SimScanRuntime first(first_network, config.probes_per_second);
+  SwappableRuntime runtime(first);
+  baselines::Yarrp yarrp(config, runtime);
+  (void)yarrp.run();
+  const util::Nanos start = first.now();
+  sim::SimNetwork second_network(topology);
+  sim::SimScanRuntime second(second_network, config.probes_per_second, start);
+  runtime.swap_to(second);
+  const ScanResult again = yarrp.run();
+
+  sim::SimNetwork fresh_network(topology);
+  sim::SimScanRuntime fresh_runtime(fresh_network, config.probes_per_second,
+                                    start);
+  baselines::Yarrp fresh_yarrp(config, fresh_runtime);
+  const ScanResult fresh = fresh_yarrp.run();
+  EXPECT_GT(fresh.interfaces.size(), 0u);
+  expect_same_scan(again, fresh);
+}
+
+TEST(Resilience, SecondScamperRunMatchesAFreshScamper) {
+  // Every probe of the first run is answered, and the run ends within a
+  // probe timeout of its start, so it leaves the timeout of every answered
+  // probe queued — among them one (index, token 1) per trace.  The second
+  // run is silent: each new trace waits out its first probe's timeout, and
+  // a leftover entry carrying the same (index, token) must not cut that
+  // wait short.
+  const sim::SimParams params = world_params();
+  baselines::ScamperConfig config;
+  config.first_prefix = params.first_prefix;
+  config.prefix_bits = params.prefix_bits;
+  config.vantage = net::Ipv4Address(params.vantage_address);
+
+  EchoRuntime echo(config.probes_per_second);
+  SwappableRuntime runtime(echo);
+  baselines::Scamper scamper(config, runtime);
+  const ScanResult first = scamper.run();
+  ASSERT_EQ(first.probe_timeouts, 0u);
+  ASSERT_LT(echo.now(), config.probe_timeout);
+  const util::Nanos start = echo.now();
+  SilentRuntime silent(config.probes_per_second, start);
+  runtime.swap_to(silent);
+  const ScanResult again = scamper.run();
+
+  SilentRuntime fresh_runtime(config.probes_per_second, start);
+  baselines::Scamper fresh_scamper(config, fresh_runtime);
+  const ScanResult fresh = fresh_scamper.run();
+  EXPECT_GT(fresh.probe_timeouts, 0u);
+  expect_same_scan(again, fresh);
 }
 
 TEST(Resilience, RunAfterABackedOffRunStartsAtTheConfiguredRate) {

@@ -28,6 +28,10 @@
 #include "svc/wire.h"
 #include "util/clock.h"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 namespace flashroute::svc {
 namespace {
 
@@ -616,6 +620,86 @@ TEST(SvcDaemon, DrainDeadlineHardCancelsRunningSlices) {
     EXPECT_TRUE(job_state_terminal(view.state))
         << job_state_name(view.state);
   }
+}
+
+/// This process's resident set in KiB (VmRSS); 0 when unreadable.  Read
+/// after handing the allocator's free pages back: the free memory glibc
+/// keeps cached in the workers' arenas rises and falls with allocation
+/// order, and is not memory the daemon holds.
+std::uint64_t resident_kib() {
+#ifdef __GLIBC__
+  ::malloc_trim(0);
+#endif
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoull(line.substr(6));
+  }
+  return 0;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FR_SANITIZER_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define FR_SANITIZER_ALLOCATOR 1
+#endif
+#endif
+
+// Memory soak: the daemon frees a job's runner, and the topology it built,
+// when the job turns terminal, so its resident set stops growing with the
+// jobs it has finished.  Each job builds its own 2^10 topology (~18 KiB):
+// runners kept past their jobs would hold ~8 MiB more after 500 jobs.
+// What may grow is each finished job's scheduler record and archive index
+// entry, a few hundred bytes each.
+TEST(SvcDaemon, ResidentSetStaysFlatOverFiveHundredJobs) {
+#ifdef FR_SANITIZER_ALLOCATOR
+  GTEST_SKIP() << "the sanitizer's allocator distorts RSS";
+#else
+  constexpr int kJobs = 500;
+  constexpr int kWave = 10;
+  const std::string base = "/tmp/fr_svc_test_soak_" +
+                           std::to_string(static_cast<long>(::getpid()));
+  DaemonOptions options;
+  options.socket_path = base + ".sock";
+  options.archive_path = base + ".bin";
+  options.scheduler.num_workers = 2;
+  options.scheduler.global_pps_budget = 1e6;
+  options.scheduler.max_queued = kWave;
+  // No event sink: an in-memory stream would grow with every job.
+  std::remove(options.archive_path.c_str());
+  auto daemon = std::make_unique<Daemon>(options);
+  ASSERT_TRUE(daemon->start());
+  auto client = Client::connect(options.socket_path);
+  ASSERT_TRUE(client.has_value());
+  std::uint64_t after_first_50 = 0;
+  std::vector<std::uint64_t> wave;
+  for (int job = 0; job < kJobs; job += kWave) {
+    wave.clear();
+    for (int k = 0; k < kWave; ++k) {
+      JobSpec spec = quick_spec("soak", static_cast<std::uint64_t>(job + k));
+      spec.prefix_bits = 10;
+      const auto submission = client->submit(spec);
+      ASSERT_TRUE(submission.has_value() && submission->admitted);
+      wave.push_back(submission->job_id);
+    }
+    // Per-job status polls: a `list` reply would grow with the job count.
+    for (const std::uint64_t id : wave) {
+      const auto view = client->wait_job(id, 2);
+      ASSERT_TRUE(view.has_value());
+      ASSERT_EQ(view->state, JobState::kCompleted);
+    }
+    if (job + kWave == 50) after_first_50 = resident_kib();
+  }
+  const std::uint64_t after_all = resident_kib();
+  client.reset();
+  daemon.reset();
+  std::remove(options.archive_path.c_str());
+  ASSERT_GT(after_first_50, 0u) << "VmRSS unreadable";
+  EXPECT_LE(after_all * 10, after_first_50 * 11)
+      << "VmRSS " << after_first_50 << " KiB after 50 jobs, " << after_all
+      << " KiB after " << kJobs;
+#endif
 }
 
 TEST(SvcDaemon, StartFailsOnUnbindablePath) {

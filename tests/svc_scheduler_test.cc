@@ -20,6 +20,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/scan_archive.h"
@@ -104,8 +105,8 @@ struct Service {
                   slice_no);
     JobRunner& runner = *runners.at(*id);
     int barriers = 0;
-    SliceResult slice =
-        runner.run_slice(resume, [&](const io::ScanCheckpoint& cp) {
+    SliceResult slice = runner.run_slice(
+        std::move(resume), [&](const io::ScanCheckpoint& cp) {
           ++barriers;
           if (at_barrier) at_barrier(*id, barriers);
           now += util::kMillisecond;  // one control-plane tick per barrier
