@@ -37,7 +37,6 @@
 #include "core/probe_codec.h"
 #include "core/sharded_tracer.h"
 #include "core/tracer.h"
-#include "obs/cycle_ledger.h"
 #include "sim/runtime.h"
 #include "util/clock.h"
 #include "util/permutation.h"
@@ -107,11 +106,6 @@ struct ScanStage {
   std::uint64_t probes = 0;
   double wall_seconds = 0.0;
   std::uint64_t interfaces = 0;
-  /// Per-stage cycle attribution (ns/unit), obs/cycle_ledger.h stages.
-  double encode_ns = 0.0;
-  double send_ns = 0.0;
-  double deliver_ns = 0.0;
-  double process_ns = 0.0;
 
   double pps() const {
     return static_cast<double>(probes) / wall_seconds;
@@ -133,20 +127,12 @@ core::TracerConfig scan_config(const sim::Topology& topology) {
 /// A real end-to-end scan: DCB ring, Doubletree sets, exclusion bitmap —
 /// everything the engine allocates at scale, with route collection off so
 /// the control state dominates (the paper's configuration).  Runs the
-/// batched pipeline (the default).  `attribute` attaches the per-stage
-/// cycle ledger — only at the mid stage: the two clock reads per stage per
-/// batch cost ~5% (steady-state batches run 1-2 probes), which doesn't
-/// belong in the throughput-gated full-scale number.
-ScanStage real_scan(const sim::Topology& topology, bool attribute) {
-  core::TracerConfig config = scan_config(topology);
-  obs::CycleLedger cycles;
+/// batched pipeline (the default).
+ScanStage real_scan(const sim::Topology& topology) {
+  const core::TracerConfig config = scan_config(topology);
 
   sim::SimNetwork network(topology);
   sim::SimScanRuntime runtime(network, config.probes_per_second);
-  if (attribute) {
-    config.cycles = &cycles;
-    runtime.set_cycle_ledger(&cycles);
-  }
   core::Tracer tracer(config, runtime);
 
   util::MonotonicClock clock;
@@ -158,11 +144,6 @@ ScanStage real_scan(const sim::Topology& topology, bool attribute) {
   stage.probes = result.probes_sent;
   stage.wall_seconds = static_cast<double>(elapsed) / util::kSecond;
   stage.interfaces = result.interfaces.size();
-  using Stage = obs::CycleLedger::Stage;
-  stage.encode_ns = cycles.nanos_per_unit(Stage::kEncode);
-  stage.send_ns = cycles.nanos_per_unit(Stage::kSend);
-  stage.deliver_ns = cycles.nanos_per_unit(Stage::kDeliver);
-  stage.process_ns = cycles.nanos_per_unit(Stage::kProcess);
   return stage;
 }
 
@@ -202,13 +183,13 @@ struct StageReport {
 
 StageReport run_stage(int bits, std::uint64_t seed,
                       const core::ProbeCodec& codec, std::uint64_t num_probes,
-                      bool with_scan, bool attribute) {
+                      bool with_scan) {
   StageReport report;
   report.bits = bits;
   const sim::Topology topology(world_params(bits, seed));
   report.pipeline = pipeline_pps(topology, codec, num_probes);
   if (with_scan) {
-    report.scan = real_scan(topology, attribute);
+    report.scan = real_scan(topology);
     report.scanned = true;
   }
   report.rss_kb = bench::peak_rss_kb();
@@ -226,12 +207,6 @@ void print_stage(const StageReport& report) {
                 static_cast<unsigned long long>(report.scan.interfaces));
   }
   std::printf("\n");
-  if (report.scanned && report.scan.send_ns > 0.0) {
-    std::printf("      cycles/probe: encode %.0f ns, submit %.0f ns "
-                "(process %.0f ns), deliver %.0f ns/resp\n",
-                report.scan.encode_ns, report.scan.send_ns,
-                report.scan.process_ns, report.scan.deliver_ns);
-  }
 }
 
 }  // namespace
@@ -269,14 +244,13 @@ int main() {
   // Smallest first: VmHWM only ever grows, so each stage's reading is the
   // high-water mark up to and including that stage.
   const StageReport base = run_stage(base_bits, seed, codec, num_probes,
-                                     /*with_scan=*/false, /*attribute=*/false);
+                                     /*with_scan=*/false);
   print_stage(base);
   const StageReport mid = run_stage(mid_bits, seed, codec, num_probes,
-                                    /*with_scan=*/true, /*attribute=*/true);
+                                    /*with_scan=*/true);
   print_stage(mid);
   const StageReport full = run_stage(full_bits, seed, codec, num_probes,
-                                     /*with_scan=*/full_scan,
-                                     /*attribute=*/false);
+                                     /*with_scan=*/full_scan);
   print_stage(full);
 
   // The sharded engine over the same universe: identical probes per shard
@@ -339,8 +313,6 @@ int main() {
       "  \"full_scan\": %s,\n"
       "  \"full_scan_pps\": %.1f,\n"
       "  \"full_scan_probes\": %llu,\n"
-      "  \"mid_scan_cycles_ns\": {\"encode\": %.1f, \"submit\": %.1f, "
-      "\"process\": %.1f, \"deliver\": %.1f},\n"
       "  \"sharded_scan\": %s,\n"
       "  \"sharded_scan_pps\": %.1f,\n"
       "  \"sharded_scan_probes\": %llu,\n"
@@ -362,8 +334,6 @@ int main() {
       full.pipeline, full.scanned ? "true" : "false",
       full.scanned ? full.scan.pps() : 0.0,
       static_cast<unsigned long long>(full.scanned ? full.scan.probes : 0),
-      mid.scan.encode_ns, mid.scan.send_ns, mid.scan.process_ns,
-      mid.scan.deliver_ns,
       with_sharded ? "true" : "false", with_sharded ? sharded.pps() : 0.0,
       static_cast<unsigned long long>(with_sharded ? sharded.probes : 0),
       workers,

@@ -5,7 +5,9 @@
 //  * the same pipeline with scan telemetry enabled (DESIGN.md §7) vs the
 //    default-off telemetry, exercising the per-probe counter bump, the
 //    per-response histogram record and the tracer tick exactly as the
-//    engines do — the acceptance bar is <= 2% overhead;
+//    engines do — the acceptance bar is <= 2% overhead.  Passes run in
+//    off/on pairs, alternating which side goes first; the report is the
+//    median per-pair overhead and its interquartile range;
 //  * probe encodes/sec through the template-patching ProbeCodec vs a
 //    reference encoder that serializes both headers from scratch and
 //    recomputes the RFC 1071 checksum per probe (what the codec used to do).
@@ -18,9 +20,11 @@
 //   FR_SEED         topology seed (default 1)
 //   FR_PROBES       probes per measured pipeline pass (default 2,000,000)
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "bench/common.h"
 #include "core/probe_codec.h"
@@ -137,6 +141,16 @@ PipelineRun run_pipeline(const sim::Topology& topology,
   return run;
 }
 
+/// The q-quantile of `values`, interpolating between order statistics.
+double quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] +
+         (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+}
+
 struct EncodeRun {
   double wall_seconds = 0.0;
   std::uint64_t encodes = 0;
@@ -232,8 +246,10 @@ int main() {
   // --- process(): telemetry on vs off ---------------------------------------
   // The on pass wires a lane + tracer exactly as the CLI does and pays the
   // real per-probe hooks; the off pass carries the default (disabled)
-  // telemetry handle through the same code path.  Passes are interleaved and
-  // the best of two is kept to damp scheduler noise.
+  // telemetry handle through the same code path.  Each off/on pair gives one
+  // overhead figure, and the pairs alternate which side runs first, so
+  // drift and warm-up land on both sides alike.  The median over pairs, not
+  // the best pass of each side, so that no single lucky pass sets it.
   obs::MetricsRegistry metrics_registry;
   obs::ScanTelemetry telemetry_on;
   telemetry_on.registry = &metrics_registry;
@@ -245,26 +261,39 @@ int main() {
   telemetry_on.lane_id = 0;
   scan_tracer.begin_phase(0, obs::ScanPhase::kMain, 0);
 
-  PipelineRun metrics_off;
-  PipelineRun metrics_on;
-  for (int pass = 0; pass < 3; ++pass) {
-    const PipelineRun off = run_pipeline(topology, codec, num_probes);
-    if (pass == 0 || off.pps() > metrics_off.pps()) metrics_off = off;
-    const PipelineRun on =
-        run_pipeline(topology, codec, num_probes, telemetry_on);
-    if (pass == 0 || on.pps() > metrics_on.pps()) metrics_on = on;
+  constexpr int kOverheadPairs = 11;
+  const obs::ScanTelemetry telemetry_off;
+  const auto run = [&](bool on) {
+    return run_pipeline(topology, codec, num_probes,
+                        on ? telemetry_on : telemetry_off)
+        .pps();
+  };
+  std::vector<double> off_pps;
+  std::vector<double> on_pps;
+  std::vector<double> overhead_pct;
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    const bool on_first = pair % 2 == 1;
+    const double first = run(on_first);
+    const double second = run(!on_first);
+    off_pps.push_back(on_first ? second : first);
+    on_pps.push_back(on_first ? first : second);
+    overhead_pct.push_back(100.0 * (1.0 - on_pps.back() / off_pps.back()));
   }
-  const double metrics_overhead_pct =
-      100.0 * (1.0 - metrics_on.pps() / metrics_off.pps());
+  const double metrics_off_pps = quantile(off_pps, 0.5);
+  const double metrics_on_pps = quantile(on_pps, 0.5);
+  const double metrics_overhead_pct = quantile(overhead_pct, 0.5);
+  const double overhead_q1 = quantile(overhead_pct, 0.25);
+  const double overhead_q3 = quantile(overhead_pct, 0.75);
 
-  std::printf("process_into, telemetry off  : %11.0f probes/s\n",
-              metrics_off.pps());
-  std::printf("process_into, telemetry on   : %11.0f probes/s\n",
-              metrics_on.pps());
-  std::printf("telemetry overhead           : %.2f%%\n\n",
-              metrics_overhead_pct);
+  std::printf("process_into, telemetry off  : %11.0f probes/s (median)\n",
+              metrics_off_pps);
+  std::printf("process_into, telemetry on   : %11.0f probes/s (median)\n",
+              metrics_on_pps);
+  std::printf("telemetry overhead           : %.2f%% (median of %d pairs; "
+              "IQR %.2f%% to %.2f%%)\n\n",
+              metrics_overhead_pct, kOverheadPairs, overhead_q1, overhead_q3);
   if (telemetry_on.lane.counter(telemetry_on.ids.probes_sent) <
-      2 * num_probes) {
+      kOverheadPairs * num_probes) {
     std::fprintf(stderr, "telemetry counters were not exercised\n");
     return 1;
   }
@@ -305,16 +334,18 @@ int main() {
       "  \"responses_per_pass\": %llu,\n"
       "  \"process_metrics_off_pps\": %.1f,\n"
       "  \"process_metrics_on_pps\": %.1f,\n"
+      "  \"metrics_overhead_pairs\": %d,\n"
       "  \"metrics_overhead_pct\": %.2f,\n"
+      "  \"metrics_overhead_iqr_pct\": [%.2f, %.2f],\n"
       "  \"encode_template_pps\": %.1f,\n"
       "  \"encode_reference_pps\": %.1f,\n"
       "  \"encode_speedup\": %.3f\n"
       "}\n",
       params.prefix_bits, static_cast<unsigned long long>(params.seed),
       static_cast<unsigned long long>(num_probes), process.pps(),
-      static_cast<unsigned long long>(process.responses), metrics_off.pps(),
-      metrics_on.pps(), metrics_overhead_pct, tmpl.pps(), reference.pps(),
-      encode_speedup);
+      static_cast<unsigned long long>(process.responses), metrics_off_pps,
+      metrics_on_pps, kOverheadPairs, metrics_overhead_pct, overhead_q1,
+      overhead_q3, tmpl.pps(), reference.pps(), encode_speedup);
   std::fclose(out);
   std::printf("\nwrote %s\n", path);
   return 0;

@@ -58,7 +58,7 @@ TYPE_ALLOWLIST = frozenset({
     "lock_guard",
     # repo POD/value types constructed on hot paths
     "Ipv4Address", "ByteReader", "ByteWriter", "PacketSlot", "TokenBucket",
-    "ProcessedResponse", "Pending", "Slot", "Entry", "RouteHop",
+    "ProcessedResponse", "Slot", "Entry", "RouteHop",
     "Ipv4Header", "UdpHeader", "TcpHeader", "IcmpHeader", "ParsedResponse",
     "DecodedProbe", "Route",
 })

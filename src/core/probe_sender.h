@@ -34,7 +34,6 @@
 
 #include "core/result.h"
 #include "core/runtime.h"
-#include "obs/cycle_ledger.h"
 #include "obs/scan_metrics.h"
 #include "util/annotations.h"
 #include "util/clock.h"
@@ -48,17 +47,16 @@ class ProbeSender {
   static constexpr std::uint8_t kRetransmit = 0x02;  ///< re-send after timeout
 
   /// Sends are tallied into `result` and `telemetry` (and logged in
-  /// result.probe_log when `log_probes`); both, and `cycles` when set, must
-  /// outlive the sender.  `sink` receives every delivered response.
+  /// result.probe_log when `log_probes`); both must outlive the sender.
+  /// `sink` receives every delivered response.
   ProbeSender(ScanRuntime& runtime, ScanRuntime::Sink sink,
               ScanResult& result, const obs::ScanTelemetry& telemetry,
-              bool log_probes, obs::CycleLedger* cycles = nullptr)
+              bool log_probes)
       : runtime_(runtime),
         sink_(std::move(sink)),
         result_(result),
         telemetry_(telemetry),
-        log_probes_(log_probes),
-        cycles_(cycles) {}
+        log_probes_(log_probes) {}
 
   ProbeSender(const ProbeSender&) = delete;
   ProbeSender& operator=(const ProbeSender&) = delete;
@@ -78,7 +76,6 @@ class ProbeSender {
     if (batch_.full()) submit();
     if (since_drain_ == 0) budget_ = runtime_.batch_budget();
     const std::uint32_t k = batch_.count();
-    if (cycles_ != nullptr && k == 0) gather_start_ = cycle_clock_.now();
     // fr-lint: allow(hot-call): the caller's encoder, a local lambda around
     // an FR_HOT ProbeCodec call at every call site
     const std::size_t size = encode(runtime_.send_time_of(k), batch_.slot());
@@ -100,16 +97,8 @@ class ProbeSender {
   /// empty, submits the staged probes and delivers every response due.
   FR_HOT void drain_point() {
     if (since_drain_ < budget_) return;
-    const std::uint32_t submitted = batch_.count();
     submit();
-    if (cycles_ != nullptr) {
-      const util::Nanos start = cycle_clock_.now();
-      runtime_.drain_batch(sink_);
-      cycles_->add(obs::CycleLedger::kDeliver, cycle_clock_.now() - start,
-                   submitted);
-    } else {
-      runtime_.drain_batch(sink_);
-    }
+    runtime_.drain_batch(sink_);
     since_drain_ = 0;
   }
 
@@ -139,16 +128,7 @@ class ProbeSender {
   FR_HOT void submit() {
     const std::uint32_t n = batch_.count();
     if (n == 0) return;
-    util::Nanos submit_start = 0;
-    if (cycles_ != nullptr) {
-      submit_start = cycle_clock_.now();
-      cycles_->add(obs::CycleLedger::kEncode, submit_start - gather_start_, n);
-    }
     const std::uint64_t ok = runtime_.try_send_batch(batch_);
-    if (cycles_ != nullptr) {
-      cycles_->add(obs::CycleLedger::kSend, cycle_clock_.now() - submit_start,
-                   n);
-    }
     batch_.clear();
     const obs::ScanTelemetry& tel = telemetry_;
     for (std::uint32_t k = 0; k < n; ++k) {
@@ -192,7 +172,6 @@ class ProbeSender {
   ScanResult& result_;
   const obs::ScanTelemetry& telemetry_;
   bool log_probes_;
-  obs::CycleLedger* cycles_;
 
   ProbeBatch batch_;
   std::array<Slot, ProbeBatch::kMaxPackets> slots_{};
@@ -200,9 +179,6 @@ class ProbeSender {
   /// the first of them was staged.
   std::uint32_t since_drain_ = 0;
   std::uint32_t budget_ = 0;
-  /// Cycle attribution: when the current batch began gathering.
-  util::Nanos gather_start_ = 0;
-  util::MonotonicClock cycle_clock_;
 };
 
 }  // namespace flashroute::core

@@ -22,8 +22,7 @@ Tracer::Tracer(const TracerConfig& config, ScanRuntime& runtime)
           [this](std::span<const std::byte> packet, util::Nanos arrival) {
             on_packet(packet, arrival);
           },
-          result_, config_.telemetry, config_.collect_probe_log,
-          config_.cycles),
+          result_, config_.telemetry, config_.collect_probe_log),
       recorder_(result_, config_.telemetry, config.first_prefix,
                 config.num_prefixes(), config.collect_routes) {}
 

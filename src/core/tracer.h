@@ -46,7 +46,6 @@
 #include "core/runtime.h"
 #include "io/checkpoint.h"
 #include "net/ipv4.h"
-#include "obs/cycle_ledger.h"
 #include "obs/scan_metrics.h"
 #include "util/annotations.h"
 #include "util/deadline_queue.h"
@@ -116,10 +115,6 @@ struct TracerConfig {
 
   bool collect_routes = true;
   bool collect_probe_log = false;
-
-  /// Per-stage cycle attribution (DESIGN.md §11); null = no attribution,
-  /// one branch per batch.  Must outlive the scan.
-  obs::CycleLedger* cycles = nullptr;
 
   /// Hitlist addresses per prefix offset (0 = no entry); required when
   /// preprobe == kHitlist.  Prefixes without entries fall back to the main

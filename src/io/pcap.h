@@ -77,6 +77,11 @@ class CapturingRuntime final : public core::ScanRuntime {
     inner_.idle_until(t, wrap(sink));
   }
 
+  /// A response the inner runtime dropped never reached the capture either.
+  std::uint64_t packets_dropped() const noexcept override {
+    return inner_.packets_dropped();
+  }
+
  private:
   Sink wrap(const Sink& sink) {
     return [this, &sink](std::span<const std::byte> packet,

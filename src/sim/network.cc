@@ -245,34 +245,27 @@ FR_HOT std::optional<ProcessedResponse> SimNetwork::finish_response(
   return ProcessedResponse{arrival, size, lag > 0 ? arrival + lag : 0};
 }
 
-FR_HOT std::uint32_t SimNetwork::process_batch(
-    const core::ProbeBatch& batch, std::uint64_t sent_mask,
-    util::Nanos first_send_time, util::Nanos interval, ResponsePool& pool,
-    BatchDelivery* out) {
-  std::uint32_t produced = 0;
-  util::Nanos send_time = first_send_time;
-  for (std::uint32_t k = 0; k < batch.count(); ++k) {
-    send_time += interval;
-    if (((sent_mask >> k) & 1) == 0) continue;
-    const ResponsePool::Slot slot = pool.acquire();
-    const auto response =
-        process_into(batch.packet(k), send_time, pool.buffer(slot));
-    if (!response) {
-      pool.release(slot);
-      continue;
-    }
-    out[produced++] = BatchDelivery{
-        response->arrival, slot, static_cast<std::uint32_t>(response->size)};
-    if (response->duplicate_arrival > 0) {
-      const ResponsePool::Slot copy = pool.acquire();
-      std::memcpy(pool.buffer(copy).data(), pool.buffer(slot).data(),
-                  response->size);
-      out[produced++] =
-          BatchDelivery{response->duplicate_arrival, copy,
-                        static_cast<std::uint32_t>(response->size)};
-    }
+FR_HOT Transmission SimNetwork::transmit(std::span<const std::byte> probe,
+                                        util::Nanos send_time,
+                                        ResponsePool& pool) {
+  Transmission tx;
+  if (fault_plane_ && fault_plane_->fail_send(send_time)) return tx;
+  tx.sent = true;
+  const ResponsePool::Slot slot = pool.acquire();
+  const auto response = process_into(probe, send_time, pool.buffer(slot));
+  if (!response) {
+    pool.release(slot);
+    return tx;
   }
-  return produced;
+  const auto size = static_cast<std::uint32_t>(response->size);
+  tx.responses[tx.count++] = InFlight{response->arrival, slot, size};
+  if (response->duplicate_arrival > 0) {
+    const ResponsePool::Slot copy = pool.acquire();
+    std::memcpy(pool.buffer(copy).data(), pool.buffer(slot).data(), size);
+    tx.responses[tx.count++] =
+        InFlight{response->duplicate_arrival, copy, size};
+  }
+  return tx;
 }
 
 std::optional<Delivery> SimNetwork::process(std::span<const std::byte> probe,

@@ -22,6 +22,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -29,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/runtime.h"
 #include "net/icmp.h"
 #include "sim/fault_plane.h"
 #include "sim/rate_limit_table.h"
@@ -54,20 +54,6 @@ struct NetworkStats {
   std::uint64_t responses() const noexcept {
     return time_exceeded_sent + destination_responses;
   }
-
-  /// Adds another network's counters (lane totals of the sharded runtimes).
-  NetworkStats& operator+=(const NetworkStats& other) noexcept {
-    probes += other.probes;
-    malformed += other.malformed;
-    out_of_universe += other.out_of_universe;
-    time_exceeded_sent += other.time_exceeded_sent;
-    destination_responses += other.destination_responses;
-    silent_interface += other.silent_interface;
-    silent_host += other.silent_host;
-    rate_limited += other.rate_limited;
-    dropped_dark += other.dropped_dark;
-    return *this;
-  }
 };
 
 /// A response encoded into the caller's buffer and the virtual time at which
@@ -87,12 +73,22 @@ struct Delivery {
   std::vector<std::byte> packet;
 };
 
-/// One response produced by process_batch: payload already encoded into the
-/// caller's pool slot, to be scheduled for delivery at `arrival`.
-struct BatchDelivery {
+/// A response on its way to the vantage: its bytes wait in a ResponsePool
+/// slot until it is delivered at `arrival`.
+struct InFlight {
   util::Nanos arrival;
   ResponsePool::Slot slot;
   std::uint32_t size;
+};
+
+/// What SimNetwork::transmit did with one probe.
+struct Transmission {
+  /// False when a local send fault kept the probe off the wire.
+  bool sent = false;
+  /// The first `count` entries are in flight: the response, then its
+  /// fault-plane duplicate.
+  std::uint32_t count = 0;
+  std::array<InFlight, 2> responses{};
 };
 
 class SimNetwork {
@@ -116,20 +112,16 @@ class SimNetwork {
   [[nodiscard]] std::optional<Delivery> process(std::span<const std::byte> probe,
                                   util::Nanos send_time);
 
-  /// Batched process_into over a whole ProbeBatch submit: packet k was sent
-  /// at `first_send_time + (k+1) * interval` (the virtual-clock instant a
-  /// scalar send loop would have stamped), packets absent from `sent_mask`
-  /// never reached the network (local send faults).  Responses are encoded
-  /// into freshly claimed `pool` slots and appended to `out` — fault-plane
-  /// duplicates directly after their original, exactly the scalar claim
-  /// order — and the count written is returned (`out` must hold at least
-  /// 2 * ProbeBatch::kMaxPackets entries).  One call replaces up to 64
-  /// virtual per-probe dispatches, and the pool claim/duplicate-copy
-  /// handling is centralized here instead of per send.
-  [[nodiscard]] FR_HOT std::uint32_t process_batch(
-      const core::ProbeBatch& batch, std::uint64_t sent_mask,
-      util::Nanos first_send_time, util::Nanos interval, ResponsePool& pool,
-      BatchDelivery* out);
+  /// Puts one probe on the simulated wire at `send_time`: the one transmit
+  /// step of every sim runtime.  Draws the fault plane's local send failure
+  /// first; a failed probe never reaches the network.  Otherwise encodes the
+  /// response, if any, into a freshly claimed `pool` slot, copies a
+  /// fault-plane duplicate into a second one, and releases the slot again
+  /// when the network stays silent.  `send_time` must be non-decreasing
+  /// across calls, as for process_into.
+  [[nodiscard]] FR_HOT Transmission transmit(std::span<const std::byte> probe,
+                                             util::Nanos send_time,
+                                             ResponsePool& pool);
 
   const NetworkStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = NetworkStats{}; }

@@ -1,25 +1,20 @@
 // Virtual-time ScanRuntime over the Internet simulator.
 //
-// `send` advances the virtual clock by one probe slot (1/pps — 10 µs at the
-// paper's 100 Kpps), hands the packet to SimNetwork, and queues the response
-// (if any) for delivery at its simulated arrival time.  `drain` delivers the
-// responses due by the current virtual instant, deterministically emulating
-// the paper's decoupled sender/receiver threads: a response is visible to
-// the engine exactly as soon as its RTT has elapsed, never earlier.
+// `try_send` advances the virtual clock by one probe slot (1/pps — 10 µs at
+// the paper's 100 Kpps), hands the packet to SimNetwork::transmit, and queues
+// the response (if any) for delivery at its simulated arrival time.  `drain`
+// delivers the responses due by the current virtual instant, deterministically
+// emulating the paper's decoupled sender/receiver threads: a response is
+// visible to the engine exactly as soon as its RTT has elapsed, never earlier.
 
 #pragma once
 
 #include <algorithm>
-#include <array>
-#include <bit>
-#include <cstring>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "core/runtime.h"
 #include "core/sharded_tracer.h"
-#include "obs/cycle_ledger.h"
 #include "obs/metrics.h"
 #include "sim/network.h"
 #include "sim/response_pool.h"
@@ -45,78 +40,28 @@ class SimScanRuntime final : public core::ScanRuntime {
   [[nodiscard]] FR_HOT bool try_send(
       std::span<const std::byte> packet) override {
     clock_.advance(probe_interval_);
-    // Transient local send failure (fault plane): the pacing slot is
-    // consumed but the packet never reaches the simulated network.
-    if (FaultPlane* plane = network_.fault_plane();
-        plane != nullptr && plane->fail_send(clock_.now())) {
-      return false;
+    // The wheel carries only {arrival, slot, size}: payloads stay in pool_,
+    // so the steady-state sim path moves no payload bytes and allocates
+    // nothing.
+    const Transmission tx = network_.transmit(packet, clock_.now(), pool_);
+    for (std::uint32_t i = 0; i < tx.count; ++i) {
+      wheel_.schedule(tx.responses[i].arrival, tx.responses[i]);
     }
-    ++packets_sent_;
-    // Encode the response (if any) straight into a recycled pool slot; the
-    // delivery heap carries only {slot, size}, so the steady-state sim path
-    // moves no payload bytes and allocates nothing.
-    const ResponsePool::Slot slot = pool_.acquire();
-    if (auto response =
-            network_.process_into(packet, clock_.now(), pool_.buffer(slot))) {
-      push_pending(response->arrival, slot,
-                   static_cast<std::uint32_t>(response->size));
-      if (response->duplicate_arrival > 0) {
-        // Fault-plane duplication: a second pooled copy of the same bytes,
-        // delivered at its own (later) arrival time.
-        const ResponsePool::Slot copy = pool_.acquire();
-        std::memcpy(pool_.buffer(copy).data(), pool_.buffer(slot).data(),
-                    response->size);
-        push_pending(response->duplicate_arrival, copy,
-                     static_cast<std::uint32_t>(response->size));
-      }
-    } else {
-      pool_.release(slot);
-    }
-    return true;
+    if (tx.sent) ++packets_sent_;
+    return tx.sent;
   }
 
-  /// Batched submit: the scalar try_send loop with its per-probe virtual
-  /// dispatch, clock bump, and pool bookkeeping hoisted out.  Packet k is
-  /// stamped with send time now() + (k+1) * interval — exactly the instants
-  /// a scalar loop would have produced — the fault plane's fail_send draws
-  /// run against those same instants, and SimNetwork::process_batch emits
-  /// responses in scalar claim order, so a batched scan is byte-identical
-  /// to the scalar same-seed scan.
+  /// Batched submit: packet k goes out at now() + (k+1) * interval, the
+  /// instant the k-th scalar try_send reaches, through the same try_send, so
+  /// a batched scan is byte-identical to the scalar same-seed scan.  The
+  /// class is final, so the loop costs no per-probe virtual dispatch.
   [[nodiscard]] FR_HOT std::uint64_t try_send_batch(
       const core::ProbeBatch& batch) override {
-    const util::Nanos first = clock_.now();
-    std::uint64_t ok =
-        batch.count() >= 64 ? ~std::uint64_t{0}
-                            : (std::uint64_t{1} << batch.count()) - 1;
-    if (FaultPlane* plane = network_.fault_plane()) {
-      for (std::uint32_t k = 0; k < batch.count(); ++k) {
-        if (plane->fail_send(first + (k + 1) * probe_interval_)) {
-          ok &= ~(std::uint64_t{1} << k);
-        }
-      }
-    }
-    clock_.advance(batch.count() * probe_interval_);
-    packets_sent_ += static_cast<std::uint64_t>(std::popcount(ok));
-    const util::Nanos process_start =
-        cycles_ != nullptr ? cycle_clock_.now() : 0;
-    const std::uint32_t produced = network_.process_batch(
-        batch, ok, first, probe_interval_, pool_, batch_out_.data());
-    if (cycles_ != nullptr) {
-      cycles_->add(obs::CycleLedger::kProcess,
-                   cycle_clock_.now() - process_start, batch.count());
-    }
-    for (std::uint32_t i = 0; i < produced; ++i) {
-      const BatchDelivery& d = batch_out_[i];
-      wheel_.schedule(d.arrival, InFlight{d.arrival, d.slot, d.size});
+    std::uint64_t ok = 0;
+    for (std::uint32_t k = 0; k < batch.count(); ++k) {
+      if (try_send(batch.packet(k))) ok |= std::uint64_t{1} << k;
     }
     return ok;
-  }
-
-  /// Attaches a per-stage cycle ledger (obs/cycle_ledger.h): try_send_batch
-  /// brackets SimNetwork::process_batch as the kProcess stage, letting the
-  /// bench split the engine's kSend total into submit vs network cost.
-  void set_cycle_ledger(obs::CycleLedger* cycles) noexcept {
-    cycles_ = cycles;
   }
 
   /// How many probes the sender may stage before it must honour a drain
@@ -165,8 +110,6 @@ class SimScanRuntime final : public core::ScanRuntime {
     clock_.advance_to(t);
   }
 
-  util::SimClock& clock() noexcept { return clock_; }
-
   /// Registers this runtime's observability gauges on `lane` of a metrics
   /// registry (DESIGN.md §7): the sim network's rate-limit drops, plus
   /// response-pool occupancy and responses in flight.  The gauge
@@ -209,14 +152,6 @@ class SimScanRuntime final : public core::ScanRuntime {
   }
 
  private:
-  /// One in-flight response parked on the delivery wheel; payload bytes
-  /// live in pool_, recycled after the sink call.
-  struct InFlight {
-    util::Nanos arrival;
-    ResponsePool::Slot slot;
-    std::uint32_t size;
-  };
-
   /// Delivery wheel geometry: enough slots that the common in-flight span
   /// (base RTT + a typical route's per-hop latency + jitter + fault reorder
   /// delay) fits inside one rotation with sparse slots, and a tick coarse
@@ -232,11 +167,6 @@ class SimScanRuntime final : public core::ScanRuntime {
                                 p.rtt_jitter + p.faults.reorder_max_delay;
     return std::max<util::Nanos>(
         {8 * probe_interval, 2 * horizon >> kWheelSlotBits, 1});
-  }
-
-  FR_HOT void push_pending(util::Nanos arrival, ResponsePool::Slot slot,
-                           std::uint32_t size) {
-    wheel_.schedule(arrival, InFlight{arrival, slot, size});
   }
 
   FR_HOT void deliver_due(util::Nanos deadline, const Sink& sink) {
@@ -262,11 +192,6 @@ class SimScanRuntime final : public core::ScanRuntime {
   util::TimingWheel<InFlight> wheel_;
   /// Fixed-slot storage for in-flight response payloads.
   ResponsePool pool_;
-  /// Scratch for process_batch outcomes (originals + possible duplicates).
-  std::array<BatchDelivery, 2 * core::ProbeBatch::kMaxPackets> batch_out_;
-  /// Optional per-stage attribution (kProcess); null = no-op.
-  obs::CycleLedger* cycles_ = nullptr;
-  util::MonotonicClock cycle_clock_;
 };
 
 /// Virtual-time ShardRuntimeProvider: one (SimNetwork, SimScanRuntime) lane
@@ -306,37 +231,6 @@ class SimShardRuntimeProvider final : public core::ShardRuntimeProvider {
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
       lanes_[i]->runtime.register_gauges(registry, static_cast<int>(i));
     }
-  }
-
-  /// Aggregated ground-truth statistics across all shard networks (only
-  /// meaningful after run() — workers have stopped touching their lanes).
-  NetworkStats stats() const {
-    NetworkStats total;
-    for (const auto& lane : lanes_) {
-      total += lane->network.stats();
-    }
-    return total;
-  }
-
-  /// Aggregated fault-injection tallies across all shard networks (zero
-  /// when the fault plane is disabled).  Same post-run-only contract as
-  /// stats().
-  FaultPlane::Stats fault_stats() const {
-    FaultPlane::Stats total;
-    for (const auto& lane : lanes_) {
-      const FaultPlane* plane = lane->network.fault_plane();
-      if (plane == nullptr) continue;
-      const FaultPlane::Stats& s = plane->stats();
-      total.probes_lost += s.probes_lost;
-      total.probes_blackholed += s.probes_blackholed;
-      total.probes_flap_dropped += s.probes_flap_dropped;
-      total.responses_lost += s.responses_lost;
-      total.responses_duplicated += s.responses_duplicated;
-      total.responses_reordered += s.responses_reordered;
-      total.responses_corrupted += s.responses_corrupted;
-      total.sends_failed += s.sends_failed;
-    }
-    return total;
   }
 
  private:

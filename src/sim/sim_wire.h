@@ -1,9 +1,10 @@
 // An in-memory `core::Wire` over the Internet simulator, in real time.
 //
-// Probes go straight into a SimNetwork; the response (if any) becomes
-// receivable once its simulated RTT has elapsed on the *real* clock — each
-// lane rebases the simulator's virtual timeline onto the monotonic clock at
-// its first transmit.  This is what lets the real-time runtimes
+// Probes go through SimNetwork::transmit, the same transmit step the
+// virtual-time runtime takes; the response (if any) becomes receivable once
+// its simulated RTT has elapsed on the *real* clock — each lane rebases the
+// simulator's virtual timeline onto the monotonic clock at its first
+// transmit.  This is what lets the real-time runtimes
 // (core/threaded_runtime.h) and their tests/benches run an actual FlashRoute
 // scan against the simulator without raw sockets.
 //
@@ -19,7 +20,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -85,31 +85,12 @@ class RealTimeSimWire final : public core::Wire {
     const util::Nanos send_time =
         std::max(now - lane.epoch, lane.last_send_time);
     lane.last_send_time = send_time;
-    // Transient local send failure (fault plane), drawn on the lane's
-    // virtual send time like SimScanRuntime does.
-    if (FaultPlane* plane = lane.network.fault_plane();
-        plane != nullptr && plane->fail_send(send_time)) {
-      return false;
-    }
-    // Responses are encoded straight into a recycled per-lane pool slot; the
-    // pending list carries only {due, slot, size} (see sim/response_pool.h).
-    const ResponsePool::Slot slot = lane.pool.acquire();
-    if (auto response =
-            lane.network.process_into(packet, send_time, lane.pool.buffer(slot))) {
-      lane.pending.push_back({lane.epoch + response->arrival, slot,
-                              static_cast<std::uint32_t>(response->size)});
-      if (response->duplicate_arrival > 0) {
-        // Fault-plane duplication: a second pooled copy at its own due time.
-        const ResponsePool::Slot copy = lane.pool.acquire();
-        std::memcpy(lane.pool.buffer(copy).data(),
-                    lane.pool.buffer(slot).data(), response->size);
-        lane.pending.push_back({lane.epoch + response->duplicate_arrival, copy,
-                                static_cast<std::uint32_t>(response->size)});
-      }
-    } else {
-      lane.pool.release(slot);
-    }
-    return true;
+    // Pending responses keep their arrival on the lane's virtual timeline;
+    // receive_into compares it with the real time elapsed since lane.epoch.
+    const Transmission tx = lane.network.transmit(packet, send_time, lane.pool);
+    lane.pending.insert(lane.pending.end(), tx.responses.begin(),
+                        tx.responses.begin() + tx.count);
+    return tx.sent;
   }
 
   std::size_t receive_into(std::span<std::byte> buffer,
@@ -121,8 +102,9 @@ class RealTimeSimWire final : public core::Wire {
       for (std::size_t i = 0; i < lanes_.size(); ++i) {
         Lane& lane = *lanes_[(cursor_ + i) % lanes_.size()];
         const util::MutexLock guard(lane.mutex);
+        const util::Nanos elapsed = now - lane.epoch;
         for (auto it = lane.pending.begin(); it != lane.pending.end(); ++it) {
-          if (it->due > now) continue;
+          if (it->arrival > elapsed) continue;
           const std::size_t size = it->size;
           if (size > buffer.size()) {
             // Wire contract: oversize packets are dropped, not truncated.
@@ -143,31 +125,15 @@ class RealTimeSimWire final : public core::Wire {
     return 0;
   }
 
-  /// Aggregated simulator statistics across all lanes.
-  NetworkStats stats() const {
-    NetworkStats total;
-    for (const auto& lane : lanes_) {
-      const util::MutexLock guard(lane->mutex);
-      total += lane->network.stats();
-    }
-    return total;
-  }
-
   std::uint64_t oversize_dropped() const noexcept { return oversize_dropped_; }
 
  private:
-  struct Pending {
-    util::Nanos due;
-    ResponsePool::Slot slot;  // payload lives in the lane's pool
-    std::uint32_t size;
-  };
-
   struct Lane {
     explicit Lane(const Topology& topology) : network(topology) {}
 
-    mutable util::Mutex mutex;
+    util::Mutex mutex;
     SimNetwork network FR_GUARDED_BY(mutex);
-    std::vector<Pending> pending FR_GUARDED_BY(mutex);
+    std::vector<InFlight> pending FR_GUARDED_BY(mutex);  // bytes in `pool`
     ResponsePool pool FR_GUARDED_BY(mutex);
     util::Nanos epoch FR_GUARDED_BY(mutex) = 0;
     util::Nanos last_send_time FR_GUARDED_BY(mutex) = 0;

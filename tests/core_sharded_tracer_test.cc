@@ -15,6 +15,7 @@
 #include <atomic>
 #include <thread>
 
+#include "core/targets.h"
 #include "core/threaded_runtime.h"
 #include "core/tracer.h"
 #include "sim/params.h"
@@ -47,12 +48,14 @@ ShardedTracerConfig test_config(const sim::SimParams& params,
   return config;
 }
 
-ScanResult run_sharded(const sim::Topology& topology, int num_workers) {
-  const ShardedTracerConfig config = test_config(
-      sim::SimParams{topology.params()}, num_workers);
+ScanResult run_sharded(const sim::Topology& topology,
+                       const ShardedTracerConfig& config) {
   sim::SimShardRuntimeProvider provider(topology, config);
-  ShardedTracer tracer(config, provider);
-  return tracer.run();
+  return ShardedTracer(config, provider).run();
+}
+
+ScanResult run_sharded(const sim::Topology& topology, int num_workers) {
+  return run_sharded(topology, test_config(topology.params(), num_workers));
 }
 
 void expect_identical(const ScanResult& a, const ScanResult& b) {
@@ -174,6 +177,82 @@ TEST(ShardedTracer, MatchesUnshardedScanTopologyClosely) {
   // are decomposition-independent (global target_seed keyed by absolute
   // prefix) — so reached destinations must agree exactly.
   EXPECT_EQ(sharded.destination_distance, reference.destination_distance);
+}
+
+TEST(ShardedTracer, HitlistPreprobesTargetTheirPrefixesEntry) {
+  const sim::SimParams params = test_params();
+  const sim::Topology topology(params);
+  const std::vector<std::uint32_t> hitlist = topology.generate_hitlist();
+  ShardedTracerConfig config = test_config(params, 1);
+  config.base.preprobe = PreprobeMode::kHitlist;
+  config.base.hitlist = &hitlist;
+  sim::SimShardRuntimeProvider provider(topology, config);
+  ShardedTracer tracer(config, provider);
+  const ScanResult one = tracer.run();
+
+  // Each preprobe goes to its /24's hitlist entry, or to the main target
+  // where the entry is 0; both kinds occur.
+  std::size_t from_hitlist = 0;
+  std::size_t fallbacks = 0;
+  for (const ProbeLogEntry& entry : one.probe_log) {
+    if (!entry.preprobe) continue;
+    const std::uint32_t offset =
+        (entry.destination >> 8) - params.first_prefix;
+    ASSERT_LT(offset, hitlist.size());
+    if (hitlist[offset] != 0) {
+      EXPECT_EQ(entry.destination, hitlist[offset]) << "offset " << offset;
+      ++from_hitlist;
+    } else {
+      EXPECT_EQ(entry.destination, tracer.target_of(offset))
+          << "offset " << offset;
+      ++fallbacks;
+    }
+  }
+  EXPECT_GT(from_hitlist, 0u);
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_EQ(from_hitlist + fallbacks, one.preprobe_probes);
+
+  config.num_workers = 4;
+  expect_identical(one, run_sharded(topology, config));
+}
+
+TEST(ShardedTracer, TargetOverrideReachesEveryShard) {
+  const sim::SimParams params = test_params();
+  const sim::Topology topology(params);
+  // Sparse, and shorter than the universe: the last shard has no entries.
+  std::vector<std::uint32_t> overrides(3 * params.num_prefixes() / 4, 0);
+  for (std::size_t i = 0; i < overrides.size(); i += 3) {
+    overrides[i] = (params.first_prefix + static_cast<std::uint32_t>(i)) << 8 |
+                   static_cast<std::uint32_t>(1 + i % 200);
+  }
+  ShardedTracerConfig config = test_config(params, 2);
+  config.base.target_override = &overrides;
+  sim::SimShardRuntimeProvider provider(topology, config);
+  ShardedTracer tracer(config, provider);
+
+  std::size_t overridden = 0;
+  for (std::uint32_t offset = 0; offset < params.num_prefixes(); ++offset) {
+    const std::uint32_t expected =
+        core::target_of(&overrides, config.base.target_seed,
+                        config.base.first_prefix, offset);
+    EXPECT_EQ(tracer.target_of(offset), expected) << "offset " << offset;
+    if (offset < overrides.size() && overrides[offset] != 0) {
+      EXPECT_EQ(expected, overrides[offset]);
+      ++overridden;
+    }
+  }
+  EXPECT_GT(overridden, 0u);
+
+  // The shards probe those targets: every probe goes to its /24's
+  // target_of.
+  const ScanResult result = tracer.run();
+  ASSERT_FALSE(result.probe_log.empty());
+  for (const ProbeLogEntry& entry : result.probe_log) {
+    const std::uint32_t offset =
+        (entry.destination >> 8) - params.first_prefix;
+    EXPECT_EQ(entry.destination, tracer.target_of(offset))
+        << "offset " << offset;
+  }
 }
 
 TEST(ShardedThreadedRuntime, RealTimeShardedScanDiscoversTheTopology) {

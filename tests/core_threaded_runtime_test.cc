@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <stdexcept>
+#include <vector>
 
 #include "core/tracer.h"
 #include "sim/network.h"
@@ -197,6 +199,71 @@ TEST(RealTimeSimWire, LaneCountMustDivideThePrefixes) {
   const net::Ipv4Address last((params.first_prefix + 63) << 8 | 1);
   const std::size_t size = codec.encode_udp(last, 1, false, 0, buf);
   EXPECT_TRUE(wire.try_transmit({buf.data(), size}));
+}
+
+/// What a fresh single-lane wire did with one probe: whether it went out,
+/// and every packet the wire then handed back.
+struct WireRun {
+  bool transmitted = false;
+  std::vector<std::vector<std::byte>> received;
+};
+
+WireRun transmit_once(const sim::Topology& topology,
+                      std::span<const std::byte> probe) {
+  const sim::SimParams& params = topology.params();
+  RealTimeSimWire wire(topology, params.first_prefix,
+                       std::uint32_t{1} << params.prefix_bits);
+  WireRun run;
+  run.transmitted = wire.try_transmit(probe);
+  std::array<std::byte, net::kMaxResponseSize> buffer;
+  while (const std::size_t size =
+             wire.receive_into(buffer, 50 * util::kMillisecond)) {
+    run.received.emplace_back(buffer.begin(), buffer.begin() + size);
+  }
+  return run;
+}
+
+TEST(RealTimeSimWire, FaultPlaneDuplicatesAndFailsSends) {
+  sim::SimParams params;
+  params.prefix_bits = 6;
+  params.seed = 12;
+  params.rtt_base = 200'000;  // 0.2 ms: replies land well inside the wait
+  params.rtt_per_hop = 50'000;
+  params.rtt_jitter = 0;
+  const sim::Topology clean(params);
+
+  // A probe the world answers: a wire's first send leaves at virtual time
+  // 0, so ask a fault-free network at that instant.
+  sim::SimNetwork oracle(clean);
+  const ProbeCodec codec(net::Ipv4Address(params.vantage_address));
+  std::array<std::byte, ProbeCodec::kMaxProbeSize> buf;
+  std::size_t size = 0;
+  for (std::uint8_t ttl = 1; ttl <= 32 && size == 0; ++ttl) {
+    size = codec.encode_udp(
+        net::Ipv4Address((params.first_prefix + 5) << 8 | 9), ttl, false, 0,
+        buf);
+    if (!oracle.process({buf.data(), size}, 0)) size = 0;
+  }
+  ASSERT_NE(size, 0u);
+  const std::span<const std::byte> probe(buf.data(), size);
+
+  const WireRun answered = transmit_once(clean, probe);
+  EXPECT_TRUE(answered.transmitted);
+  ASSERT_EQ(answered.received.size(), 1u);
+
+  sim::SimParams duplicating = params;
+  duplicating.faults.duplicate_prob = 1.0;
+  const WireRun twice = transmit_once(sim::Topology(duplicating), probe);
+  EXPECT_TRUE(twice.transmitted);
+  ASSERT_EQ(twice.received.size(), 2u);
+  EXPECT_EQ(twice.received[0], answered.received[0]);
+  EXPECT_EQ(twice.received[1], answered.received[0]);
+
+  sim::SimParams failing = params;
+  failing.faults.send_fail_prob = 1.0;
+  const WireRun none = transmit_once(sim::Topology(failing), probe);
+  EXPECT_FALSE(none.transmitted);
+  EXPECT_TRUE(none.received.empty());
 }
 
 }  // namespace

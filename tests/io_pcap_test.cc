@@ -233,5 +233,57 @@ TEST(CapturingRuntime, CapturedScanUnderFaultsAndBackoffIsTheBareScan) {
   EXPECT_EQ(captured.destination_distance, bare.destination_distance);
 }
 
+/// An inner runtime whose receive ring overflowed: it reports drops.
+class DroppingRuntime final : public core::ScanRuntime {
+ public:
+  util::Nanos now() const noexcept override { return 0; }
+  [[nodiscard]] bool try_send(std::span<const std::byte>) override {
+    return true;
+  }
+  void drain(const Sink&) override {}
+  void idle_until(util::Nanos, const Sink&) override {}
+  std::uint64_t packets_dropped() const noexcept override { return 17; }
+};
+
+TEST(CapturingRuntime, ReportsTheInnerRuntimesDrops) {
+  // A capture over a runtime that drops responses (a ThreadedRuntime whose
+  // receive ring overflows) must not report a clean receive path.
+  DroppingRuntime inner;
+  std::stringstream capture;
+  const CapturingRuntime runtime(inner, capture);
+  EXPECT_EQ(runtime.packets_dropped(), 17u);
+}
+
+TEST(CapturingRuntime, CaptureOfAFaultedScanMatchesItsGoldenDigest) {
+  // The decorator leaves the batch virtuals at their per-packet defaults,
+  // so a captured scan sends every probe through the sim runtime's scalar
+  // try_send, here with failed sends and duplicated responses.  The digest
+  // is FNV-1a over every byte of the capture: each probe and response,
+  // its timestamp and its place in the stream.
+  sim::SimParams params;
+  params.prefix_bits = 8;
+  params.seed = 5;
+  params.faults.duplicate_prob = 0.1;
+  params.faults.send_fail_prob = 0.1;
+  const sim::Topology topology(params);
+  sim::SimNetwork network(topology);
+  core::TracerConfig config = capture_config(params);
+  config.preprobe = core::PreprobeMode::kRandom;
+  config.max_retransmits = 1;
+  sim::SimScanRuntime inner(network, config.probes_per_second);
+
+  std::stringstream capture;
+  CapturingRuntime runtime(inner, capture);
+  const auto result = core::Tracer(config, runtime).run();
+
+  ASSERT_GT(result.send_failures, 0u);
+  ASSERT_GT(network.fault_plane()->stats().responses_duplicated, 0u);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const char c : capture.str()) {
+    digest = (digest ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(digest, 0x284b02fe664b78deULL) << std::hex << digest;
+}
+
 }  // namespace
 }  // namespace flashroute::io
