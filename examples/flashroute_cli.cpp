@@ -346,8 +346,8 @@ int main(int argc, char** argv) {
   config.adaptive_backoff = options->backoff;
 
   // Checkpoint/resume needs the single-engine virtual-time scan: the raw
-  // backend cannot replay a timeline, and a sharded scan checkpoints
-  // through the ShardedTracerConfig set API instead.
+  // backend cannot replay a timeline, and a sharded scan does not
+  // checkpoint at all (DESIGN.md §9).
   if ((!options->checkpoint_file.empty() || !options->resume_file.empty()) &&
       (options->backend != "sim" || options->shards > 0)) {
     std::fprintf(stderr,

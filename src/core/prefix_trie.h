@@ -71,8 +71,7 @@ class PrefixTrie {
   void mark_prefix24(std::uint32_t first_prefix, std::uint32_t count,
                      std::vector<std::uint64_t>& bitmap) const;
 
-  /// Trie size (root included) — the filter's memory accounting.
-  std::size_t node_count() const noexcept { return nodes_.size(); }
+  /// Trie size in bytes — the filter's memory accounting.
   std::size_t memory_bytes() const noexcept {
     return nodes_.size() * sizeof(Node);
   }

@@ -1,7 +1,6 @@
 #include "core/sharded_tracer.h"
 
 #include <algorithm>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -82,17 +81,13 @@ TracerConfig ShardedTracer::shard_config(const ShardInfo& shard) const {
     cfg.telemetry.lane = cfg.telemetry.registry->lane(shard.index);
     cfg.telemetry.lane_id = shard.index;
   }
-  // Checkpoint fan-out: shard-tag the set-level sink.
-  if (config_.checkpoint_sink) {
-    cfg.checkpoint_sink = [sink = config_.checkpoint_sink,
-                           i](io::ScanCheckpoint& checkpoint) {
-      return sink(i, checkpoint);
-    };
-  }
+  // A sharded scan does not checkpoint: a sink copied into every shard
+  // would run on several workers at once with no shard tag.
+  cfg.checkpoint_sink = nullptr;
   return cfg;
 }
 
-ScanResult ShardedTracer::run(std::vector<io::ScanCheckpoint> resume_from) {
+ScanResult ShardedTracer::run() {
   const std::vector<ShardInfo> shards = plan(config_);
   const int workers = shards.empty() ? 1 : shards.back().worker + 1;
 
@@ -122,22 +117,15 @@ ScanResult ShardedTracer::run(std::vector<io::ScanCheckpoint> resume_from) {
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([this, w, &shards, &results, &resume_from] {
+    threads.emplace_back([this, w, &shards, &results] {
       for (const ShardInfo& shard : shards) {
         if (shard.worker != w) continue;
-        const auto index = static_cast<std::size_t>(shard.index);
-        // Each shard consumes its own entry of the resume set.
-        std::optional<io::ScanCheckpoint> resume;
-        if (index < resume_from.size() &&
-            !resume_from[index].next_backward.empty()) {
-          resume = std::move(resume_from[index]);
-        }
         // The Tracer — and with it the shard's DCB segment — is constructed
         // *inside* the owning worker, so first-touch places each segment on
         // the worker's NUMA node and ring walks stay node-local
         // (DESIGN.md §10).
         Tracer tracer(shard_config(shard), provider_.runtime_for(shard));
-        results[index] = tracer.run(std::move(resume));
+        results[static_cast<std::size_t>(shard.index)] = tracer.run();
       }
     });
   }

@@ -29,13 +29,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/result.h"
 #include "core/runtime.h"
 #include "core/tracer.h"
-#include "io/checkpoint.h"
 
 namespace flashroute::core {
 
@@ -66,7 +64,9 @@ class ShardRuntimeProvider {
 
 struct ShardedTracerConfig {
   /// The full-range scan configuration (first_prefix/prefix_bits span the
-  /// whole scan; per-shard sub-configurations are derived from it).
+  /// whole scan; per-shard sub-configurations are derived from it).  A
+  /// sharded scan does not checkpoint: base.checkpoint_sink is never
+  /// called, and only an unsharded Tracer checkpoints (DESIGN.md §9).
   TracerConfig base;
 
   /// Worker threads.  Clamped to the shard count; 1 runs the same shard
@@ -77,15 +77,6 @@ struct ShardedTracerConfig {
   /// /24s.  This — not num_workers — fixes the decomposition, which is what
   /// makes results invariant under the worker count.
   int shard_prefix_bits = 10;
-
-  /// Per-shard checkpoint fan-out: when the base config enables
-  /// checkpointing, each shard's Tracer hands its checkpoints here (tagged
-  /// with the shard index) instead of base.checkpoint_sink.  Called from
-  /// worker threads — the installed sink must be thread-safe.  Returning
-  /// false kills that shard's sub-scan; the checkpoint follows the
-  /// unsharded sink contract (TracerConfig::checkpoint_sink).
-  std::function<bool(std::size_t shard, io::ScanCheckpoint&)>
-      checkpoint_sink;
 
   int num_shards() const noexcept {
     const int bits = shard_prefix_bits < base.prefix_bits
@@ -102,14 +93,7 @@ class ShardedTracer {
 
   /// Runs all shards to completion across the configured workers and returns
   /// the deterministically merged result.
-  ///
-  /// With `resume_from`, a previously captured checkpoint set (index =
-  /// shard index), each shard resumes from its entry and consumes it, as
-  /// Tracer::run does.  An entry with empty per-DCB state
-  /// (next_backward.empty()) means "no checkpoint for this shard — start
-  /// it fresh".
-  [[nodiscard]] ScanResult run(
-      std::vector<io::ScanCheckpoint> resume_from = {});
+  [[nodiscard]] ScanResult run();
 
   /// Same per-/24 target the sub-scans probe (global target_seed keyed by
   /// absolute prefix, so identical for every decomposition).

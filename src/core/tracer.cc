@@ -11,6 +11,12 @@
 
 namespace flashroute::core {
 
+namespace {
+
+/// Adaptive backoff halves the rate at most this many times (to 1/16).
+constexpr std::uint32_t kMaxBackoffLevel = 4;
+
+}  // namespace
 
 Tracer::Tracer(const TracerConfig& config, ScanRuntime& runtime)
     : config_(config),
@@ -432,7 +438,7 @@ void Tracer::update_backoff() {
                               static_cast<double>(round_probes_)
                         : 0.0;
   if (ratio > config_.backoff_loss_threshold &&
-      backoff_level_ < static_cast<std::uint32_t>(config_.max_backoff_level)) {
+      backoff_level_ < kMaxBackoffLevel) {
     ++backoff_level_;
     sender_.set_rate(config_.probes_per_second /
                      static_cast<double>(std::uint64_t{1} << backoff_level_));
@@ -580,22 +586,20 @@ void Tracer::run_extra_scans() {
     dcbs_.walk_ring([&](std::uint32_t index) {
       Dcb& dcb = dcbs_[index];
       // Backward-only from a random split; the shared stop set terminates
-      // re-exploration of already-known route sections.  With the §5.4
-      // heuristic the split stays within (route length + 5), keeping the
-      // walks on the route where the load-balanced sections are.
+      // re-exploration of already-known route sections.  The §5.4
+      // heuristic keeps the split within (route length + 5), so the walks
+      // stay on the route where the load-balanced sections are.
       int start_range = config_.max_ttl;
-      if (config_.extra_scan_length_heuristic) {
-        int route_length = result_.destination_distance[index];
-        if (route_length == 0 && config_.collect_routes) {
-          for (const RouteHop& hop : result_.routes[index]) {
-            if ((hop.flags & RouteHop::kFromDestination) == 0) {
-              route_length = std::max<int>(route_length, hop.ttl);
-            }
+      int route_length = result_.destination_distance[index];
+      if (route_length == 0 && config_.collect_routes) {
+        for (const RouteHop& hop : result_.routes[index]) {
+          if ((hop.flags & RouteHop::kFromDestination) == 0) {
+            route_length = std::max<int>(route_length, hop.ttl);
           }
         }
-        if (route_length != 0) {
-          start_range = std::min<int>(config_.max_ttl, route_length + 5);
-        }
+      }
+      if (route_length != 0) {
+        start_range = std::min<int>(config_.max_ttl, route_length + 5);
       }
       dcb.set_next_backward_hop(static_cast<std::uint8_t>(
           1 + util::stable_bounded(pass_seed, destination_of(index),

@@ -89,14 +89,12 @@ struct TracerConfig {
   bool fold_preprobe = true;
 
   /// Discovery-optimized mode (§5.2): number of backward-only extra scans
-  /// with shifted source ports after the main scan.
+  /// with shifted source ports after the main scan.  Each extra scan draws
+  /// its random starting TTL from [1, measured route length + 5] instead
+  /// of [1, 32] (§5.4's proposed refinement), so the walks land on the
+  /// route, where the load-balanced sections are, instead of in the silent
+  /// tail.
   int extra_scans = 0;
-
-  /// §5.4's proposed refinement of the discovery-optimized mode: pick each
-  /// extra scan's random starting TTL from [1, measured route length + 5]
-  /// instead of [1, 32], so the walks land on the route (where the
-  /// load-balanced sections are) instead of in the silent tail.
-  bool extra_scan_length_heuristic = true;
 
   /// §5.4's other open question: have the extra scans vary the *destination
   /// address* within each /24 (instead of, or in addition to, the source
@@ -144,12 +142,10 @@ struct TracerConfig {
 
   /// Adaptive rate backoff: when the fraction of main-phase probes timing
   /// out in a round exceeds `backoff_loss_threshold`, the probing rate is
-  /// halved (down to probes_per_second / 2^max_backoff_level); it doubles
-  /// back one step per round once the loss ratio falls below half the
-  /// threshold.
+  /// halved (down to probes_per_second / 16); it doubles back one step per
+  /// round once the loss ratio falls below half the threshold.
   bool adaptive_backoff = false;
   double backoff_loss_threshold = 0.3;
-  int max_backoff_level = 4;
 
   /// Checkpointing: at the first main-phase round barrier past each
   /// interval the engine quiesces (drains the retransmission queue and

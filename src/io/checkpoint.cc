@@ -18,7 +18,6 @@ namespace {
 
 constexpr char kMagic[4] = {'F', 'R', 'C', 'K'};
 constexpr std::uint64_t kFormatVersion = 1;
-constexpr char kSetMagic[4] = {'F', 'R', 'C', 'S'};
 
 }  // namespace
 
@@ -135,52 +134,11 @@ std::optional<ScanCheckpoint> read_checkpoint(std::istream& in) {
   return checkpoint;
 }
 
-void write_checkpoint_set(const std::vector<ScanCheckpoint>& checkpoints,
-                          std::ostream& out) {
-  out.write(kSetMagic, sizeof kSetMagic);
-  write_varint(out, kFormatVersion);
-  write_varint(out, checkpoints.size());
-  for (const ScanCheckpoint& checkpoint : checkpoints) {
-    write_checkpoint(checkpoint, out);
-  }
-}
-
-std::optional<std::vector<ScanCheckpoint>> read_checkpoint_set(
-    std::istream& in) {
-  char magic[4] = {};
-  in.read(magic, sizeof magic);
-  if (!in.good() ||
-      std::char_traits<char>::compare(magic, kSetMagic, 4) != 0) {
-    return std::nullopt;
-  }
-  const auto version = read_varint(in);
-  if (!version || *version != kFormatVersion) return std::nullopt;
-  const auto count = read_varint(in);
-  if (!count) return std::nullopt;
-  std::vector<ScanCheckpoint> checkpoints;
-  checkpoints.reserve(*count);
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    auto checkpoint = read_checkpoint(in);
-    if (!checkpoint) return std::nullopt;
-    checkpoints.push_back(std::move(*checkpoint));
-  }
-  return checkpoints;
-}
-
 bool save_checkpoint_atomic(const std::string& path,
                             const ScanCheckpoint& checkpoint, bool sync) {
   std::ostringstream out;
   write_checkpoint(checkpoint, out);
   const std::string_view magic(kMagic, sizeof kMagic);
-  return out && publish_frame_atomic(path, magic, out.view(), sync);
-}
-
-bool save_checkpoint_set_atomic(const std::string& path,
-                                const std::vector<ScanCheckpoint>& checkpoints,
-                                bool sync) {
-  std::ostringstream out;
-  write_checkpoint_set(checkpoints, out);
-  const std::string_view magic(kSetMagic, sizeof kSetMagic);
   return out && publish_frame_atomic(path, magic, out.view(), sync);
 }
 
@@ -190,15 +148,6 @@ std::optional<ScanCheckpoint> load_checkpoint_file(const std::string& path) {
   if (!payload.has_value()) return std::nullopt;
   std::istringstream in(std::move(*payload));
   return read_checkpoint(in);
-}
-
-std::optional<std::vector<ScanCheckpoint>> load_checkpoint_set_file(
-    const std::string& path) {
-  std::optional<std::string> payload =
-      read_frame_file(path, std::string_view(kSetMagic, sizeof kSetMagic));
-  if (!payload.has_value()) return std::nullopt;
-  std::istringstream in(std::move(*payload));
-  return read_checkpoint_set(in);
 }
 
 bool ensure_directory(const std::string& path) {

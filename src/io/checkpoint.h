@@ -74,25 +74,16 @@ void write_checkpoint(const ScanCheckpoint& checkpoint, std::ostream& out);
 /// or truncated/corrupt input.
 std::optional<ScanCheckpoint> read_checkpoint(std::istream& in);
 
-/// Writes a sharded scan's checkpoint set: a count followed by each shard's
-/// checkpoint, in shard order.
-void write_checkpoint_set(const std::vector<ScanCheckpoint>& checkpoints,
-                          std::ostream& out);
-
-/// Reads a checkpoint set written by write_checkpoint_set.
-std::optional<std::vector<ScanCheckpoint>> read_checkpoint_set(
-    std::istream& in);
-
 // --- atomic file publish (DESIGN.md §14.3) -----------------------------------
 //
 // A checkpoint written straight into its destination path can be torn by a
 // crash mid-write, poisoning --resume-from and daemon recovery.  The
-// atomic variants write the write_checkpoint / write_checkpoint_set bytes
-// as one io::RecordLog frame ("FRCK" / "FRCS" magic, CRC32C) to
-// `<path>.tmp`, then rename(2) it into place: readers only ever observe
-// the old complete file or the new complete file, never a prefix.  The
-// loaders verify that frame, so a file damaged on disk fails to load
-// instead of resuming from altered state.
+// atomic variant writes the write_checkpoint bytes as one io::RecordLog
+// frame ("FRCK" magic, CRC32C) to `<path>.tmp`, then rename(2)s it into
+// place: readers only ever observe the old complete file or the new
+// complete file, never a prefix.  The loader verifies that frame, so a
+// file damaged on disk fails to load instead of resuming from altered
+// state.
 //
 // `sync` adds an fdatasync before the rename.  Rename atomicity alone
 // already covers process death (the pages live in the kernel either way);
@@ -104,17 +95,8 @@ bool save_checkpoint_atomic(const std::string& path,
                             const ScanCheckpoint& checkpoint,
                             bool sync = true);
 
-/// Atomically publishes a checkpoint set to `path`; false on I/O error.
-bool save_checkpoint_set_atomic(const std::string& path,
-                                const std::vector<ScanCheckpoint>& checkpoints,
-                                bool sync = true);
-
 /// Loads one checkpoint from `path`; nullopt when absent or corrupt.
 std::optional<ScanCheckpoint> load_checkpoint_file(const std::string& path);
-
-/// Loads a checkpoint set from `path`; nullopt when absent or corrupt.
-std::optional<std::vector<ScanCheckpoint>> load_checkpoint_set_file(
-    const std::string& path);
 
 /// Creates `path` as a directory if absent; true when it exists after.
 bool ensure_directory(const std::string& path);

@@ -5,8 +5,8 @@
 //   magic(4)  u32 LE payload size  payload  u32 LE CRC32C(size, payload)
 //
 // with a per-file magic: "FRWJ" for the job journal, "FRSJ" for the job
-// archive, "FRCK"/"FRCS" for a checkpoint file and "FRSA" for a scan
-// archive file (each of the last three holds exactly one frame).  The CRC
+// archive, "FRCK" for a checkpoint file and "FRSA" for a scan archive file
+// (each of the last two holds exactly one frame).  The CRC
 // covers the size field too, so a flipped length is caught like a flipped
 // payload byte.
 //

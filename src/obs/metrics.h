@@ -146,9 +146,6 @@ class MetricsRegistry {
   bool frozen() const noexcept { return !blocks_.empty(); }
   int num_lanes() const noexcept { return num_lanes_; }
   std::size_t num_counters() const noexcept { return counter_names_.size(); }
-  std::size_t num_histograms() const noexcept {
-    return histogram_names_.size();
-  }
 
   /// The lane for shard `index` (0-based).  Requires freeze().
   MetricsLane lane(int index);

@@ -71,21 +71,17 @@ struct FaultParams {
   }
 };
 
-/// How the per-prefix topology state is represented (ISSUE 6).
+/// How the per-prefix topology state is represented.
 ///
 ///  * kMaterialized — the legacy generator: one Stub object (heap-allocated
 ///    path vector) per advertised block plus a full per-prefix map.  Rich,
 ///    but its memory grows linearly with the universe — prohibitive at 2^24.
-///  * kSuccinct — full-scale mode: a small fixed pool of shared path
+///  * kSuccinct — full-scale mode: a fixed pool of 256 shared path
 ///    templates plus a stateless hash derivation from (prefix, seeds); no
 ///    per-prefix state at all, so topology memory is O(pool), not O(2^24).
-///  * kSuccinctMaterialized — the same derivation expanded into per-prefix
-///    tables at construction; exists to prove the on-demand derivation
-///    resolves bit-identical routes (tests/sim_topology_equivalence_test).
 enum class TopologyMode {
   kMaterialized,
   kSuccinct,
-  kSuccinctMaterialized,
 };
 
 struct SimParams {
@@ -96,9 +92,6 @@ struct SimParams {
   /// legacy materialized generator — bit-identical to every earlier build;
   /// full-scale scans switch to kSuccinct.
   TopologyMode topology_mode = TopologyMode::kMaterialized;
-
-  /// log2 of the shared path-template pool used by the succinct modes.
-  int template_pool_bits = 8;
 
   /// The universe contains 2^prefix_bits /24 blocks starting at
   /// `first_prefix` (a /24 index, i.e. address >> 8).  The default models one

@@ -203,20 +203,13 @@ class SimScanRuntime final : public core::ScanRuntime {
 /// merged result invariant under the worker count.
 class SimShardRuntimeProvider final : public core::ShardRuntimeProvider {
  public:
-  /// `start_times` (optional, indexed by shard) starts each lane's virtual
-  /// clock at the given instant — required when resuming a sharded scan
-  /// from a checkpoint set, so rate pacing and the fault schedule continue
-  /// each shard's uninterrupted timeline.  Missing entries start at 0.
   SimShardRuntimeProvider(const Topology& topology,
-                          const core::ShardedTracerConfig& config,
-                          std::span<const util::Nanos> start_times = {}) {
+                          const core::ShardedTracerConfig& config) {
     const auto shards = core::ShardedTracer::plan(config);
     lanes_.reserve(shards.size());
     for (const core::ShardInfo& shard : shards) {
-      const auto i = static_cast<std::size_t>(shard.index);
-      lanes_.push_back(std::make_unique<Lane>(
-          topology, shard.probes_per_second,
-          i < start_times.size() ? start_times[i] : 0));
+      lanes_.push_back(
+          std::make_unique<Lane>(topology, shard.probes_per_second));
     }
   }
 
@@ -235,8 +228,8 @@ class SimShardRuntimeProvider final : public core::ShardRuntimeProvider {
 
  private:
   struct Lane {
-    Lane(const Topology& topology, double pps, util::Nanos start_time)
-        : network(topology), runtime(network, pps, start_time) {}
+    Lane(const Topology& topology, double pps)
+        : network(topology), runtime(network, pps) {}
 
     SimNetwork network;
     SimScanRuntime runtime;

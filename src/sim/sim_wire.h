@@ -110,7 +110,6 @@ class RealTimeSimWire final : public core::Wire {
             // Wire contract: oversize packets are dropped, not truncated.
             lane.pool.release(it->slot);
             lane.pending.erase(it);
-            ++oversize_dropped_;
             break;
           }
           std::memcpy(buffer.data(), lane.pool.buffer(it->slot).data(), size);
@@ -124,8 +123,6 @@ class RealTimeSimWire final : public core::Wire {
     } while (clock_.now() < deadline);
     return 0;
   }
-
-  std::uint64_t oversize_dropped() const noexcept { return oversize_dropped_; }
 
  private:
   struct Lane {
@@ -144,8 +141,7 @@ class RealTimeSimWire final : public core::Wire {
   std::uint32_t num_prefixes_;
   std::uint32_t lane_size_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::size_t cursor_ = 0;             // receiver thread only
-  std::uint64_t oversize_dropped_ = 0;  // receiver thread only
+  std::size_t cursor_ = 0;  // receiver thread only
 };
 
 }  // namespace flashroute::sim

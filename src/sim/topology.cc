@@ -32,6 +32,9 @@ enum SeedTag : std::uint64_t {
 
 constexpr std::uint8_t kApplianceOctet = 1;
 
+/// kSuccinct's fixed pool of shared path templates.
+constexpr std::uint32_t kTemplatePool = 256;
+
 }  // namespace
 
 Topology::Topology(const SimParams& params)
@@ -180,30 +183,20 @@ Topology::Topology(const SimParams& params)
     return stub;
   };
 
-  const std::uint32_t num_prefixes = params_.num_prefixes();
-
-  if (params_.topology_mode != TopologyMode::kMaterialized) {
-    // --- Succinct modes: a fixed pool of shared path templates -------------
+  if (params_.topology_mode == TopologyMode::kSuccinct) {
+    // --- kSuccinct: a fixed pool of shared path templates ------------------
     // Every per-prefix attribute (block carve, routed/dark, template
     // assignment, dark-tail shape) is derived on demand from the seeds —
-    // see derive_entry().  kSuccinctMaterialized additionally expands the
-    // derivation into per-prefix tables to prove bit-equality.
-    const int pool_bits = std::clamp(params_.template_pool_bits, 0, 16);
-    const std::uint32_t pool = std::uint32_t{1} << pool_bits;
-    stubs_.reserve(pool);
-    for (std::uint32_t i = 0; i < pool; ++i) {
+    // see derive_entry().
+    stubs_.reserve(kTemplatePool);
+    for (std::uint32_t i = 0; i < kTemplatePool; ++i) {
       stubs_.push_back(build_stub(rng));
-    }
-    if (params_.topology_mode == TopologyMode::kSuccinctMaterialized) {
-      materialized_entries_.resize(num_prefixes);
-      for (std::uint32_t offset = 0; offset < num_prefixes; ++offset) {
-        materialized_entries_[offset] = derive_entry(offset);
-      }
     }
     return;
   }
 
   // --- Carve the universe into advertised blocks -------------------------
+  const std::uint32_t num_prefixes = params_.num_prefixes();
   prefix_map_.assign(num_prefixes, kUnmapped);
 
   struct PendingBlock {
@@ -285,14 +278,6 @@ FR_HOT Topology::SuccinctEntry Topology::derive_entry(
   return entry;
 }
 
-FR_HOT Topology::SuccinctEntry Topology::entry_at(
-    std::uint32_t offset) const noexcept {
-  if (params_.topology_mode == TopologyMode::kSuccinctMaterialized) {
-    return materialized_entries_[offset];
-  }
-  return derive_entry(offset);
-}
-
 void Topology::apply_filtered_tail(const Stub& stub, util::Xoshiro256& rng) {
   // The last `tail` router hops before the segment appliances never answer:
   // spine hops first (nearest the appliance), then the gateway, then access
@@ -340,7 +325,7 @@ FR_HOT bool Topology::prefix_routed(std::uint32_t prefix_index) const noexcept {
   if (params_.topology_mode == TopologyMode::kMaterialized) {
     return prefix_map_[offset] >= 0;
   }
-  return entry_at(offset).routed;
+  return derive_entry(offset).routed;
 }
 
 FR_HOT std::uint32_t Topology::appliance_address(
@@ -363,7 +348,7 @@ FR_HOT int Topology::spine_length_keyed(int spine_base, std::uint64_t key_id,
 
 FR_HOT int Topology::spine_length(std::uint32_t stub_id,
                            std::int64_t epoch) const noexcept {
-  // Legacy dynamics key: the stub index itself.  Succinct modes key by the
+  // Legacy dynamics key: the stub index itself.  kSuccinct keys by the
   // block start instead (templates are shared) — see resolve().
   return spine_length_keyed(stubs_[stub_id].spine_base, stub_id, epoch);
 }
@@ -389,9 +374,9 @@ FR_HOT bool Topology::stub_is_responsive(std::uint32_t prefix_index) const noexc
                                static_cast<std::uint64_t>(entry),
                                params_.stub_responsive_prob);
   }
-  // Succinct modes: responsiveness belongs to the advertised block, not the
+  // kSuccinct: responsiveness belongs to the advertised block, not the
   // shared template, so key on the block start.
-  const SuccinctEntry e = entry_at(offset);
+  const SuccinctEntry e = derive_entry(offset);
   if (!e.routed) return false;
   return util::stable_chance(util::hash_combine(seed_host_, 0x636c7573),
                              static_cast<std::uint64_t>(e.block_key),
@@ -466,7 +451,7 @@ FR_HOT bool Topology::resolve(net::Ipv4Address destination, std::uint64_t flow,
 
   // Owner extraction: which path template serves this prefix, whether the
   // block is routed or dark, and the dynamics key.  kMaterialized reads the
-  // per-prefix tables (legacy, bit-identical); succinct modes derive the same
+  // per-prefix tables (legacy, bit-identical); kSuccinct derives the same
   // shape from (offset, seeds) with zero per-prefix storage.
   const Stub* stub_ptr;
   bool routed;
@@ -488,7 +473,7 @@ FR_HOT bool Topology::resolve(net::Ipv4Address destination, std::uint64_t flow,
       dyn_key = static_cast<std::uint64_t>(entry);
     }
   } else {
-    const SuccinctEntry e = entry_at(offset);
+    const SuccinctEntry e = derive_entry(offset);
     stub_ptr = &stubs_[e.stub];
     routed = e.routed;
     drop_back = e.drop_back;

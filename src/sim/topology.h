@@ -214,9 +214,8 @@ class Topology {
     bool loop = false;
   };
 
-  /// Per-prefix topology state of the succinct modes, derived statelessly
-  /// from (prefix offset, seeds) — never stored in kSuccinct, expanded into
-  /// `materialized_entries_` in kSuccinctMaterialized.
+  /// Per-prefix topology state of kSuccinct, derived statelessly from
+  /// (prefix offset, seeds) and never stored.
   struct SuccinctEntry {
     std::uint32_t block_key = 0;  ///< first offset of the advertised block
     std::uint32_t stub = 0;       ///< template index (routed) / provider (dark)
@@ -234,13 +233,11 @@ class Topology {
   /// block start, routed/dark draw, template assignment — all from the
   /// derived seeds, O(1) per prefix, no per-prefix storage.
   FR_HOT SuccinctEntry derive_entry(std::uint32_t offset) const noexcept;
-  /// Mode dispatch: materialized table lookup or on-demand derivation.
-  FR_HOT SuccinctEntry entry_at(std::uint32_t offset) const noexcept;
   FR_HOT int spine_length_keyed(int spine_base, std::uint64_t key_id,
                                 std::int64_t epoch) const noexcept;
   /// host_exists() for an address known to sit in a routed prefix whose
   /// dynamics key is already in hand (resolve() extracted it for the route
-  /// walk).  Skips the two entry_at() re-derivations the public query pays —
+  /// walk).  Skips the two derive_entry() calls the public query pays —
   /// the responsiveness and existence draws are identical, so the answer is
   /// bit-for-bit the same.
   FR_HOT bool host_exists_routed(net::Ipv4Address address,
@@ -252,12 +249,10 @@ class Topology {
   /// Per-prefix mapping (kMaterialized only): >= 0 stub index; <= -2 dark
   /// block index (-(v)-2); kUnmapped never occurs after construction.
   std::vector<std::int32_t> prefix_map_;
-  /// kMaterialized: one stub per advertised routed block.  Succinct modes:
-  /// the fixed template pool (2^template_pool_bits entries).
+  /// kMaterialized: one stub per advertised routed block.  kSuccinct: the
+  /// fixed pool of 256 shared path templates.
   std::vector<Stub> stubs_;
   std::vector<DarkBlock> dark_blocks_;
-  /// kSuccinctMaterialized only: derive_entry() expanded per prefix.
-  std::vector<SuccinctEntry> materialized_entries_;
   /// Interfaces silenced by a filtered stub tail (Fig 6's silent stretches):
   /// one bit per interface-pool offset, [interface_pool_base, next_pool_ip_).
   /// Exact, because only pool-allocated interfaces are ever silenced.
@@ -274,7 +269,7 @@ class Topology {
   std::uint64_t seed_loop_;
   std::uint64_t seed_hitlist_;
   std::uint64_t seed_internal_;
-  // Succinct-mode derivation seeds (unused by kMaterialized).
+  // kSuccinct derivation seeds (unused by kMaterialized).
   std::uint64_t seed_block_;
   std::uint64_t seed_routed_;
   std::uint64_t seed_assign_;

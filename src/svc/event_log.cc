@@ -1,44 +1,16 @@
 #include "svc/event_log.h"
 
-#include <cstdio>
-
+#include "obs/snapshot_exporter.h"
 #include "util/sync.h"
 
 namespace flashroute::svc {
 
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+namespace {
+
+// The one JSON string escaper, shared with the metrics stream.
+constexpr auto json_escape = &obs::SnapshotExporter::json_escape;
+
+}  // namespace
 
 JobEventLog::JobEventLog(std::ostream* out, NowFn now)
     : out_(out), now_(std::move(now)) {}

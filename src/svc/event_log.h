@@ -79,7 +79,4 @@ class JobEventLog {
       FR_GUARDED_BY(mutex_);
 };
 
-/// Escapes a string for embedding in a JSON double-quoted literal.
-std::string json_escape(const std::string& raw);
-
 }  // namespace flashroute::svc

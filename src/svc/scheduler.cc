@@ -11,14 +11,16 @@ namespace {
 // exactly the global budget must not founder on floating-point dust.
 constexpr double kBudgetEpsilon = 1e-6;
 
+/// Token-bucket capacity, in seconds of the job's (scaled) rate.
+constexpr double kBurstSeconds = 0.25;
+
 util::TokenBucket make_bucket(const JobSpec& spec,
                               const SchedulerConfig& config, util::Nanos now) {
   const double rate = spec.probes_per_second > 0.0 ? spec.probes_per_second
                                                    : 1.0;  // rejected anyway
   const double scaled =
       rate * (config.rate_multiplier > 0.0 ? config.rate_multiplier : 1.0);
-  const double burst =
-      scaled * (config.burst_seconds > 0.0 ? config.burst_seconds : 0.25);
+  const double burst = scaled * kBurstSeconds;
   return util::TokenBucket(scaled, burst < 1.0 ? 1.0 : burst, now);
 }
 
@@ -214,8 +216,6 @@ bool Scheduler::idle() const {
   }
   return true;
 }
-
-bool Scheduler::all_terminal() const { return idle(); }
 
 int Scheduler::queue_depth() const {
   int depth = 0;

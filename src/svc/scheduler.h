@@ -64,8 +64,6 @@ struct SchedulerConfig {
   int max_queued = 8;
   /// Wall-credit multiplier for the per-job token buckets (see above).
   double rate_multiplier = 0.0;
-  /// Bucket capacity, in seconds of the job's (scaled) rate.
-  double burst_seconds = 0.25;
   /// Fair-share hysteresis in probes: a running job yields to an
   /// equal-priority peer only when the peer lags by more than this.
   std::uint64_t fair_share_slack = 0;
@@ -156,12 +154,10 @@ class Scheduler {
   /// True when some waiting job could be dispatched right now.
   bool has_dispatchable(util::Nanos now);
 
-  /// True when no job is waiting or running.
+  /// True when every job has reached a terminal state: none is waiting
+  /// or running.
   bool idle() const;
-  /// True when every job has reached a terminal state.
-  bool all_terminal() const;
 
-  std::size_t job_count() const noexcept { return jobs_.size(); }
   int queue_depth() const;
   int running_count() const noexcept { return running_count_; }
   double running_pps() const noexcept { return running_pps_; }

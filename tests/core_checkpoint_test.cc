@@ -1,7 +1,7 @@
 // Tests for checkpoint/resume (io/checkpoint.h + core::Tracer resume):
 // FRCK round-trips, kill-at-checkpoint resume equivalence under an active
-// fault plane, config-digest validation, the sharded checkpoint-set
-// fan-out, and a barrier's allocations staying flat in the scan's result.
+// fault plane, config-digest validation, and a barrier's allocations
+// staying flat in the scan's result.
 //
 // The equivalence contract (DESIGN.md §9): a checkpointing scan quiesces at
 // every checkpoint barrier, so the reference for a killed-and-resumed scan
@@ -16,14 +16,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/sharded_tracer.h"
 #include "core/tracer.h"
 #include "sim/network.h"
 #include "sim/runtime.h"
@@ -140,46 +138,29 @@ TEST(Checkpoint, RejectsGarbage) {
   EXPECT_FALSE(io::read_checkpoint(stream).has_value());
 }
 
-TEST(Checkpoint, SetRoundTrips) {
-  std::vector<io::ScanCheckpoint> set(3);
-  set[0].virtual_now = 1;
-  set[1].virtual_now = 2;
-  set[1].next_backward = {9, 9};
-  set[2].result.probes_sent = 77;
-
-  std::stringstream stream;
-  io::write_checkpoint_set(set, stream);
-  const auto loaded = io::read_checkpoint_set(stream);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), 3u);
-  EXPECT_EQ((*loaded)[0].virtual_now, 1);
-  EXPECT_EQ((*loaded)[1].next_backward, (std::vector<std::uint8_t>{9, 9}));
-  EXPECT_EQ((*loaded)[2].result.probes_sent, 77u);
-}
-
-/// Flips every bit of the file at `path` in turn and counts the flipped
-/// files `load` still accepts; the pristine file must load.
-template <typename Load>
-int accepted_bit_flips(const std::string& path, Load load) {
+/// Flips every bit of the checkpoint file at `path` in turn and counts the
+/// flipped files the loader still accepts; the pristine file must load.
+int accepted_bit_flips(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   const std::string bytes((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
-  EXPECT_TRUE(load(path).has_value());
+  EXPECT_TRUE(io::load_checkpoint_file(path).has_value());
   int accepted = 0;
   for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
     std::string flipped = bytes;
     flipped[bit / 8] = static_cast<char>(
         static_cast<unsigned char>(flipped[bit / 8]) ^ (1u << (bit % 8)));
     std::ofstream(path, std::ios::binary | std::ios::trunc) << flipped;
-    if (load(path).has_value()) ++accepted;
+    if (io::load_checkpoint_file(path).has_value()) ++accepted;
   }
   std::remove(path.c_str());
   return accepted;
 }
 
 TEST(Checkpoint, SavedFilesRejectEverySingleBitFlip) {
-  const std::string base = "/tmp/fr_checkpoint_bitflip_" +
-                           std::to_string(static_cast<long>(::getpid()));
+  const std::string path = "/tmp/fr_checkpoint_bitflip_" +
+                           std::to_string(static_cast<long>(::getpid())) +
+                           ".frck";
   io::ScanCheckpoint cp;
   cp.header = {0x010000, 2, 42};
   cp.virtual_now = 123456789;
@@ -190,15 +171,8 @@ TEST(Checkpoint, SavedFilesRejectEverySingleBitFlip) {
   cp.result.interfaces = {10, 20};
   cp.result.destination_distance = {4, 0, 9, 0};
 
-  const std::string single = base + ".frck";
-  ASSERT_TRUE(io::save_checkpoint_atomic(single, cp, /*sync=*/false));
-  EXPECT_EQ(accepted_bit_flips(single, io::load_checkpoint_file), 0);
-
-  std::vector<io::ScanCheckpoint> set(2, cp);
-  set[1].virtual_now = 987654321;
-  const std::string sharded = base + ".frcs";
-  ASSERT_TRUE(io::save_checkpoint_set_atomic(sharded, set, /*sync=*/false));
-  EXPECT_EQ(accepted_bit_flips(sharded, io::load_checkpoint_set_file), 0);
+  ASSERT_TRUE(io::save_checkpoint_atomic(path, cp, /*sync=*/false));
+  EXPECT_EQ(accepted_bit_flips(path), 0);
 }
 
 TEST(Checkpoint, KillAndResumeReproducesTheUninterruptedScan) {
@@ -278,58 +252,6 @@ TEST(Checkpoint, DigestMismatchStartsFresh) {
   fresh.checkpoint_interval = 0;
   const ScanResult from_scratch = run_once(topology, fresh);
   expect_equal_results(resumed, from_scratch);
-}
-
-TEST(Checkpoint, ShardedCheckpointSetResumesEveryShard) {
-  sim::SimParams params = world_params();
-  params.prefix_bits = 9;
-  const sim::Topology topology(params);
-
-  ShardedTracerConfig config;
-  config.base = checkpointing_config(params);
-  config.shard_prefix_bits = config.base.prefix_bits - 2;  // 4 shards
-  const int num_shards = config.num_shards();
-
-  // Reference: all shards checkpoint and run to completion.
-  std::mutex mutex;
-  std::vector<io::ScanCheckpoint> latest(
-      static_cast<std::size_t>(num_shards));
-  config.checkpoint_sink = [&](std::size_t shard,
-                               const io::ScanCheckpoint& cp) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    latest[shard] = cp;
-    return true;
-  };
-  config.num_workers = 2;
-  ScanResult reference;
-  {
-    sim::SimShardRuntimeProvider provider(topology, config);
-    ShardedTracer tracer(config, provider);
-    reference = tracer.run();
-  }
-  std::size_t with_state = 0;
-  for (const auto& cp : latest) {
-    if (!cp.next_backward.empty()) ++with_state;
-  }
-  ASSERT_GT(with_state, 0u);
-
-  // Resume every shard from its captured last checkpoint; shards that never
-  // checkpointed (empty per-DCB state) restart from scratch.  The merged
-  // result must match the uninterrupted run.
-  ShardedTracerConfig resumed = config;
-  resumed.checkpoint_sink = nullptr;
-  resumed.base.checkpoint_sink = nullptr;
-  std::vector<util::Nanos> start_times;
-  for (const auto& cp : latest) {
-    start_times.push_back(cp.next_backward.empty() ? 0 : cp.virtual_now);
-  }
-  ScanResult rerun;
-  {
-    sim::SimShardRuntimeProvider provider(topology, resumed, start_times);
-    ShardedTracer tracer(resumed, provider);
-    rerun = tracer.run(std::move(latest));
-  }
-  expect_equal_results(rerun, reference);
 }
 
 // A barrier lends the scan's result to its checkpoint instead of copying

@@ -154,6 +154,22 @@ TEST(ShardedTracer, ResultInvariantUnderWorkerCount) {
   expect_identical(one, four);
 }
 
+// A sharded scan does not checkpoint.  A sink set on the base config would
+// otherwise run on several workers at once, with no shard tag.
+TEST(ShardedTracer, BaseCheckpointSinkIsNeverCalled) {
+  const sim::Topology topology(test_params());
+  ShardedTracerConfig config = test_config(topology.params(), 2);
+  config.base.checkpoint_interval = util::kMillisecond;
+  std::atomic<int> calls{0};
+  config.base.checkpoint_sink = [&calls](io::ScanCheckpoint&) {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  };
+  const ScanResult result = run_sharded(topology, config);
+  EXPECT_GT(result.probes_sent, 0u);
+  EXPECT_EQ(calls.load(), 0);
+}
+
 TEST(ShardedTracer, MatchesUnshardedScanTopologyClosely) {
   // Sharding changes probe order and splits the Doubletree stop sets, so the
   // scans are not identical — but they probe the same targets and must

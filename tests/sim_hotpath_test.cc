@@ -181,9 +181,6 @@ TEST(HotpathGolden, ResponsesMatchRecordedDigests) {
             "b917e299cfa986c3");
   EXPECT_EQ(hex(response_digest(sim::TopologyMode::kSuccinct, false)),
             "59d210105d2a11d0");
-  EXPECT_EQ(
-      hex(response_digest(sim::TopologyMode::kSuccinctMaterialized, false)),
-      "59d210105d2a11d0");
   EXPECT_EQ(hex(response_digest(sim::TopologyMode::kMaterialized, true)),
             "b30deb7eb5c89b44");
 }

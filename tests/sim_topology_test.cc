@@ -356,7 +356,9 @@ TEST(Topology, HopAtExtendsIntoLoops) {
 // common enough that every kind of route occurs.  The digests were
 // recorded from the resolver that wrote every hop of a route into a
 // 64-slot array; the descriptor that computes one hop per query must
-// reproduce them in all three topology modes.
+// reproduce them in both topology modes.  The kSuccinct digest equals the
+// one once recorded from the same derivation expanded into per-prefix
+// tables, so it is the oracle for the on-demand derivation.
 std::uint64_t route_digest(TopologyMode mode) {
   SimParams params;
   params.prefix_bits = 12;
@@ -413,8 +415,20 @@ std::uint64_t route_digest(TopologyMode mode) {
 TEST(Topology, RouteGoldenDigest) {
   EXPECT_EQ(route_digest(TopologyMode::kMaterialized), 0xa3104f64afbf598aull);
   EXPECT_EQ(route_digest(TopologyMode::kSuccinct), 0xd24b8604ca7c9dd7ull);
-  EXPECT_EQ(route_digest(TopologyMode::kSuccinctMaterialized),
-            0xd24b8604ca7c9dd7ull);
+}
+
+TEST(Topology, SuccinctStoresNoPerPrefixState) {
+  // The template pool is fixed, independent of universe size — the
+  // property that caps full-scale memory.
+  SimParams params;
+  params.topology_mode = TopologyMode::kSuccinct;
+  params.seed = 3;
+  params.prefix_bits = 10;
+  const Topology small(params);
+  params.prefix_bits = 16;
+  const Topology large(params);
+  EXPECT_EQ(small.num_stubs(), large.num_stubs());
+  EXPECT_EQ(small.num_stubs(), 256u);
 }
 
 TEST(Topology, InterfaceResponsivenessIsPersistent) {

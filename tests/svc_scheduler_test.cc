@@ -215,7 +215,7 @@ TEST(SvcDispatch, PriorityBeforeFairShareBeforeId) {
   EXPECT_EQ(order.front(), high_id);  // priority wins over id order
   EXPECT_EQ(service.scheduler.view(low1)->state, JobState::kCompleted);
   EXPECT_EQ(service.scheduler.view(low2)->state, JobState::kCompleted);
-  EXPECT_TRUE(service.scheduler.all_terminal());
+  EXPECT_TRUE(service.scheduler.idle());
 }
 
 TEST(SvcDispatch, FairShareAlternatesAtBarriers) {
@@ -304,7 +304,7 @@ TEST(SvcCancel, OutcomesFollowJobState) {
             BarrierDecision::kCancel);
   scheduler.release_cancelled(running.job_id);
   EXPECT_EQ(scheduler.view(running.job_id)->state, JobState::kCancelled);
-  EXPECT_TRUE(scheduler.all_terminal());
+  EXPECT_TRUE(scheduler.idle());
 }
 
 TEST(SvcDrain, RunningJobsPreemptAndNothingDispatches) {
@@ -319,10 +319,10 @@ TEST(SvcDrain, RunningJobsPreemptAndNothingDispatches) {
   scheduler.release_preempted(job.job_id, checkpoint);
   EXPECT_EQ(scheduler.view(job.job_id)->state, JobState::kPreempted);
   EXPECT_FALSE(scheduler.acquire(0).has_value());
-  EXPECT_FALSE(scheduler.all_terminal());
+  EXPECT_FALSE(scheduler.idle());
   // The daemon's shutdown reap cancels what drain stranded.
   EXPECT_EQ(scheduler.cancel(job.job_id), CancelOutcome::kCancelled);
-  EXPECT_TRUE(scheduler.all_terminal());
+  EXPECT_TRUE(scheduler.idle());
 }
 
 // The tentpole determinism gate, scheduler edition: a job preempted by a
