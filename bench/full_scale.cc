@@ -11,8 +11,12 @@
 // stage hard-fails when peak RSS exceeds the configured ceiling.
 //
 // Results land in BENCH_full_scale.json next to the paper's reference
-// numbers.  CI runs a scaled-down smoke (FR_FULL_BITS=20) against the
-// committed budget; the full 2^24 run is the local acceptance gate.
+// numbers, with the bytes of the largest structures: the DCB array
+// (dcb_array_mib), and the interface set and the simulator's rate-limit
+// table as the FR_FULL_BITS scan left them (interface_set_mib,
+// rate_limit_table_mib; 0 with FR_FULL_SCAN=0).  CI runs a scaled-down
+// smoke (FR_FULL_BITS=20) against the committed budget; the full 2^24 run
+// is the local acceptance gate.
 //
 // Environment overrides:
 //   FR_BASE_BITS     baseline universe exponent            (default 16)
@@ -106,6 +110,10 @@ struct ScanStage {
   std::uint64_t probes = 0;
   double wall_seconds = 0.0;
   std::uint64_t interfaces = 0;
+  /// The two structures that grow with discovered responders rather than
+  /// with prefixes, as the scan left them (real_scan only).
+  std::size_t interface_set_bytes = 0;
+  std::size_t rate_limit_table_bytes = 0;
 
   double pps() const {
     return static_cast<double>(probes) / wall_seconds;
@@ -144,6 +152,8 @@ ScanStage real_scan(const sim::Topology& topology) {
   stage.probes = result.probes_sent;
   stage.wall_seconds = static_cast<double>(elapsed) / util::kSecond;
   stage.interfaces = result.interfaces.size();
+  stage.interface_set_bytes = result.interfaces.memory_bytes();
+  stage.rate_limit_table_bytes = network.rate_limit_table_bytes();
   return stage;
 }
 
@@ -196,15 +206,22 @@ StageReport run_stage(int bits, std::uint64_t seed,
   return report;
 }
 
+double mib(std::size_t bytes) {
+  return static_cast<double>(bytes) / (1024.0 * 1024.0);
+}
+
 void print_stage(const StageReport& report) {
   std::printf("2^%-2d prefixes: pipeline %11.0f probes/s, peak RSS %7.1f MiB",
               report.bits, report.pipeline,
               static_cast<double>(report.rss_kb) / 1024.0);
   if (report.scanned) {
-    std::printf(", scan %.0f probes/s (%llu probes, %llu interfaces)",
+    std::printf(", scan %.0f probes/s (%llu probes, %llu interfaces; "
+                "interface set %.1f MiB, rate-limit table %.1f MiB)",
                 report.scan.pps(),
                 static_cast<unsigned long long>(report.scan.probes),
-                static_cast<unsigned long long>(report.scan.interfaces));
+                static_cast<unsigned long long>(report.scan.interfaces),
+                mib(report.scan.interface_set_bytes),
+                mib(report.scan.rate_limit_table_bytes));
   }
   std::printf("\n");
 }
@@ -276,9 +293,7 @@ int main() {
   const std::uint64_t final_rss_kb = bench::peak_rss_kb();
   std::printf("\nDCB array at 2^%d: %.1f MiB (%zu B/slot), ring of %u; "
               "final peak RSS %.1f MiB\n",
-              full_bits,
-              static_cast<double>(array.memory_bytes()) / (1024.0 * 1024.0),
-              sizeof(core::Dcb), ring,
+              full_bits, mib(array.memory_bytes()), sizeof(core::Dcb), ring,
               static_cast<double>(final_rss_kb) / 1024.0);
 
   const double mid_vs_base = mid.pipeline / base.pipeline;
@@ -321,6 +336,8 @@ int main() {
       "  \"sharded_pps_floor\": %.1f,\n"
       "  \"dcb_bytes_per_slot\": %zu,\n"
       "  \"dcb_array_mib\": %.1f,\n"
+      "  \"interface_set_mib\": %.1f,\n"
+      "  \"rate_limit_table_mib\": %.1f,\n"
       "  \"peak_rss_kb\": %llu,\n"
       "  \"rss_limit_mb\": %d,\n"
       "  \"paper_sec34_mb\": 900,\n"
@@ -338,7 +355,8 @@ int main() {
       static_cast<unsigned long long>(with_sharded ? sharded.probes : 0),
       workers,
       scan_pps_floor, sharded_pps_floor, sizeof(core::Dcb),
-      static_cast<double>(array.memory_bytes()) / (1024.0 * 1024.0),
+      mib(array.memory_bytes()), mib(full.scan.interface_set_bytes),
+      mib(full.scan.rate_limit_table_bytes),
       static_cast<unsigned long long>(final_rss_kb), rss_limit_mb,
       rss_ok ? "true" : "false");
   std::fclose(out);

@@ -4,10 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "util/clock.h"
+#include "util/flat_table.h"
 
 namespace flashroute::core {
 
@@ -38,8 +38,9 @@ struct ProbeLogEntry {
 
 struct ScanResult {
   /// Unique responder addresses (router interfaces and responding targets) —
-  /// the "Interfaces" column of Tables 1-3.
-  std::unordered_set<std::uint32_t> interfaces;
+  /// the "Interfaces" column of Tables 1-3, and the Doubletree stop set.
+  /// Iteration order is unspecified; every writer of a file or digest sorts.
+  util::FlatSet interfaces;
 
   /// routes[prefix_offset]: hops recorded for that /24's target, unordered
   /// by TTL (responses arrive out of order).  Empty when collection is off.

@@ -23,10 +23,8 @@ SimNetwork::SimNetwork(const Topology& topology, const FaultParams& faults)
 }
 
 FR_HOT bool SimNetwork::admit_response(std::uint32_t responder_ip, util::Nanos t) {
-  RateLimitTable::Entry& limiter = rate_limiters_.entry(responder_ip, t);
-  if (limiter.bucket.try_consume(t)) return true;
+  if (rate_limiters_.admit(responder_ip, t)) return true;
   ++stats_.rate_limited;
-  ++limiter.drops;
   return false;
 }
 

@@ -133,6 +133,11 @@ class SimNetwork {
     return rate_limiters_.drops();
   }
 
+  /// Bytes of the rate-limit table (RateLimitTable::memory_bytes).
+  std::size_t rate_limit_table_bytes() const noexcept {
+    return rate_limiters_.memory_bytes();
+  }
+
   const Topology& topology() const noexcept { return topology_; }
 
   /// The fault-injection plane, or nullptr when every fault knob is zero

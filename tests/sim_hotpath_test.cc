@@ -12,9 +12,11 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/probe_codec.h"
@@ -24,6 +26,8 @@
 #include "sim/rate_limit_table.h"
 #include "sim/runtime.h"
 #include "sim/topology.h"
+#include "util/rng.h"
+#include "util/token_bucket.h"
 
 // --- Thread-local allocation counting for the zero-allocation test ---------
 //
@@ -216,6 +220,10 @@ TEST(HotpathPool, BuffersAreStableAcrossGrowthAndRecycled) {
 
 // --- Flat rate-limit table --------------------------------------------------
 
+// An entry is 24 bytes: address, drops, and the bucket's level; the rate
+// and burst are held once per table.
+static_assert(sizeof(sim::RateLimitTable::Entry) <= 24);
+
 TEST(HotpathRateLimit, DenseAndSparseEntriesShareBucketSemantics) {
   // 4-token bucket: exactly 4 admits at t=0, refill after one second.
   const std::uint32_t pool_base = 0xC8000000;
@@ -224,13 +232,11 @@ TEST(HotpathRateLimit, DenseAndSparseEntriesShareBucketSemantics) {
   const std::uint32_t dense_ip = pool_base + 3;       // inside the pool range
   const std::uint32_t sparse_ip = 0x01020304;          // stub-interior address
   for (const std::uint32_t ip : {dense_ip, sparse_ip}) {
-    auto& entry = table.entry(ip, 0);
     for (int i = 0; i < 4; ++i) {
-      EXPECT_TRUE(entry.bucket.try_consume(0)) << "admit " << i;
+      EXPECT_TRUE(table.admit(ip, 0)) << "admit " << i;
     }
-    EXPECT_FALSE(entry.bucket.try_consume(0));
-    ++entry.drops;
-    EXPECT_TRUE(entry.bucket.try_consume(util::kSecond));
+    EXPECT_FALSE(table.admit(ip, 0));  // counts the drop
+    EXPECT_TRUE(table.admit(ip, util::kSecond));
   }
   const auto drops = table.drops();
   ASSERT_EQ(drops.size(), 2u);
@@ -251,6 +257,74 @@ TEST(HotpathRateLimit, SparseTableSurvivesRehash) {
     EXPECT_EQ(table.entry(0x0A000000 + i * 977, 0).drops, i);
   }
   EXPECT_EQ(table.drops().size(), kEntries - 1);  // entry 0 has drops == 0
+}
+
+TEST(HotpathRateLimit, EntriesReplayTokenBucketDecisionForDecision) {
+  // Reference: one util::TokenBucket per responder, created full at its
+  // first response, as the seed simulator kept them.  Every admit of the
+  // table, dense or sparse, must decide as that bucket does, while new
+  // sparse responders keep arriving and the sparse table doubles.
+  constexpr double kRate = 500.0;
+  constexpr double kBurst = 3.0;
+  const std::uint32_t pool_base = 0xC8000000;
+  constexpr std::uint32_t kPoolSize = 8;
+  sim::RateLimitTable table(kRate, kBurst, pool_base, kPoolSize);
+  std::unordered_map<std::uint32_t, util::TokenBucket> reference;
+  std::unordered_map<std::uint32_t, std::uint64_t> refused;
+
+  util::Xoshiro256 rng(27);
+  util::Nanos t = 0;
+  std::uint64_t admitted = 0;
+  constexpr int kResponses = 200'000;
+  for (int i = 0; i < kResponses; ++i) {
+    // Every fourth response or so shares its predecessor's time.  About
+    // 15,000 responses a second overload the dense and the hot sparse
+    // responders, whose buckets then hold fractional levels.
+    if (rng.bounded(4) != 0) {
+      t += static_cast<util::Nanos>(rng.bounded(180 * util::kMicrosecond));
+    }
+    std::uint32_t ip = 0;
+    switch (rng.bounded(3)) {
+      case 0:
+        ip = pool_base + static_cast<std::uint32_t>(rng.bounded(kPoolSize));
+        break;
+      case 1:  // a few hot sparse responders, 0.0.0.0 among them
+        ip = 0x01020300 + static_cast<std::uint32_t>(rng.bounded(4));
+        if (ip == 0x01020300) ip = 0;
+        break;
+      default:  // ever more sparse responders
+        ip = 0x0A000000 +
+             977 * static_cast<std::uint32_t>(
+                       rng.bounded(static_cast<std::uint64_t>(i / 16 + 1)));
+    }
+    auto& bucket = reference.try_emplace(ip, kRate, kBurst, t).first->second;
+    const bool expected = bucket.try_consume(t);
+    ASSERT_EQ(table.admit(ip, t), expected) << "response " << i;
+    if (expected) {
+      ++admitted;
+    } else {
+      ++refused[ip];
+    }
+  }
+  EXPECT_GT(admitted, 0u);
+  EXPECT_TRUE(refused.contains(pool_base));
+  EXPECT_TRUE(refused.contains(0x01020301));
+  EXPECT_TRUE(refused.contains(0));
+  EXPECT_GT(reference.size(), 4000u);  // several sparse doublings
+  EXPECT_EQ(table.drops(), refused);
+}
+
+TEST(HotpathRateLimit, DropCountSaturates) {
+  sim::RateLimitTable table(/*rate=*/1.0, /*burst=*/1.0, 0xC8000000,
+                            /*pool_size=*/4);
+  for (const std::uint32_t ip : {0xC8000001u, 0x01020304u}) {
+    EXPECT_TRUE(table.admit(ip, 0));
+    table.entry(ip, 0).drops = std::numeric_limits<std::uint32_t>::max() - 1;
+    EXPECT_FALSE(table.admit(ip, 0));
+    EXPECT_FALSE(table.admit(ip, 0));
+    EXPECT_EQ(table.entry(ip, 0).drops,
+              std::numeric_limits<std::uint32_t>::max());
+  }
 }
 
 // --- Zero allocations in steady state ---------------------------------------
