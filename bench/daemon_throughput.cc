@@ -1,8 +1,9 @@
 // Daemon throughput / admission / preemption gates (DESIGN.md §12).
 //
-// Boots real in-process frd daemons (AF_UNIX socket, worker pool, archive)
-// and drives them through svc::Client exactly as frctl would, measuring the
-// three service-level guarantees this PR promises:
+// Boots real in-process frd daemons (AF_UNIX socket, worker pool, archive,
+// write-ahead journal at durability flush) and drives them through
+// svc::Client exactly as frctl would, gating three service-level
+// guarantees:
 //
 //  A. Throughput — N identical sim jobs pushed through one worker (serial)
 //     and through the multi-worker pool (concurrent).  The gate is that
@@ -21,11 +22,6 @@
 //     resumed must leave a byte-identical archive payload (size + FNV-1a)
 //     to the same spec run on an uncontended daemon.  This is the PR 5
 //     checkpoint-equivalence contract surfaced at the service layer.
-//
-//  D. Journaling overhead — the concurrent workload rerun with the
-//     write-ahead journal enabled (durability none, crash points
-//     disarmed) must keep >= 80% of the serial aggregate: crash safety
-//     that is not being exercised must be close to free (DESIGN.md §14).
 //
 // Writes BENCH_daemon.json; exits non-zero when any gate fails.
 //
@@ -60,34 +56,30 @@ std::string unique_path(const char* stem, int nonce) {
          std::to_string(nonce);
 }
 
-/// One in-process daemon plus the paths it owns; the archive file is
-/// removed on destruction (the socket unlinks itself).
+/// One in-process daemon plus the paths it owns; the archive, journal and
+/// state dir are removed on destruction (the socket unlinks itself).
 struct TestDaemon {
   std::string socket_path;
   std::string archive_path;
-  std::string journal_path;  // empty = journaling off
+  std::string journal_path;
   std::string state_dir;
   std::ostringstream events;
   std::unique_ptr<svc::Daemon> daemon;
 
-  static std::unique_ptr<TestDaemon> boot(
-      int nonce, int workers, double budget, int max_queued,
-      bool journaled = false,
-      svc::Durability durability = svc::Durability::kNone) {
+  static std::unique_ptr<TestDaemon> boot(int nonce, int workers,
+                                          double budget, int max_queued) {
     auto td = std::make_unique<TestDaemon>();
     td->socket_path = unique_path("frd_bench", nonce);
     td->archive_path = unique_path("frd_bench_archive", nonce);
+    td->journal_path = unique_path("frd_bench_journal", nonce);
+    td->state_dir = unique_path("frd_bench_state", nonce);
     svc::DaemonOptions options;
     options.socket_path = td->socket_path;
     options.archive_path = td->archive_path;
+    options.journal_path = td->journal_path;
+    options.state_dir = td->state_dir;
+    options.durability = svc::Durability::kFlush;
     options.events = &td->events;
-    if (journaled) {
-      td->journal_path = unique_path("frd_bench_journal", nonce);
-      td->state_dir = unique_path("frd_bench_state", nonce);
-      options.journal_path = td->journal_path;
-      options.state_dir = td->state_dir;
-      options.durability = durability;
-    }
     options.scheduler.num_workers = workers;
     options.scheduler.global_pps_budget = budget;
     options.scheduler.max_queued = max_queued;
@@ -106,14 +98,11 @@ struct TestDaemon {
   ~TestDaemon() {
     stop();
     std::remove(archive_path.c_str());
-    if (!journal_path.empty()) {
-      std::remove(journal_path.c_str());
-      for (int id = 1; id <= 128; ++id) {
-        std::remove(
-            (state_dir + "/job_" + std::to_string(id) + ".frck").c_str());
-      }
-      ::rmdir(state_dir.c_str());
+    std::remove(journal_path.c_str());
+    for (int id = 1; id <= 128; ++id) {
+      std::remove((state_dir + "/job_" + std::to_string(id) + ".frck").c_str());
     }
+    ::rmdir(state_dir.c_str());
   }
 };
 
@@ -140,8 +129,8 @@ struct ThroughputRun {
 /// Pushes `jobs` identical scans through a fresh daemon and measures the
 /// wall time from first submit to last completion.
 bool run_throughput(int nonce, int workers, int jobs, int bits,
-                    ThroughputRun* out, bool journaled = false) {
-  auto daemon = TestDaemon::boot(nonce, workers, 1e6, jobs + 1, journaled);
+                    ThroughputRun* out) {
+  auto daemon = TestDaemon::boot(nonce, workers, 1e6, jobs + 1);
   if (!daemon) return false;
   auto client = svc::Client::connect(daemon->socket_path);
   if (!client) return false;
@@ -174,9 +163,9 @@ bool run_throughput(int nonce, int workers, int jobs, int bits,
 /// ratio gates from tripping on a hiccup in either numerator or
 /// denominator.
 bool keep_best(int nonce, int workers, int jobs, int bits, ThroughputRun* best,
-               bool prior_ok, bool journaled = false) {
+               bool prior_ok) {
   ThroughputRun run;
-  if (!run_throughput(nonce, workers, jobs, bits, &run, journaled)) {
+  if (!run_throughput(nonce, workers, jobs, bits, &run)) {
     return prior_ok;
   }
   if (!prior_ok || run.pps() > best->pps()) *best = run;
@@ -361,22 +350,18 @@ int main() {
 
   std::printf("=== daemon: throughput / admission / preemption gates ===\n");
 
-  // Stages A and D interleave their reps round-robin (serial, concurrent,
-  // journaled, repeat) so a time-correlated slowdown — page-cache
-  // pressure, a neighbour stealing the core — lands on every stage
-  // instead of biasing whichever ran last; each stage keeps its best rep.
+  // Stage A interleaves its reps round-robin (serial, concurrent, repeat)
+  // so a time-correlated slowdown — page-cache pressure, a neighbour
+  // stealing the core — lands on both runs instead of biasing whichever
+  // ran last; each run keeps its best rep.
   ThroughputRun serial;
   ThroughputRun concurrent;
-  ThroughputRun journaled;
   bool serial_ok = false;
   bool concurrent_ok = false;
-  bool journaled_ok = false;
   for (int rep = 0; rep < 3; ++rep) {
     serial_ok = keep_best(100 + rep, 1, jobs, bits, &serial, serial_ok);
     concurrent_ok =
         keep_best(200 + rep, workers, jobs, bits, &concurrent, concurrent_ok);
-    journaled_ok = keep_best(300 + rep, workers, jobs, bits, &journaled,
-                             journaled_ok, /*journaled=*/true);
   }
   const double ratio =
       serial.pps() > 0.0 ? concurrent.pps() / serial.pps() : 0.0;
@@ -391,19 +376,6 @@ int main() {
       concurrent.wall_seconds,
       static_cast<unsigned long long>(concurrent.probes), concurrent.pps(),
       ratio, gate_throughput ? "PASS" : "FAIL");
-
-  // D. Journaling overhead — the same concurrent workload with the
-  // write-ahead journal on (durability none, crash points disarmed): the
-  // crash-safety plumbing must cost little when it is not being exercised.
-  const double journaled_ratio =
-      serial.pps() > 0.0 ? journaled.pps() / serial.pps() : 0.0;
-  const bool gate_journaled = journaled_ok && journaled_ratio >= 0.80;
-  std::printf(
-      "  journaled  workers=%d  wall=%.3fs  probes=%llu  pps=%.0f\n"
-      "  journaled/serial = %.2f (gate >= 0.80): %s\n",
-      workers, journaled.wall_seconds,
-      static_cast<unsigned long long>(journaled.probes), journaled.pps(),
-      journaled_ratio, gate_journaled ? "PASS" : "FAIL");
 
   const AdmissionResult admission = run_admission(10);
   std::printf(
@@ -441,24 +413,19 @@ int main() {
       "  \"concurrent\": {\"workers\": %d, \"wall_seconds\": %.4f, "
       "\"probes\": %llu, \"pps\": %.1f},\n"
       "  \"concurrent_over_serial\": %.4f,\n"
-      "  \"journaled\": {\"workers\": %d, \"wall_seconds\": %.4f, "
-      "\"probes\": %llu, \"pps\": %.1f},\n"
-      "  \"journaled_over_serial\": %.4f,\n"
       "  \"admission\": {\"bad_spec\": \"%s\", \"over_budget\": \"%s\", "
       "\"queue_full\": \"%s\"},\n"
       "  \"preemption\": {\"attempts\": %d, \"slices\": %llu, "
       "\"contended_size\": %llu, \"contended_fnv1a\": %llu, "
       "\"solo_size\": %llu, \"solo_fnv1a\": %llu},\n"
-      "  \"gates\": {\"throughput\": %s, \"journaled\": %s, "
-      "\"admission\": %s, \"preemption\": %s}\n"
+      "  \"gates\": {\"throughput\": %s, \"admission\": %s, "
+      "\"preemption\": %s}\n"
       "}\n",
       jobs, bits, serial.wall_seconds,
       static_cast<unsigned long long>(serial.probes), serial.pps(), workers,
       concurrent.wall_seconds,
       static_cast<unsigned long long>(concurrent.probes), concurrent.pps(),
-      ratio, workers, journaled.wall_seconds,
-      static_cast<unsigned long long>(journaled.probes), journaled.pps(),
-      journaled_ratio, admission.bad_spec_reason.c_str(),
+      ratio, admission.bad_spec_reason.c_str(),
       admission.over_budget_reason.c_str(),
       admission.queue_full_reason.c_str(), preemption.attempts,
       static_cast<unsigned long long>(preemption.slices),
@@ -466,12 +433,10 @@ int main() {
       static_cast<unsigned long long>(preemption.contended_fnv),
       static_cast<unsigned long long>(preemption.solo_size),
       static_cast<unsigned long long>(preemption.solo_fnv),
-      gate_throughput ? "true" : "false", gate_journaled ? "true" : "false",
-      admission.ok ? "true" : "false", preemption.ok ? "true" : "false");
+      gate_throughput ? "true" : "false", admission.ok ? "true" : "false",
+      preemption.ok ? "true" : "false");
   std::fclose(out);
   std::printf("wrote %s\n", path);
 
-  return (gate_throughput && gate_journaled && admission.ok && preemption.ok)
-             ? 0
-             : 1;
+  return (gate_throughput && admission.ok && preemption.ok) ? 0 : 1;
 }

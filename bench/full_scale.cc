@@ -4,11 +4,11 @@
 // reports ~900 MB of control state for the DCB array plus bookkeeping
 // (§3.4).  This bench proves the reproduction reaches the same scale on one
 // machine: the succinct topology mode (sim/topology.h) derives the world
-// on demand instead of materializing per-prefix tables, the packed 11-byte
-// DCB (core/dcb.h) undercuts the paper's mutex-based DCB by an order of
-// magnitude, and the trie-backed exclusion pass marks skipped prefixes in
-// one DFS.  Stages run smallest-first because VmHWM is monotone; the final
-// stage hard-fails when peak RSS exceeds the configured ceiling.
+// on demand instead of materializing per-prefix tables, and the packed
+// 11-byte DCB (core/dcb.h) undercuts the paper's mutex-based DCB by an
+// order of magnitude.  No stage sets an exclusion list.  Stages run
+// smallest-first because VmHWM is monotone; the final stage hard-fails
+// when peak RSS exceeds the configured ceiling.
 //
 // Results land in BENCH_full_scale.json next to the paper's reference
 // numbers, with the bytes of the largest structures: the DCB array
@@ -132,10 +132,10 @@ core::TracerConfig scan_config(const sim::Topology& topology) {
   return config;
 }
 
-/// A real end-to-end scan: DCB ring, Doubletree sets, exclusion bitmap —
-/// everything the engine allocates at scale, with route collection off so
-/// the control state dominates (the paper's configuration).  Runs the
-/// batched pipeline (the default).
+/// A real end-to-end scan: DCB ring and Doubletree sets — everything the
+/// engine allocates at scale, with route collection off so the control
+/// state dominates (the paper's configuration).  Runs the batched pipeline
+/// (the default).
 ScanStage real_scan(const sim::Topology& topology) {
   const core::TracerConfig config = scan_config(topology);
 

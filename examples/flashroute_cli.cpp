@@ -474,13 +474,15 @@ int main(int argc, char** argv) {
   core::ExclusionList exclusions;
   if (!options->exclusion_file.empty()) {
     std::ifstream in(options->exclusion_file);
-    if (!in || !exclusions.load(in)) {
+    const std::optional<std::size_t> entries =
+        in ? exclusions.load(in) : std::nullopt;
+    if (!entries.has_value()) {
       std::fprintf(stderr, "bad exclusion list: %s\n",
                    options->exclusion_file.c_str());
       return 2;
     }
     config.exclusions = &exclusions;
-    std::printf("loaded %zu exclusion ranges\n", exclusions.size());
+    std::printf("loaded %zu exclusion ranges\n", *entries);
   }
 
   std::vector<std::uint32_t> file_targets;

@@ -3,19 +3,21 @@
 // Listens on an AF_UNIX socket for frctl clients, multiplexes their scan
 // jobs onto a shared worker pool under a global probes-per-second budget,
 // streams finished snapshots into a multi-job scan archive, and answers
-// archive-backed diff queries.  Stop it with `frctl shutdown` — the daemon
-// drains (rejecting new work, preempting running jobs at their next
-// checkpoint barrier), cancels whatever never finished, and writes the
-// job_summary line.  A daemon killed outright instead leaves an archive the
-// next start recovers by truncating the torn tail.
+// archive-backed diff queries.
 //
-// With --journal= and --state-dir= the daemon is crash-safe: every
-// admission and lifecycle transition is journaled before it becomes
-// visible, barrier checkpoints are published atomically, and a restart on
-// the same paths re-admits queued jobs, resumes interrupted ones from
-// their last barrier, and deduplicates retried submits by request key.
-// SIGTERM/SIGINT trigger the same graceful drain as `frctl shutdown`
-// (bounded by --drain-deadline-ms); kill -9 is recovered at next boot.
+// The daemon is crash-safe: every admission and lifecycle transition is
+// journaled (--journal, default frd_journal.bin) before it becomes
+// visible, and barrier checkpoints are published atomically under
+// --state-dir (default frd_state).  Every boot replays the journal: it
+// re-admits queued jobs, resumes interrupted ones from their last barrier,
+// deduplicates retried submits by request key, and numbers new jobs past
+// every id the journal or the archive already holds.
+//
+// Stop it with `frctl shutdown` or SIGTERM/SIGINT: the daemon drains
+// (rejecting new work, preempting running jobs at their next checkpoint
+// barrier, bounded by --drain-deadline-ms), keeps waiting jobs in the
+// journal for the next boot, and writes the job_summary line.  kill -9 is
+// recovered at the next boot.
 //
 // Examples:
 //   frd --socket=/tmp/frd.sock --archive=/tmp/frd.bin --workers=2
@@ -42,8 +44,8 @@ struct FrdOptions {
   std::string socket_path = "/tmp/frd.sock";
   std::string archive_path = "frd_archive.bin";
   std::string events_path;  // empty = no event stream
-  std::string journal_path;  // empty = journaling off
-  std::string state_dir;
+  std::string journal_path = "frd_journal.bin";
+  std::string state_dir = "frd_state";
   svc::Durability durability = svc::Durability::kFlush;
   int drain_deadline_ms = 0;
   int workers = 2;
@@ -62,9 +64,10 @@ void print_usage() {
       "  --archive=PATH        multi-job scan archive (default frd_archive.bin)\n"
       "  --events=PATH         JSONL job-event stream ('-' = stdout; a file is\n"
       "                        opened in append mode so restarts merge streams)\n"
-      "  --journal=PATH        write-ahead job journal; enables crash recovery\n"
-      "  --state-dir=PATH      checkpoint directory (required with --journal)\n"
-      "  --durability=MODE     journal durability: none | flush | fsync\n"
+      "  --journal=PATH        write-ahead job journal, replayed at every boot\n"
+      "                        (default frd_journal.bin)\n"
+      "  --state-dir=PATH      barrier checkpoint directory (default frd_state)\n"
+      "  --durability=MODE     journal and archive durability: flush | fsync\n"
       "                        (default flush)\n"
       "  --drain-deadline-ms=N graceful-drain budget on SIGTERM/shutdown;\n"
       "                        0 = wait for running slices (default 0)\n"
@@ -103,7 +106,7 @@ std::optional<FrdOptions> parse_args(int argc, char** argv) {
     } else if ((v = value_of("--durability"))) {
       const auto mode = io::parse_durability(*v);
       if (!mode.has_value()) {
-        std::fprintf(stderr, "invalid --durability=%s (none|flush|fsync)\n",
+        std::fprintf(stderr, "invalid --durability=%s (flush|fsync)\n",
                      v->c_str());
         return std::nullopt;
       }
@@ -124,10 +127,6 @@ std::optional<FrdOptions> parse_args(int argc, char** argv) {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return std::nullopt;
     }
-  }
-  if (!options.journal_path.empty() && options.state_dir.empty()) {
-    std::fprintf(stderr, "--journal requires --state-dir\n");
-    return std::nullopt;
   }
   return options;
 }
@@ -185,10 +184,9 @@ int main(int argc, char** argv) {
 
   svc::Daemon daemon(daemon_options);
   if (!daemon.start()) {
-    std::fprintf(stderr, "frd: failed to bind %s or open %s%s%s\n",
+    std::fprintf(stderr, "frd: failed to bind %s or open %s, %s or %s\n",
                  options->socket_path.c_str(), options->archive_path.c_str(),
-                 options->journal_path.empty() ? "" : " or ",
-                 options->journal_path.c_str());
+                 options->journal_path.c_str(), options->state_dir.c_str());
     return 1;
   }
 
@@ -199,10 +197,9 @@ int main(int argc, char** argv) {
   ::sigaction(SIGTERM, &action, nullptr);
   ::sigaction(SIGINT, &action, nullptr);
 
-  std::printf("frd: listening on %s (workers=%d budget=%.0f pps%s)\n",
+  std::printf("frd: listening on %s (workers=%d budget=%.0f pps)\n",
               options->socket_path.c_str(), options->workers,
-              options->budget_pps,
-              options->journal_path.empty() ? "" : ", journaled");
+              options->budget_pps);
   std::fflush(stdout);
 
   daemon.wait();

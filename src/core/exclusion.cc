@@ -1,8 +1,9 @@
 #include "core/exclusion.h"
 
 #include <algorithm>
-#include <bit>
 #include <charconv>
+#include <iterator>
+#include <utility>
 
 namespace flashroute::core {
 
@@ -22,17 +23,16 @@ std::string_view trim(std::string_view text) {
 
 }  // namespace
 
-void ExclusionList::add(net::Ipv4Address base, int prefix_length) {
+ExclusionList::Range ExclusionList::cidr(std::uint32_t base,
+                                         int prefix_length) {
   prefix_length = std::clamp(prefix_length, 0, 32);
   const std::uint32_t mask =
       prefix_length == 0 ? 0u : ~std::uint32_t{0} << (32 - prefix_length);
-  const std::uint32_t first = base.value() & mask;
-  const std::uint32_t last = first | ~mask;
-  ranges_.push_back({first, last});
-  dirty_ = true;
+  return {base & mask, (base & mask) | ~mask};
 }
 
-bool ExclusionList::add_entry(std::string_view entry) {
+std::optional<ExclusionList::Range> ExclusionList::parse_entry(
+    std::string_view entry) {
   entry = trim(entry);
   int prefix_length = 32;
   const auto slash = entry.find('/');
@@ -44,20 +44,49 @@ bool ExclusionList::add_entry(std::string_view entry) {
                         prefix_length);
     if (ec != std::errc{} || end != length_text.data() + length_text.size() ||
         prefix_length < 0 || prefix_length > 32) {
-      return false;
+      return std::nullopt;
     }
     entry = entry.substr(0, slash);
   }
   const auto address = net::Ipv4Address::parse(entry);
-  if (!address) return false;
-  add(*address, prefix_length);
+  if (!address) return std::nullopt;
+  return cidr(address->value(), prefix_length);
+}
+
+void ExclusionList::merge_in(std::vector<Range> added) {
+  std::sort(added.begin(), added.end());
+  std::vector<Range> sorted;
+  sorted.reserve(ranges_.size() + added.size());
+  std::merge(ranges_.begin(), ranges_.end(), added.begin(), added.end(),
+             std::back_inserter(sorted));
+  ranges_.clear();
+  for (const Range range : sorted) {
+    // Merge overlapping and adjacent ranges.  The adjacency test runs in
+    // 64 bits: with back().last == 255.255.255.255 the 32-bit `last + 1`
+    // wraps to 0 and a saturated range would stop absorbing its successors.
+    if (!ranges_.empty() &&
+        std::uint64_t{range.first} <= std::uint64_t{ranges_.back().last} + 1) {
+      ranges_.back().last = std::max(ranges_.back().last, range.last);
+    } else {
+      ranges_.push_back(range);
+    }
+  }
+}
+
+void ExclusionList::add(net::Ipv4Address base, int prefix_length) {
+  merge_in({cidr(base.value(), prefix_length)});
+}
+
+bool ExclusionList::add_entry(std::string_view entry) {
+  const std::optional<Range> range = parse_entry(entry);
+  if (!range.has_value()) return false;
+  merge_in({*range});
   return true;
 }
 
 std::optional<std::size_t> ExclusionList::load(std::istream& input) {
-  std::vector<Range> staged;
-  staged.swap(ranges_);  // all-or-nothing: stage current state aside
-  std::size_t added = 0;
+  // All or nothing: entries are parsed aside and merged once at the end.
+  std::vector<Range> parsed;
   std::string line;
   while (std::getline(input, line)) {
     std::string_view view = line;
@@ -65,15 +94,13 @@ std::optional<std::size_t> ExclusionList::load(std::istream& input) {
     if (comment != std::string_view::npos) view = view.substr(0, comment);
     view = trim(view);
     if (view.empty()) continue;
-    if (!add_entry(view)) {
-      ranges_ = std::move(staged);  // restore: reject the whole file
-      return std::nullopt;
-    }
-    ++added;
+    const std::optional<Range> range = parse_entry(view);
+    if (!range.has_value()) return std::nullopt;
+    parsed.push_back(*range);
   }
-  ranges_.insert(ranges_.end(), staged.begin(), staged.end());
-  dirty_ = true;
-  return added;
+  const std::size_t entries = parsed.size();
+  merge_in(std::move(parsed));
+  return entries;
 }
 
 void ExclusionList::add_reserved_defaults() {
@@ -90,59 +117,41 @@ void ExclusionList::add_reserved_defaults() {
   add(net::Ipv4Address(0xF0000000), 4);   // 240.0.0.0/4 class E + broadcast
 }
 
-void ExclusionList::normalize() const {
-  if (!dirty_) return;
-  std::sort(ranges_.begin(), ranges_.end());
-  std::vector<Range> merged;
-  for (const Range& range : ranges_) {
-    // Merge overlapping and adjacent ranges.  The adjacency test runs in
-    // 64 bits: with back().last == 255.255.255.255 the 32-bit `last + 1`
-    // wraps to 0 and a saturated range would stop absorbing its successors.
-    if (!merged.empty() &&
-        std::uint64_t{range.first} <= std::uint64_t{merged.back().last} + 1) {
-      merged.back().last = std::max(merged.back().last, range.last);
-    } else {
-      merged.push_back(range);
-    }
-  }
-  ranges_ = std::move(merged);
-
-  // Rebuild the trie from the merged ranges via greedy range → CIDR
-  // decomposition: repeatedly take the largest block aligned at the cursor
-  // that still fits in the remainder.
-  trie_.clear();
-  for (const Range& range : ranges_) {
-    std::uint64_t cursor = range.first;
-    const std::uint64_t end = std::uint64_t{range.last} + 1;
-    while (cursor < end) {
-      const auto base = static_cast<std::uint32_t>(cursor);
-      const int align_len = base == 0 ? 0 : 32 - std::countr_zero(base);
-      const std::uint64_t remaining = end - cursor;
-      const int size_len =
-          32 - (63 - std::countl_zero(remaining));  // floor(log2(remaining))
-      const int len = std::max(align_len, size_len);
-      trie_.insert(base, len);
-      cursor += std::uint64_t{1} << (32 - len);
-    }
-  }
-  dirty_ = false;
+std::vector<ExclusionList::Range>::const_iterator
+ExclusionList::first_ending_at_or_after(std::uint32_t address) const {
+  // Disjoint ranges sorted by first are sorted by last too.
+  return std::partition_point(
+      ranges_.begin(), ranges_.end(),
+      [address](const Range& range) { return range.last < address; });
 }
 
 bool ExclusionList::contains(net::Ipv4Address address) const {
-  normalize();
-  return trie_.contains(address.value());
+  const auto it = first_ending_at_or_after(address.value());
+  return it != ranges_.end() && it->first <= address.value();
 }
 
 bool ExclusionList::excludes_prefix24(std::uint32_t prefix_index) const {
-  normalize();
-  return trie_.intersects_prefix24(prefix_index);
+  const std::uint32_t block = prefix_index << 8;
+  const auto it = first_ending_at_or_after(block);
+  return it != ranges_.end() && it->first <= (block | 0xFFu);
 }
 
 void ExclusionList::mark_excluded_prefix24(
     std::uint32_t first_prefix, std::uint32_t count,
     std::vector<std::uint64_t>& bitmap) const {
-  normalize();
-  trie_.mark_prefix24(first_prefix, count, bitmap);
+  if (count == 0) return;
+  const std::uint64_t last_prefix = std::uint64_t{first_prefix} + count - 1;
+  for (auto it = first_ending_at_or_after(first_prefix << 8);
+       it != ranges_.end() && (it->first >> 8) <= last_prefix; ++it) {
+    const std::uint64_t lo =
+        std::max<std::uint64_t>(it->first >> 8, first_prefix);
+    const std::uint64_t hi =
+        std::min<std::uint64_t>(it->last >> 8, last_prefix);
+    for (std::uint64_t p = lo; p <= hi; ++p) {
+      const std::uint64_t offset = p - first_prefix;
+      bitmap[offset >> 6] |= std::uint64_t{1} << (offset & 63);
+    }
+  }
 }
 
 std::optional<std::vector<std::uint32_t>> load_target_list(

@@ -23,15 +23,14 @@
 #include <string_view>
 #include <vector>
 
-#include "core/prefix_trie.h"
 #include "net/ipv4.h"
 
 namespace flashroute::core {
 
-/// A set of CIDR ranges.  Mutations stage plain [first, last] ranges;
-/// queries lazily merge them and rebuild a patricia trie (PrefixTrie), so
-/// membership is O(32) independent of the range count and the full set of
-/// excluded /24s comes out of one bulk DFS at DCB-array construction.
+/// A set of CIDR ranges, kept as sorted, disjoint, non-adjacent
+/// [first, last] address ranges: every mutation merges, so the const
+/// queries only read (binary search) and are safe from any number of
+/// threads at once — every shard of a sharded scan asks.
 class ExclusionList {
  public:
   /// Adds one CIDR range (prefix length 0..32).
@@ -46,12 +45,12 @@ class ExclusionList {
   /// hard-codes, unified here so a standalone list can enforce it.
   void add_reserved_defaults();
 
-  /// Loads entries from a stream; returns the number of ranges added, or
-  /// nullopt if any line was malformed (nothing is partially applied).
+  /// Loads entries from a stream and merges them in one pass; returns the
+  /// number of entries read, or nullopt if any line was malformed (nothing
+  /// is partially applied).
   std::optional<std::size_t> load(std::istream& input);
 
-  /// True when `address` falls inside any excluded range.  (Lazily merges
-  /// the ranges and rebuilds the trie on first query after a mutation.)
+  /// True when `address` falls inside any excluded range.
   bool contains(net::Ipv4Address address) const;
 
   /// True when any address of the /24 block is excluded — the granularity
@@ -60,11 +59,12 @@ class ExclusionList {
   bool excludes_prefix24(std::uint32_t prefix_index) const;
 
   /// Bulk form of excludes_prefix24: ORs bit (p - first_prefix) into
-  /// `bitmap` for every excluded /24 prefix p in the window.  One trie DFS —
-  /// O(1) amortized per prefix; used at DCB-array construction.
+  /// `bitmap` for every excluded /24 prefix p in the window.  One pass over
+  /// the ranges that overlap the window; used at DCB-array construction.
   void mark_excluded_prefix24(std::uint32_t first_prefix, std::uint32_t count,
                               std::vector<std::uint64_t>& bitmap) const;
 
+  /// Number of merged ranges.
   std::size_t size() const noexcept { return ranges_.size(); }
   bool empty() const noexcept { return ranges_.empty(); }
 
@@ -78,13 +78,22 @@ class ExclusionList {
     }
   };
 
-  /// Merged, sorted, non-overlapping after normalize(); the trie mirrors
-  /// the merged ranges.
-  void normalize() const;
+  /// The addresses of `base/prefix_length` (length clamped to 0..32).
+  static Range cidr(std::uint32_t base, int prefix_length);
 
-  mutable std::vector<Range> ranges_;
-  mutable PrefixTrie trie_;
-  mutable bool dirty_ = false;
+  /// The range of one `a.b.c.d[/len]` entry; nullopt when malformed.
+  static std::optional<Range> parse_entry(std::string_view entry);
+
+  /// Merges `added` into ranges_, keeping them sorted, disjoint and
+  /// non-adjacent.
+  void merge_in(std::vector<Range> added);
+
+  /// The first range whose last address is at or above `address`: the
+  /// range holding `address`, when one does.
+  std::vector<Range>::const_iterator first_ending_at_or_after(
+      std::uint32_t address) const;
+
+  std::vector<Range> ranges_;
 };
 
 /// Loads a target list: one address per line, at most one target per /24

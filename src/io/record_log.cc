@@ -116,7 +116,6 @@ std::optional<std::string> read_frame(int fd, std::string_view magic,
 }  // namespace
 
 std::optional<Durability> parse_durability(std::string_view name) {
-  if (name == "none") return Durability::kNone;
   if (name == "flush") return Durability::kFlush;
   if (name == "fsync") return Durability::kFsync;
   return std::nullopt;

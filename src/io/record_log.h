@@ -48,16 +48,12 @@ namespace flashroute::io {
 
 /// How hard an append pushes its frame toward stable storage.
 ///
-///   kNone   no promise beyond the append's own write
-///   kFlush  the frame reaches the kernel before append returns —
-///           survives process death
+///   kFlush  the frame reaches the kernel in one pwrite(2) before append
+///           returns — survives process death
 ///   kFsync  plus fdatasync — survives OS or power loss
-///
-/// A RecordLog hands every frame to the kernel in one pwrite(2), so kNone
-/// already gives kFlush's guarantee.
-enum class Durability : std::uint8_t { kNone, kFlush, kFsync };
+enum class Durability : std::uint8_t { kFlush, kFsync };
 
-/// Parses "none" | "flush" | "fsync" (the --durability= CLI values).
+/// Parses "flush" | "fsync" (the --durability= CLI values).
 std::optional<Durability> parse_durability(std::string_view name);
 
 /// CRC-32C (Castagnoli), continuing from `crc` (0 starts a new checksum).

@@ -120,7 +120,7 @@ struct SimParams {
   /// (§3.3.3).
   int max_block_bits = 6;
 
-  /// Number of provider-core routers; 0 means auto (universe/32, min 64).
+  /// Number of provider-core routers; 0 means auto (universe/128, min 64).
   int core_routers = 0;
 
   /// Depth bias of the core tree: each new router attaches to the deepest of

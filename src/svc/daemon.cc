@@ -62,19 +62,17 @@ bool Daemon::start() {
                                               options_.durability);
   if (!archive_->ok()) return false;
   lanes_[0].inc(ids_.archive_corrupt_bytes, archive_->corrupt_bytes());
-  if (!options_.journal_path.empty()) {
-    // One file opened as both logs would have each overwrite the other's
-    // frames.
-    if (options_.state_dir.empty() ||
-        !io::ensure_directory(options_.state_dir) ||
-        io::same_file(options_.journal_path, options_.archive_path)) {
-      return false;
-    }
-    journal_ = std::make_unique<JobJournal>(options_.journal_path,
-                                            options_.durability);
-    if (!journal_->ok()) return false;
-    lanes_[0].inc(ids_.journal_corrupt_bytes, journal_->corrupt_bytes());
+  // One file opened as both logs would have each overwrite the other's
+  // frames.  An empty state dir or journal path fails here as well: there
+  // is no unjournaled mode.
+  if (!io::ensure_directory(options_.state_dir) ||
+      io::same_file(options_.journal_path, options_.archive_path)) {
+    return false;
   }
+  journal_ =
+      std::make_unique<JobJournal>(options_.journal_path, options_.durability);
+  if (!journal_->ok()) return false;
+  lanes_[0].inc(ids_.journal_corrupt_bytes, journal_->corrupt_bytes());
   auto listener = ListenSocket::bind_and_listen(options_.socket_path);
   if (!listener.has_value() || !wake_.valid()) return false;
   listener_ = std::move(*listener);
@@ -84,7 +82,7 @@ bool Daemon::start() {
     event_clock = [this] { return static_cast<std::uint64_t>(now()); };
   }
   events_ = std::make_unique<JobEventLog>(options_.events, event_clock);
-  if (journal_ != nullptr) recover_from_journal();
+  recover_from_journal();
   io_thread_ = std::thread(&Daemon::io_loop, this);
   workers_.reserve(static_cast<std::size_t>(options_.scheduler.num_workers));
   for (int i = 0; i < options_.scheduler.num_workers; ++i) {
@@ -137,7 +135,7 @@ void Daemon::recover_from_journal() {
   };
   std::map<std::uint64_t, Replay> jobs;
   std::uint64_t max_id = 0;
-  for (const JournalRecord& record : journal_->records()) {
+  for (const JournalRecord& record : journal_->take_records()) {
     if (record.job_id == 0) continue;
     Replay& replay = jobs[record.job_id];
     max_id = std::max(max_id, record.job_id);
@@ -284,30 +282,6 @@ void Daemon::wait() {
   events_->summary(drained, /*clean_shutdown=*/true, counters);
 }
 
-bool Daemon::reap_for_shutdown() {
-  if (journal_ != nullptr) {
-    // Journaled drain keeps waiting jobs: their admission is durable, so
-    // they simply resume on the next boot (the continuous-scanning
-    // story).  Only running slices hold the shutdown open.
-    return scheduler_.running_count() == 0;
-  }
-  for (const JobView& view : scheduler_.views()) {
-    if (job_state_terminal(view.state) || view.state == JobState::kRunning) {
-      continue;
-    }
-    if (scheduler_.cancel(view.id) == CancelOutcome::kCancelled) {
-      runners_[view.id - 1].reset();
-      lanes_[0].inc(ids_.jobs_cancelled);
-      JobEvent event;
-      event.job_id = view.id;
-      event.event = "cancelled";
-      event.detail = "daemon shutdown";
-      events_->emit(event);
-    }
-  }
-  return scheduler_.running_count() == 0;
-}
-
 void Daemon::io_loop() {
   std::vector<Connection> clients;
   std::string payload;
@@ -331,7 +305,9 @@ void Daemon::io_loop() {
           }
         }
       }
-      if (shutdown_requested_ && reap_for_shutdown()) {
+      // The drain keeps waiting jobs: their admission is journaled, so the
+      // next boot resumes them.  Only running slices hold shutdown open.
+      if (shutdown_requested_ && scheduler_.running_count() == 0) {
         stop_workers_ = true;
         break;
       }
@@ -404,7 +380,7 @@ std::string Daemon::handle_submit(Reader& reader) {
   const std::optional<JobSpec> spec = decode_spec(reader);
   if (!spec.has_value()) return error_reply("malformed submit");
 
-  const bool keyed = journal_ != nullptr && !spec->request_key.empty();
+  const bool keyed = !spec->request_key.empty();
   if (keyed) {
     // Idempotent submit: a retried request key replays the original
     // verdict verbatim — no new job, no new events, no journal append.
@@ -450,23 +426,21 @@ std::string Daemon::handle_submit(Reader& reader) {
     events_->emit(verdict);
   }
 
-  if (journal_ != nullptr) {
-    // Durable admission: the reply leaves only after the admission record
-    // is journaled.  A crash before this point means the client saw no
-    // reply and can blindly retry; a crash after it means recovery
-    // re-admits the job the client was told about.  The append happens
-    // before cv_.notify_all() so no worker journals a kStarted record
-    // ahead of the admission it refers to.
-    JournalRecord record;
-    record.kind = submission.admitted ? JournalKind::kAdmitted
-                                      : JournalKind::kRejected;
-    record.job_id = submission.job_id;
-    record.spec = *spec;
-    record.reason = submission.reason;
-    record.detail = submission.detail;
-    journal_->append(record);
-    FR_CRASH_POINT(util::crash::kSubmitJournaled);
-  }
+  // Durable admission: the reply leaves only after the admission record is
+  // journaled.  A crash before this point means the client saw no reply
+  // and can blindly retry; a crash after it means recovery re-admits the
+  // job the client was told about.  The append happens before
+  // cv_.notify_all() so no worker journals a kStarted record ahead of the
+  // admission it refers to.
+  JournalRecord record;
+  record.kind =
+      submission.admitted ? JournalKind::kAdmitted : JournalKind::kRejected;
+  record.job_id = submission.job_id;
+  record.spec = *spec;
+  record.reason = submission.reason;
+  record.detail = submission.detail;
+  journal_->append(record);
+  FR_CRASH_POINT(util::crash::kSubmitJournaled);
   cv_.notify_all();
 
   Writer w(MsgType::kSubmitReply);
@@ -524,7 +498,7 @@ std::string Daemon::handle_cancel(Reader& reader) {
       events_->emit(event);
     }
   }
-  if (journal_ != nullptr && outcome == CancelOutcome::kCancelled) {
+  if (outcome == CancelOutcome::kCancelled) {
     // A running job's cancellation is journaled by its worker when the
     // slice actually stops; a waiting job's is terminal right here.
     JournalRecord record;
@@ -624,15 +598,13 @@ void Daemon::worker_loop(int worker_index) {
       events_->emit(event);
     }
 
-    if (journal_ != nullptr) {
-      JournalRecord record;
-      record.kind = JournalKind::kStarted;
-      record.job_id = *id;
-      record.probes = base_probes;
-      record.slices = slice_no;
-      journal_->append(record);
-      FR_CRASH_POINT(util::crash::kJobStarted);
-    }
+    JournalRecord started;
+    started.kind = JournalKind::kStarted;
+    started.job_id = *id;
+    started.probes = base_probes;
+    started.slices = slice_no;
+    journal_->append(started);
+    FR_CRASH_POINT(util::crash::kJobStarted);
 
     // Checkpoint publication is throttled to a real-time cadence, tracked
     // per job so scheduler timeslicing cannot defeat it: sim barriers —
@@ -651,7 +623,7 @@ void Daemon::worker_loop(int worker_index) {
             const util::MutexLock barrier_lock(mutex_);
             decision = scheduler_.on_barrier(
                 *id, barrier_checkpoint.result.probes_sent, now());
-            if (journal_ != nullptr && decision != BarrierDecision::kCancel) {
+            if (decision != BarrierDecision::kCancel) {
               util::Nanos& published_at = checkpoint_published_at_[*id];
               const util::Nanos barrier_now = now();
               if (published_at == 0 ||
@@ -746,7 +718,7 @@ void Daemon::worker_loop(int worker_index) {
       events_->emit(done);
     }
 
-    if (journal_ != nullptr && slice.outcome != SliceOutcome::kPreempted) {
+    if (slice.outcome != SliceOutcome::kPreempted) {
       // Terminal record after the archive append (recovery invariant:
       // archive payload present ⇒ the job may be marked completed, so the
       // payload must hit the file first), outside the daemon lock.

@@ -20,19 +20,21 @@
 // lanes: lane 0 belongs to the I/O thread (admission events), lane 1+i to
 // worker i (execution events) — the PR 3 single-writer discipline.
 //
-// Shutdown: drain (reject new work, preempt running jobs at their next
-// barrier), cancel whatever never got to finish, join the workers, then
-// write the "job_summary" line.  A daemon killed between those steps leaves
-// a truncated-but-recoverable archive (JobArchive's crash contract).
+// Crash safety (DESIGN.md §14): every admission/dispatch/barrier/terminal
+// transition is appended to the write-ahead journal (svc/journal.h) before
+// it becomes visible, and barrier checkpoints are published atomically
+// under state_dir.  Boot always replays the journal against the archive
+// and those checkpoints: queued jobs are re-admitted, interrupted jobs
+// resume from their last barrier, retried submits are deduplicated by
+// request key, and new jobs are numbered past every id the journal or the
+// archive holds — with the recovered archives byte-identical to an
+// uncrashed run.
 //
-// Crash safety (DESIGN.md §14): with DaemonOptions::journal_path set, every
-// admission/dispatch/barrier/terminal transition is journaled
-// (svc/journal.h) and every barrier checkpoint is atomically published
-// under state_dir, so a crashed daemon restarted on the same paths replays
-// the journal, re-admits queued jobs, resumes interrupted jobs from their
-// last barrier, and deduplicates retried submits by request key — with the
-// recovered archives byte-identical to an uncrashed run.  A journaled
-// drain keeps waiting jobs for the next boot instead of cancelling them.
+// Shutdown: drain (reject new work, preempt running jobs at their next
+// barrier), join the workers once no slice runs, then write the
+// "job_summary" line.  Waiting jobs stay journaled and the next boot
+// finishes them.  A daemon killed between those steps leaves a
+// truncated-but-recoverable archive (JobArchive's crash contract).
 
 #pragma once
 
@@ -71,14 +73,14 @@ struct DaemonOptions {
   /// since daemon start.  Tests inject a deterministic clock here.
   JobEventLog::NowFn event_clock;
 
-  /// Write-ahead job journal (DESIGN.md §14).  Empty = journaling off:
-  /// the daemon behaves exactly as before (no recovery, no submit dedup,
-  /// drain cancels waiting jobs).
-  std::string journal_path;
+  /// Write-ahead job journal (DESIGN.md §14); start() refuses an empty
+  /// path.
+  std::string journal_path = "frd_journal.bin";
   /// Directory for per-job barrier checkpoints (`job_<id>.frck`); created
-  /// if absent.  Required when journal_path is set.
-  std::string state_dir;
-  /// How hard each journal append pushes toward stable storage.
+  /// if absent.  start() refuses an empty path.
+  std::string state_dir = "frd_state";
+  /// How hard each journal and archive append pushes toward stable
+  /// storage.
   Durability durability = Durability::kFlush;
   /// Graceful-drain budget after a shutdown request: once exceeded,
   /// still-running jobs are hard-cancelled at their next barrier (their
@@ -94,8 +96,9 @@ class Daemon {
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  /// Binds the socket, opens the archive, spawns the threads.  False when
-  /// the socket or archive could not be set up.
+  /// Opens the archive, state dir and journal, recovers from them, binds
+  /// the socket and spawns the threads.  False when any of these could not
+  /// be set up.
   [[nodiscard]] bool start();
 
   /// Blocks until shutdown (a kShutdown frame or request_shutdown())
@@ -130,10 +133,6 @@ class Daemon {
   std::string handle_cancel(Reader& reader) FR_EXCLUDES(mutex_);
   std::string handle_diff(Reader& reader) FR_EXCLUDES(mutex_);
   std::string handle_verify(Reader& reader) FR_EXCLUDES(mutex_);
-  /// Cancels jobs that will never run again under drain; true when every
-  /// job is terminal and no worker holds one.  A journaled daemon keeps
-  /// waiting jobs instead — they are durable and resume on the next boot.
-  bool reap_for_shutdown() FR_REQUIRES(mutex_);
   /// Boot-time recovery (DESIGN.md §14): replays the journal against the
   /// archive and on-disk checkpoints, rebuilding scheduler/runners/dedup
   /// state.  Runs in start() before any thread is spawned.

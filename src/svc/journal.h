@@ -18,16 +18,21 @@
 // of this format — an archive passed as --journal, or a journal written
 // before frames carried a CRC — fails ok() and is left untouched.
 //
-// Durability (io::Durability) is configurable per daemon: none and flush
-// hand each record to the kernel — surviving process death — and fsync
-// adds fdatasync, surviving OS or power loss.
+// Durability (io::Durability) is configurable per daemon: flush hands
+// each record to the kernel — surviving process death — and fsync adds
+// fdatasync, surviving OS or power loss.
 //
-// All methods are thread-safe; append serializes under an internal lock.
+// The records recovered at open are handed to the daemon's boot recovery
+// once, by move (take_records), so a running daemon holds none of them.
+//
+// append() is thread-safe: it serializes under the log's lock.
+// take_records() is for the one thread that boots the daemon.
 
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/record_log.h"
@@ -77,10 +82,10 @@ class JobJournal {
   /// Damaged bytes skipped mid-file at open; they stay in the file.
   std::uint64_t corrupt_bytes() const noexcept { return log_.corrupt_bytes(); }
 
-  /// The records recovered at open, in file order.  Immutable after the
-  /// constructor — later append() calls do not extend this snapshot.
-  const std::vector<JournalRecord>& records() const noexcept {
-    return records_;
+  /// The records recovered at open, in file order, handed over once: a
+  /// second call returns none, and append() never adds to them.
+  std::vector<JournalRecord> take_records() noexcept {
+    return std::exchange(records_, {});
   }
 
   /// Appends one record per the durability mode; false on I/O error.

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <thread>
 
+#include "core/exclusion.h"
 #include "core/targets.h"
 #include "core/threaded_runtime.h"
 #include "core/tracer.h"
@@ -168,6 +169,31 @@ TEST(ShardedTracer, BaseCheckpointSinkIsNeverCalled) {
   const ScanResult result = run_sharded(topology, config);
   EXPECT_GT(result.probes_sent, 0u);
   EXPECT_EQ(calls.load(), 0);
+}
+
+// Every shard reads the one exclusion list when it builds its DCB array, all
+// at once.  The list is built with add_entry and not queried before the
+// scan, so the shards' first queries are the first reads it sees.  The
+// TSan job runs this case.
+TEST(ShardedTracer, SharedExclusionListSkipsItsBlocksInEveryShard) {
+  const sim::Topology topology(test_params());
+  ExclusionList exclusions;
+  for (const char* entry :
+       {"1.0.5.7", "1.0.64.0/22", "1.0.140.0/24", "1.0.200.128/25"}) {
+    ASSERT_TRUE(exclusions.add_entry(entry));  // one per shard of 64 /24s
+  }
+  ShardedTracerConfig config = test_config(topology.params(), 4);
+  config.base.exclusions = &exclusions;
+  const ScanResult four = run_sharded(topology, config);
+  config.num_workers = 1;
+  const ScanResult one = run_sharded(topology, config);
+
+  EXPECT_GT(four.probes_sent, 0u);
+  expect_identical(one, four);
+  for (const auto& probe : four.probe_log) {
+    EXPECT_FALSE(exclusions.excludes_prefix24(probe.destination >> 8))
+        << net::Ipv4Address(probe.destination).to_string();
+  }
 }
 
 TEST(ShardedTracer, MatchesUnshardedScanTopologyClosely) {

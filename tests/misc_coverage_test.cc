@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "baselines/scamper.h"
 #include "core/exclusion.h"
@@ -15,6 +18,7 @@
 #include "sim/runtime.h"
 #include "sim/topology.h"
 #include "util/logging.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace flashroute {
@@ -78,6 +82,118 @@ TEST(Exclusion, TopOfAddressSpace) {
   EXPECT_FALSE(list.contains(net::Ipv4Address(0xFFFFFFFE)));
   ASSERT_TRUE(list.add_entry("255.255.255.0/24"));
   EXPECT_TRUE(list.contains(net::Ipv4Address(0xFFFFFF00)));
+}
+
+// The merged ranges answer every query the way a brute-force scan over the
+// CIDRs they were built from does.  Each random set mixes add, add_entry
+// and load, packs its bases into two small regions (so ranges nest,
+// overlap and touch), and pins the edges: /0, a /32 on a /24 edge, and
+// 255.255.255.255.
+TEST(Exclusion, RandomCidrSetsMatchABruteForceScan) {
+  struct Cidr {
+    std::uint32_t base;
+    int length;
+    std::uint32_t first;
+    std::uint32_t last;
+
+    std::string text() const {
+      return net::Ipv4Address(base).to_string() + "/" +
+             std::to_string(length);
+    }
+  };
+  util::Xoshiro256 rng(20240917);
+  for (int round = 0; round < 300; ++round) {
+    std::vector<Cidr> cidrs;
+    const int count = 1 + static_cast<int>(rng.bounded(10));
+    for (int i = 0; i < count; ++i) {
+      const std::uint32_t region = rng.chance(0.5) ? 0x01000000u : 0xFFFF0000u;
+      std::uint32_t base =
+          region | static_cast<std::uint32_t>(rng.bounded(1u << 16));
+      int length = static_cast<int>(rng.range(16, 32));
+      if (i == 0 && round % 4 == 0) {
+        // A /32 on the first or last address of its /24.
+        base = (base & ~0xFFu) | (rng.chance(0.5) ? 0x00u : 0xFFu);
+        length = 32;
+      } else if (i == 0 && round % 4 == 1) {
+        base = 0xFFFFFFFFu;
+        length = 32;
+      } else if (i == 0 && round % 20 == 2) {
+        length = 0;
+      }
+      const std::uint32_t mask =
+          length == 0 ? 0u : ~std::uint32_t{0} << (32 - length);
+      cidrs.push_back({base, length, base & mask, (base & mask) | ~mask});
+    }
+
+    core::ExclusionList list;
+    std::string file = "# entries merged by load\n";
+    for (const Cidr& cidr : cidrs) {
+      switch (rng.bounded(3)) {
+        case 0:
+          list.add(net::Ipv4Address(cidr.base), cidr.length);
+          break;
+        case 1:
+          ASSERT_TRUE(list.add_entry(cidr.text()));
+          break;
+        default:
+          file += cidr.text() + "\n";
+      }
+    }
+    std::istringstream input(file);
+    ASSERT_TRUE(list.load(input).has_value());
+
+    const auto brute_contains = [&](std::uint32_t address) {
+      return std::any_of(cidrs.begin(), cidrs.end(), [&](const Cidr& c) {
+        return c.first <= address && address <= c.last;
+      });
+    };
+    const auto brute_prefix24 = [&](std::uint32_t prefix) {
+      const std::uint32_t lo = prefix << 8;
+      return std::any_of(cidrs.begin(), cidrs.end(), [&](const Cidr& c) {
+        return c.first <= (lo | 0xFFu) && c.last >= lo;
+      });
+    };
+
+    std::vector<std::uint32_t> probes = {0u, 0xFFFFFFFFu, 0x01000000u,
+                                         0xFFFF0000u};
+    for (const Cidr& c : cidrs) {
+      probes.insert(probes.end(), {c.first - 1, c.first, c.last, c.last + 1});
+    }
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t region = rng.chance(0.5) ? 0x01000000u : 0xFFFF0000u;
+      probes.push_back(region |
+                       static_cast<std::uint32_t>(rng.bounded(1u << 16)));
+    }
+    for (const std::uint32_t address : probes) {
+      EXPECT_EQ(list.contains(net::Ipv4Address(address)),
+                brute_contains(address))
+          << "round " << round << " address " << address;
+      const std::uint32_t prefix = address >> 8;
+      EXPECT_EQ(list.excludes_prefix24(prefix), brute_prefix24(prefix))
+          << "round " << round << " prefix " << prefix;
+    }
+
+    // Windows: one at each end of the space and two inside the regions.
+    const auto window_count = [&] {
+      return 1 + static_cast<std::uint32_t>(rng.bounded(600));
+    };
+    const std::uint32_t top_count = window_count();
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>> windows = {
+        {0u, window_count()},
+        {0x1000000u - top_count, top_count},
+        {0x010000u + static_cast<std::uint32_t>(rng.bounded(256)),
+         window_count()},
+        {0xFFFF00u + static_cast<std::uint32_t>(rng.bounded(200)), 50u}};
+    for (const auto& [first, size] : windows) {
+      std::vector<std::uint64_t> bitmap((size + 63) / 64, 0);
+      list.mark_excluded_prefix24(first, size, bitmap);
+      for (std::uint32_t i = 0; i < size; ++i) {
+        const bool bit = ((bitmap[i >> 6] >> (i & 63)) & 1) != 0;
+        ASSERT_EQ(bit, brute_prefix24(first + i))
+            << "round " << round << " window " << first << "+" << i;
+      }
+    }
+  }
 }
 
 TEST(Targets, RandomTargetAvoidsNetworkAndBroadcastOctets) {

@@ -1,9 +1,11 @@
 // End-to-end tests for the frd daemon (svc/daemon.h) over its real AF_UNIX
 // socket: submit/status/list/wait, admission rejection on the wire, cancel,
-// archive-backed diff and verify queries, clean shutdown, and the JSONL
-// event stream's structural invariants.  These run the daemon's actual
-// thread structure (I/O poll loop + worker pool), so they are also the
-// TSan coverage for the svc locking discipline.
+// archive-backed diff and verify queries, the drain, boot recovery from the
+// journal, and the JSONL event stream's structural invariants.  These run
+// the daemon's actual thread structure (I/O poll loop + worker pool), so
+// they are also the TSan coverage for the svc locking discipline and the
+// journal/recovery paths; the fork-based kill matrix lives in
+// svc_crash_recovery_test.cc.
 
 #include "svc/daemon.h"
 
@@ -11,6 +13,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -35,32 +38,70 @@
 namespace flashroute::svc {
 namespace {
 
+/// Removes what a daemon leaves on disk: archive, journal and state dir.
+void remove_daemon_files(const DaemonOptions& options) {
+  std::remove(options.archive_path.c_str());
+  std::remove(options.journal_path.c_str());
+  std::error_code ignored;
+  std::filesystem::remove_all(options.state_dir, ignored);
+}
+
+/// One daemon on durable paths under /tmp, unstarted; restart() is the
+/// in-process stand-in for "the process died and came back".
 struct DaemonFixture {
   std::string socket_path;
   std::string archive_path;
+  std::string journal_path;
+  std::string state_dir;
   std::ostringstream events;
   std::unique_ptr<Daemon> daemon;
+  int workers;
+  double budget;
+  int max_queued;
+  util::Nanos drain_deadline;
 
-  explicit DaemonFixture(const char* tag, int workers = 2,
-                         double budget = 1e6, int max_queued = 8) {
-    const std::string suffix = std::string(tag) + "_" +
-                               std::to_string(static_cast<long>(::getpid()));
-    socket_path = "/tmp/fr_svc_test_" + suffix + ".sock";
-    archive_path = "/tmp/fr_svc_test_" + suffix + ".bin";
-    std::remove(archive_path.c_str());
+  explicit DaemonFixture(const char* tag, int num_workers = 2,
+                         double pps_budget = 1e6, int queue_bound = 8,
+                         util::Nanos deadline = 0)
+      : workers(num_workers),
+        budget(pps_budget),
+        max_queued(queue_bound),
+        drain_deadline(deadline) {
+    const std::string base = "/tmp/fr_svc_test_" + std::string(tag) + "_" +
+                             std::to_string(static_cast<long>(::getpid()));
+    socket_path = base + ".sock";
+    archive_path = base + ".bin";
+    journal_path = base + ".frwj";
+    state_dir = base + "_state";
+    remove_daemon_files(options());
+    boot();
+  }
+
+  DaemonOptions options() {
     DaemonOptions options;
     options.socket_path = socket_path;
     options.archive_path = archive_path;
+    options.journal_path = journal_path;
+    options.state_dir = state_dir;
+    options.durability = Durability::kFlush;
     options.events = &events;
+    options.drain_deadline = drain_deadline;
     options.scheduler.num_workers = workers;
     options.scheduler.global_pps_budget = budget;
     options.scheduler.max_queued = max_queued;
-    daemon = std::make_unique<Daemon>(options);
+    return options;
+  }
+
+  void boot() { daemon = std::make_unique<Daemon>(options()); }
+
+  void restart() {
+    daemon.reset();  // request_shutdown + wait
+    boot();
   }
 
   ~DaemonFixture() {
-    daemon.reset();  // request_shutdown + wait
-    std::remove(archive_path.c_str());
+    daemon.reset();
+    remove_daemon_files(options());
   }
 
   Client connect() {
@@ -225,106 +266,6 @@ TEST(SvcDaemon, CancelQueuedJobBeforeItRuns) {
   EXPECT_EQ(final_runner->state, JobState::kCompleted);
 }
 
-TEST(SvcDaemon, ShutdownCancelsQueuedWorkAndWritesSummary) {
-  DaemonFixture fixture("shutdown", /*workers=*/1);
-  ASSERT_TRUE(fixture.daemon->start());
-  Client client = fixture.connect();
-
-  JobSpec big = quick_spec("big");
-  big.prefix_bits = 12;
-  const auto a = client.submit(big);
-  const auto b = client.submit(quick_spec("stranded"));
-  ASSERT_TRUE(a.has_value() && a->admitted);
-  ASSERT_TRUE(b.has_value() && b->admitted);
-
-  EXPECT_TRUE(client.shutdown());
-  fixture.daemon->wait();
-
-  const std::string stream = fixture.events.str();
-  EXPECT_NE(stream.find("\"type\":\"job_summary\""), std::string::npos);
-  EXPECT_NE(stream.find("\"drained\":true"), std::string::npos);
-  // Whatever never finished was explicitly cancelled, not dropped.
-  const bool all_resolved =
-      stream.find("\"event\":\"cancelled\"") != std::string::npos ||
-      (stream.find("\"job\":1,\"event\":\"completed\"") !=
-           std::string::npos &&
-       stream.find("\"job\":2,\"event\":\"completed\"") !=
-           std::string::npos);
-  EXPECT_TRUE(all_resolved) << stream;
-}
-
-// --- crash-safety, in process (DESIGN.md §14) -------------------------------
-//
-// These run the journaled daemon's recovery paths without fork, so they
-// stay inside TSan's supported model and carry the TSan coverage for the
-// journal/recovery locking; the fork-based kill matrix lives in
-// svc_crash_recovery_test.cc.
-
-struct JournaledFixture {
-  std::string socket_path;
-  std::string archive_path;
-  std::string journal_path;
-  std::string state_dir;
-  std::ostringstream events;
-  std::unique_ptr<Daemon> daemon;
-  int workers;
-  util::Nanos drain_deadline;
-
-  explicit JournaledFixture(const char* tag, int num_workers = 2,
-                            util::Nanos deadline = 0)
-      : workers(num_workers), drain_deadline(deadline) {
-    const std::string base = "/tmp/fr_svc_journal_" + std::string(tag) +
-                             "_" +
-                             std::to_string(static_cast<long>(::getpid()));
-    socket_path = base + ".sock";
-    archive_path = base + ".bin";
-    journal_path = base + ".frwj";
-    state_dir = base + "_state";
-    std::remove(archive_path.c_str());
-    std::remove(journal_path.c_str());
-    boot();
-  }
-
-  void boot() {
-    DaemonOptions options;
-    options.socket_path = socket_path;
-    options.archive_path = archive_path;
-    options.events = &events;
-    options.journal_path = journal_path;
-    options.state_dir = state_dir;
-    options.durability = Durability::kFlush;
-    options.drain_deadline = drain_deadline;
-    options.scheduler.num_workers = workers;
-    options.scheduler.global_pps_budget = 1e6;
-    options.scheduler.max_queued = 8;
-    daemon = std::make_unique<Daemon>(options);
-  }
-
-  /// Clean daemon stop + a fresh boot on the same durable paths — the
-  /// in-process stand-in for "the process died and came back".
-  void restart() {
-    daemon.reset();
-    boot();
-  }
-
-  ~JournaledFixture() {
-    daemon.reset();
-    std::remove(archive_path.c_str());
-    std::remove(journal_path.c_str());
-    for (int id = 1; id <= 16; ++id) {
-      std::remove((state_dir + "/job_" + std::to_string(id) + ".frck")
-                      .c_str());
-    }
-    ::rmdir(state_dir.c_str());
-  }
-
-  Client connect() {
-    auto client = Client::connect(socket_path);
-    EXPECT_TRUE(client.has_value());
-    return std::move(*client);
-  }
-};
-
 JobSpec keyed_spec(const std::string& name, const std::string& key,
                    std::uint64_t scan_seed = 7) {
   JobSpec spec = quick_spec(name, scan_seed);
@@ -333,7 +274,8 @@ JobSpec keyed_spec(const std::string& name, const std::string& key,
 }
 
 TEST(SvcDaemon, JournaledDrainPreservesWaitingJobsAndRestartFinishesThem) {
-  // Control: same specs, no journal — the byte-identity oracle.
+  // Control: the stranded job run without a restart — the byte-identity
+  // oracle.
   std::uint64_t control_size = 0;
   std::uint64_t control_fnv = 0;
   {
@@ -349,7 +291,7 @@ TEST(SvcDaemon, JournaledDrainPreservesWaitingJobsAndRestartFinishesThem) {
     control_fnv = verify->payload_fnv1a;
   }
 
-  JournaledFixture fixture("drain", /*workers=*/1);
+  DaemonFixture fixture("drain", /*workers=*/1);
   ASSERT_TRUE(fixture.daemon->start());
   std::uint64_t big_id = 0;
   std::uint64_t stranded_id = 0;
@@ -367,6 +309,10 @@ TEST(SvcDaemon, JournaledDrainPreservesWaitingJobsAndRestartFinishesThem) {
     EXPECT_TRUE(client.shutdown());
   }
   fixture.daemon->wait();
+  EXPECT_NE(fixture.events.str().find("\"type\":\"job_summary\""),
+            std::string::npos);
+  EXPECT_NE(fixture.events.str().find("\"drained\":true"),
+            std::string::npos);
   // Journaled drain never cancels the waiting job — it is durable.
   EXPECT_EQ(fixture.events.str().find("\"event\":\"cancelled\""),
             std::string::npos);
@@ -417,7 +363,7 @@ void write_file(const std::string& path, const std::string& bytes) {
 // not erase either file: each log refuses the other's file untouched, and
 // one file is never opened as both logs, even while it is empty.
 TEST(SvcDaemon, StartRefusesSwappedJournalAndArchivePaths) {
-  JournaledFixture fixture("swapped");
+  DaemonFixture fixture("swapped");
   {
     io::JobArchive archive(fixture.archive_path);
     core::ScanResult result;
@@ -478,7 +424,7 @@ TEST(SvcDaemon, CorruptCheckpointRerunsTheJobFromScratch) {
 
   // The disk state of a daemon that died mid-scan: job 1 admitted and
   // started, its first barrier checkpoint published — with one bit flipped.
-  JournaledFixture fixture("damaged_checkpoint", /*workers=*/1);
+  DaemonFixture fixture("damaged_checkpoint", /*workers=*/1);
   {
     JobJournal journal(fixture.journal_path, Durability::kFlush);
     JournalRecord record;
@@ -517,7 +463,7 @@ TEST(SvcDaemon, CorruptCheckpointRerunsTheJobFromScratch) {
 // One damaged byte inside an archived payload costs that job's result
 // only: the later payloads still verify to their original digests.
 TEST(SvcDaemon, CorruptArchivedPayloadCostsOnlyThatJob) {
-  JournaledFixture fixture("damaged_payload");
+  DaemonFixture fixture("damaged_payload");
   ASSERT_TRUE(fixture.daemon->start());
   std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> digests;
   {
@@ -574,7 +520,7 @@ TEST(SvcDaemon, CorruptArchivedPayloadCostsOnlyThatJob) {
 }
 
 TEST(SvcDaemon, AsyncShutdownRequestDrainsLikeAShutdownFrame) {
-  JournaledFixture fixture("async");
+  DaemonFixture fixture("async");
   ASSERT_TRUE(fixture.daemon->start());
   {
     Client client = fixture.connect();
@@ -592,8 +538,8 @@ TEST(SvcDaemon, AsyncShutdownRequestDrainsLikeAShutdownFrame) {
 }
 
 TEST(SvcDaemon, DrainDeadlineHardCancelsRunningSlices) {
-  JournaledFixture fixture("deadline", /*workers=*/1,
-                           /*deadline=*/util::kMillisecond);
+  DaemonFixture fixture("deadline", /*workers=*/1, /*budget=*/1e6,
+                        /*max_queued=*/8, /*deadline=*/util::kMillisecond);
   ASSERT_TRUE(fixture.daemon->start());
   Client client = fixture.connect();
   JobSpec slow = keyed_spec("slow", "deadline-key");
@@ -658,18 +604,12 @@ TEST(SvcDaemon, ResidentSetStaysFlatOverFiveHundredJobs) {
 #else
   constexpr int kJobs = 500;
   constexpr int kWave = 10;
-  const std::string base = "/tmp/fr_svc_test_soak_" +
-                           std::to_string(static_cast<long>(::getpid()));
-  DaemonOptions options;
-  options.socket_path = base + ".sock";
-  options.archive_path = base + ".bin";
-  options.scheduler.num_workers = 2;
-  options.scheduler.global_pps_budget = 1e6;
-  options.scheduler.max_queued = kWave;
+  DaemonFixture fixture("soak", /*workers=*/2, /*budget=*/1e6, kWave);
+  DaemonOptions options = fixture.options();
   // No event sink: an in-memory stream would grow with every job.
-  std::remove(options.archive_path.c_str());
-  auto daemon = std::make_unique<Daemon>(options);
-  ASSERT_TRUE(daemon->start());
+  options.events = nullptr;
+  fixture.daemon = std::make_unique<Daemon>(options);
+  ASSERT_TRUE(fixture.daemon->start());
   auto client = Client::connect(options.socket_path);
   ASSERT_TRUE(client.has_value());
   std::uint64_t after_first_50 = 0;
@@ -692,9 +632,6 @@ TEST(SvcDaemon, ResidentSetStaysFlatOverFiveHundredJobs) {
     if (job + kWave == 50) after_first_50 = resident_kib();
   }
   const std::uint64_t after_all = resident_kib();
-  client.reset();
-  daemon.reset();
-  std::remove(options.archive_path.c_str());
   ASSERT_GT(after_first_50, 0u) << "VmRSS unreadable";
   EXPECT_LE(after_all * 10, after_first_50 * 11)
       << "VmRSS " << after_first_50 << " KiB after 50 jobs, " << after_all
@@ -703,14 +640,78 @@ TEST(SvcDaemon, ResidentSetStaysFlatOverFiveHundredJobs) {
 }
 
 TEST(SvcDaemon, StartFailsOnUnbindablePath) {
-  DaemonOptions options;
+  DaemonFixture fixture("unbindable");
+  DaemonOptions options = fixture.options();
   options.socket_path = "/nonexistent-dir/frd.sock";
-  options.archive_path = "/tmp/fr_svc_test_unbindable_" +
-                         std::to_string(static_cast<long>(::getpid())) +
-                         ".bin";
   Daemon daemon(options);
   EXPECT_FALSE(daemon.start());
-  std::remove(options.archive_path.c_str());
+  // Everything but the socket was set up: the bind is what failed.
+  EXPECT_TRUE(std::filesystem::is_directory(fixture.state_dir));
+  EXPECT_TRUE(std::filesystem::exists(fixture.journal_path));
+}
+
+// There is no unjournaled mode to fall back to.
+TEST(SvcDaemon, StartRefusesAnEmptyJournalPathOrStateDir) {
+  DaemonFixture fixture("empty_paths");
+  DaemonOptions options = fixture.options();
+  options.journal_path.clear();
+  EXPECT_FALSE(Daemon(options).start());
+  options = fixture.options();
+  options.state_dir.clear();
+  EXPECT_FALSE(Daemon(options).start());
+  EXPECT_TRUE(fixture.daemon->start());
+}
+
+// An archive can hold ids its journal never recorded: the journal was lost
+// or moved aside, or another daemon wrote the archive.  Recovery numbers
+// new jobs past them, so an id never names two jobs, and verify and diff
+// of a new job never answer with an older job's payload.
+TEST(SvcDaemon, NewJobsAreNumberedPastArchivedIdsTheJournalNeverHeld) {
+  DaemonFixture fixture("archive_ahead", /*workers=*/1);
+  JobSpec earlier = quick_spec("earlier", 7);
+  earlier.prefix_bits = 12;
+  {
+    JobRunner runner(earlier);
+    const SliceResult slice = runner.run_slice(
+        std::nullopt,
+        [](const io::ScanCheckpoint&) { return BarrierDecision::kContinue; });
+    ASSERT_EQ(slice.outcome, SliceOutcome::kCompleted);
+    io::JobArchive archive(fixture.archive_path);
+    ASSERT_TRUE(archive.append(1, slice.result, runner.archive_header()));
+  }
+
+  ASSERT_TRUE(fixture.daemon->start());
+  Client client = fixture.connect();
+  const auto archived = client.verify(1);
+  ASSERT_TRUE(archived.has_value() && archived->found);
+
+  JobSpec fresh = quick_spec("new", 8);
+  fresh.prefix_bits = 12;
+  const auto submission = client.submit(fresh);
+  ASSERT_TRUE(submission.has_value() && submission->admitted);
+  EXPECT_EQ(submission->job_id, 2u);
+  // The new job runs for milliseconds; until it completes, its id has no
+  // archived result.
+  const auto pending = client.verify(submission->job_id);
+  ASSERT_TRUE(pending.has_value());
+  EXPECT_FALSE(pending->found);
+  const auto pending_diff = client.diff(1, submission->job_id);
+  ASSERT_TRUE(pending_diff.has_value());
+  EXPECT_FALSE(pending_diff->ok);
+
+  const auto done = client.wait_job(submission->job_id, 2);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->state, JobState::kCompleted);
+  EXPECT_EQ(done->name, "new");
+  const auto verify = client.verify(submission->job_id);
+  ASSERT_TRUE(verify.has_value() && verify->found);
+  EXPECT_NE(verify->payload_fnv1a, archived->payload_fnv1a);
+  const auto still_archived = client.verify(1);
+  ASSERT_TRUE(still_archived.has_value() && still_archived->found);
+  EXPECT_EQ(still_archived->payload_fnv1a, archived->payload_fnv1a);
+  const auto diff = client.diff(1, submission->job_id);
+  ASSERT_TRUE(diff.has_value());
+  EXPECT_TRUE(diff->ok) << diff->error;
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for the write-ahead job journal (svc/journal.h): every record kind
-// round-trips across a reopen, appends after recovery extend the file,
+// round-trips across a reopen and is handed over exactly once, appends
+// after recovery extend the file,
 // every durability mode writes a readable journal, a single-bit flip
 // costs exactly the record it lands in, and a journal in the previous
 // (CRC-less) format is refused untouched.  The framing and recovery rules
@@ -96,9 +97,9 @@ void write_bytes(const std::string& path, const std::string& bytes) {
 }
 
 TEST(JobJournal, ParseDurabilityCoversCliValues) {
-  EXPECT_EQ(io::parse_durability("none"), Durability::kNone);
   EXPECT_EQ(io::parse_durability("flush"), Durability::kFlush);
   EXPECT_EQ(io::parse_durability("fsync"), Durability::kFsync);
+  EXPECT_FALSE(io::parse_durability("none").has_value());
   EXPECT_FALSE(io::parse_durability("").has_value());
   EXPECT_FALSE(io::parse_durability("fsync ").has_value());
   EXPECT_FALSE(io::parse_durability("paranoid").has_value());
@@ -112,10 +113,13 @@ TEST(JobJournal, RecordsRoundTripAcrossReopenForEveryKind) {
   JobJournal journal(path, Durability::kFlush);
   ASSERT_TRUE(journal.ok());
   EXPECT_EQ(journal.torn_bytes(), 0u);
-  ASSERT_EQ(journal.records().size(), written.size());
+  const std::vector<JournalRecord> records = journal.take_records();
+  ASSERT_EQ(records.size(), written.size());
   for (std::size_t i = 0; i < written.size(); ++i) {
-    expect_records_equal(journal.records()[i], written[i]);
+    expect_records_equal(records[i], written[i]);
   }
+  // Handed over once: the journal keeps no copy.
+  EXPECT_TRUE(journal.take_records().empty());
   std::remove(path.c_str());
 }
 
@@ -130,20 +134,21 @@ TEST(JobJournal, AppendAfterRecoveryExtendsTheFile) {
   JobJournal reopened(path, Durability::kFlush);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(reopened.torn_bytes(), 0u);
-  ASSERT_EQ(reopened.records().size(), all_kinds_fixture().size() + 1);
-  expect_records_equal(reopened.records().back(),
+  const std::vector<JournalRecord> records = reopened.take_records();
+  ASSERT_EQ(records.size(), all_kinds_fixture().size() + 1);
+  expect_records_equal(records.back(),
                        sample_record(JournalKind::kAdmitted, 9));
   std::remove(path.c_str());
 }
 
 TEST(JobJournal, DurabilityModesAllProduceReadableJournals) {
-  for (const char* name : {"none", "flush", "fsync"}) {
+  for (const char* name : {"flush", "fsync"}) {
     const std::string path = temp_path(name);
     build_fixture_file(path, *io::parse_durability(name));
     JobJournal reopened(path, Durability::kFlush);
     ASSERT_TRUE(reopened.ok()) << name;
     EXPECT_EQ(reopened.torn_bytes(), 0u);
-    EXPECT_EQ(reopened.records().size(), all_kinds_fixture().size());
+    EXPECT_EQ(reopened.take_records().size(), all_kinds_fixture().size());
     std::remove(path.c_str());
   }
 }
@@ -179,10 +184,11 @@ TEST(JobJournal, EverySingleBitFlipCostsOnlyThatRecord) {
         std::upper_bound(ends.begin(), ends.end(), bit / 8) - ends.begin());
     JobJournal journal(path, Durability::kFlush);
     ASSERT_TRUE(journal.ok()) << "bit=" << bit;
-    ASSERT_EQ(journal.records().size(), 2u) << "bit=" << bit;
+    const std::vector<JournalRecord> records = journal.take_records();
+    ASSERT_EQ(records.size(), 2u) << "bit=" << bit;
     std::size_t next = 0;
     for (std::size_t i = 0; i < written.size(); ++i) {
-      if (i != damaged) expect_records_equal(journal.records()[next++], written[i]);
+      if (i != damaged) expect_records_equal(records[next++], written[i]);
     }
   }
   std::remove(path.c_str());
