@@ -19,6 +19,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -131,6 +132,35 @@ TEST(Checkpoint, RoundTripsThroughBytes) {
   EXPECT_EQ(loaded->result.interfaces, cp.result.interfaces);
   EXPECT_EQ(loaded->result.routes, cp.result.routes);
   EXPECT_EQ(loaded->result.probe_log, cp.result.probe_log);
+}
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// Pins every byte of the FRCK format on a real scan: the lossy
+// checkpointing scan's checkpoint at its second barrier carries routes,
+// retransmit state and a probe log.
+TEST(Checkpoint, LossyScanAtItsSecondBarrierMatchesItsGoldenBytes) {
+  const sim::SimParams params = world_params();
+  const sim::Topology topology(params);
+  TracerConfig config = checkpointing_config(params);
+  std::string bytes;
+  int seen = 0;
+  config.checkpoint_sink = [&](const io::ScanCheckpoint& cp) {
+    if (++seen < 2) return true;
+    std::ostringstream out;
+    io::write_checkpoint(cp, out);
+    bytes = out.str();
+    return false;
+  };
+  (void)run_once(topology, config);
+  ASSERT_EQ(seen, 2);
+  EXPECT_EQ(fnv1a(bytes), 0x692706292e5d5e30ULL) << std::hex << fnv1a(bytes);
 }
 
 TEST(Checkpoint, RejectsGarbage) {

@@ -17,9 +17,12 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "io/checkpoint.h"
 #include "io/scan_archive.h"
@@ -234,6 +237,75 @@ TEST(SvcDaemon, RejectionsAndMissingJobsOnTheWire) {
   const auto verify = client.verify(rejected->job_id);
   ASSERT_TRUE(verify.has_value());
   EXPECT_FALSE(verify->found);
+}
+
+/// FNV-1a over each frame's length and bytes, in order.
+std::uint64_t frames_digest(const std::vector<std::string>& frames) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](unsigned char byte) {
+    hash = (hash ^ byte) * 0x100000001b3ULL;
+  };
+  for (const std::string& frame : frames) {
+    for (int shift = 0; shift < 64; shift += 8) mix(frame.size() >> shift);
+    for (const char c : frame) mix(static_cast<unsigned char>(c));
+  }
+  return hash;
+}
+
+// Pins every byte of the frd protocol: one request of each type as Client
+// sends it, captured by a stand-in server that answers each with an error,
+// then the real daemon's reply to each of those requests (a rejected job's
+// views included) and to a malformed one.
+TEST(SvcDaemon, RequestAndReplyFramesMatchTheirGoldenBytes) {
+  const std::string stand_in = "/tmp/fr_svc_test_stand_in_" +
+                               std::to_string(static_cast<long>(::getpid())) +
+                               ".sock";
+  std::vector<std::string> requests;
+  {
+    std::optional<ListenSocket> listener =
+        ListenSocket::bind_and_listen(stand_in);
+    ASSERT_TRUE(listener.has_value());
+    std::jthread server([&listener, &requests] {
+      std::optional<Connection> peer = listener->accept_client();
+      const std::string error(1, static_cast<char>(MsgType::kError));
+      std::string frame;
+      while (peer.has_value() && peer->read_frame(frame)) {
+        requests.push_back(frame);
+        if (!peer->write_frame(error)) break;
+      }
+    });
+    std::optional<Client> client = Client::connect(stand_in);
+    ASSERT_TRUE(client.has_value());
+    JobSpec greedy = quick_spec("greedy", 9);
+    greedy.probes_per_second = 20'000.0;
+    greedy.priority = 2;
+    greedy.request_key = "frames";
+    EXPECT_FALSE(client->submit(greedy).has_value());
+    EXPECT_FALSE(client->status(1).has_value());
+    EXPECT_FALSE(client->list().has_value());
+    EXPECT_FALSE(client->cancel(1).has_value());
+    EXPECT_FALSE(client->diff(1, 2).has_value());
+    EXPECT_FALSE(client->verify(1).has_value());
+    EXPECT_FALSE(client->shutdown());
+  }  // the client hangs up first, so the stand-in's read fails and it ends
+  ASSERT_EQ(requests.size(), 7u);
+  EXPECT_EQ(frames_digest(requests), 0x0d038958f29b5454ULL)
+      << std::hex << frames_digest(requests);
+
+  DaemonFixture fixture("frames", /*workers=*/1, /*budget=*/10'000.0);
+  ASSERT_TRUE(fixture.daemon->start());
+  std::optional<Connection> raw = connect_unix(fixture.socket_path);
+  ASSERT_TRUE(raw.has_value());
+  requests.insert(requests.end() - 1,
+                  std::string(1, static_cast<char>(MsgType::kStatus)));
+  std::vector<std::string> replies;
+  for (const std::string& request : requests) {
+    std::string reply;
+    ASSERT_TRUE(raw->write_frame(request) && raw->read_frame(reply));
+    replies.push_back(reply);
+  }
+  EXPECT_EQ(frames_digest(replies), 0x2d31b9512553cdedULL)
+      << std::hex << frames_digest(replies);
 }
 
 TEST(SvcDaemon, CancelQueuedJobBeforeItRuns) {

@@ -153,6 +153,43 @@ TEST(JobJournal, DurabilityModesAllProduceReadableJournals) {
   }
 }
 
+// Pins every byte of the FRWJ format: one record of each kind, each
+// carrying a spec whose every field differs from JobSpec's default.
+TEST(JobJournal, FileOfEveryKindMatchesItsGoldenBytes) {
+  const std::string path = temp_path("golden");
+  std::remove(path.c_str());
+  {
+    JobJournal journal(path, Durability::kFlush);
+    ASSERT_TRUE(journal.ok());
+    for (JournalRecord record : all_kinds_fixture()) {
+      JobSpec& spec = record.spec;
+      spec.topology_seed = 100 + record.job_id;
+      spec.target_seed = 200 + record.job_id;
+      spec.split_ttl = 12;
+      spec.gap_limit = 3;
+      spec.max_ttl = 24;
+      spec.preprobe_random = true;
+      spec.collect_routes = false;
+      spec.max_retransmits = 2;
+      spec.adaptive_backoff = true;
+      spec.min_round_duration = 7 * util::kMillisecond;
+      spec.priority = 1 + static_cast<int>(record.job_id);
+      spec.weight = 0.5 + static_cast<double>(record.job_id);
+      spec.checkpoint_interval = 300 * util::kMillisecond;
+      ASSERT_TRUE(journal.append(record));
+    }
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    digest = (digest ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(digest, 0x6e085276e51689c5ULL) << std::hex << digest;
+  std::remove(path.c_str());
+}
+
 // Every single-bit flip of a three-record journal costs exactly the
 // record it lands in; the other two are recovered intact.
 TEST(JobJournal, EverySingleBitFlipCostsOnlyThatRecord) {

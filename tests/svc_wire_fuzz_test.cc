@@ -35,11 +35,13 @@ JobSpec sample_spec() {
   spec.gap_limit = 4;
   spec.max_ttl = 30;
   spec.preprobe_random = true;
-  spec.collect_routes = true;
+  spec.collect_routes = false;
   spec.max_retransmits = 2;
   spec.adaptive_backoff = true;
+  spec.min_round_duration = 9 * util::kMillisecond;
   spec.priority = 3;
   spec.weight = 2.5;
+  spec.checkpoint_interval = 250 * util::kMillisecond;
   spec.request_key = "fuzz-request-key";
   return spec;
 }
@@ -85,6 +87,23 @@ std::string valid_view_payload() {
   Writer w(MsgType::kListReply);
   encode_view(w, sample_view());
   return w.bytes();
+}
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// Pins every byte of the two field groups the daemon and the client share:
+// every field of the corpus spec and view differs from its default.
+TEST(SvcWireFuzz, CorpusEncodesToItsGoldenBytes) {
+  EXPECT_EQ(fnv1a(valid_submit_payload()), 0x24bed5456e790040ULL)
+      << std::hex << fnv1a(valid_submit_payload());
+  EXPECT_EQ(fnv1a(valid_view_payload()), 0xb98ec133d5c7bf16ULL)
+      << std::hex << fnv1a(valid_view_payload());
 }
 
 // Runs a payload through the full decode surface.  The assertions are the
