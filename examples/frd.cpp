@@ -52,7 +52,6 @@ struct FrdOptions {
   double budget_pps = 100'000.0;
   int max_queued = 8;
   double rate_multiplier = 0.0;
-  std::uint64_t fair_slack = 0;
   bool help = false;
 };
 
@@ -76,7 +75,6 @@ void print_usage() {
       "  --max-queued=N        admission queue bound (default 8)\n"
       "  --rate-multiplier=X   wall-credit multiplier for per-job budgets\n"
       "                        (default 0 = unmetered, fair-share only)\n"
-      "  --fair-slack=N        fair-share hysteresis in probes (default 0)\n"
       "\n"
       "Stop with: frctl --socket=PATH shutdown   (or SIGTERM/SIGINT)");
 }
@@ -121,8 +119,6 @@ std::optional<FrdOptions> parse_args(int argc, char** argv) {
       options.max_queued = std::stoi(*v);
     } else if ((v = value_of("--rate-multiplier"))) {
       options.rate_multiplier = std::stod(*v);
-    } else if ((v = value_of("--fair-slack"))) {
-      options.fair_slack = std::stoull(*v);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return std::nullopt;
@@ -180,7 +176,6 @@ int main(int argc, char** argv) {
   daemon_options.scheduler.global_pps_budget = options->budget_pps;
   daemon_options.scheduler.max_queued = options->max_queued;
   daemon_options.scheduler.rate_multiplier = options->rate_multiplier;
-  daemon_options.scheduler.fair_share_slack = options->fair_slack;
 
   svc::Daemon daemon(daemon_options);
   if (!daemon.start()) {

@@ -15,6 +15,9 @@ namespace {
 
 /// Adaptive backoff halves the rate at most this many times (to 1/16).
 constexpr std::uint32_t kMaxBackoffLevel = 4;
+/// A round losing more than this share of its probes backs the rate off;
+/// one losing under half of it steps the rate back up.
+constexpr double kBackoffLossThreshold = 0.3;
 
 }  // namespace
 
@@ -437,7 +440,7 @@ void Tracer::update_backoff() {
       round_probes_ > 0 ? static_cast<double>(round_loss_events_) /
                               static_cast<double>(round_probes_)
                         : 0.0;
-  if (ratio > config_.backoff_loss_threshold &&
+  if (ratio > kBackoffLossThreshold &&
       backoff_level_ < kMaxBackoffLevel) {
     ++backoff_level_;
     sender_.set_rate(config_.probes_per_second /
@@ -446,7 +449,7 @@ void Tracer::update_backoff() {
     const obs::ScanTelemetry& tel = config_.telemetry;
     if (tel.ids.resilience) tel.count(tel.ids.rate_backoffs);
   } else if (backoff_level_ > 0 &&
-             ratio < config_.backoff_loss_threshold / 2.0) {
+             ratio < kBackoffLossThreshold / 2.0) {
     --backoff_level_;
     sender_.set_rate(config_.probes_per_second /
                      static_cast<double>(std::uint64_t{1} << backoff_level_));

@@ -140,12 +140,11 @@ struct TracerConfig {
   std::uint8_t max_retransmits = 0;
   util::Nanos retransmit_timeout = 500 * util::kMillisecond;
 
-  /// Adaptive rate backoff: when the fraction of main-phase probes timing
-  /// out in a round exceeds `backoff_loss_threshold`, the probing rate is
-  /// halved (down to probes_per_second / 16); it doubles back one step per
-  /// round once the loss ratio falls below half the threshold.
+  /// Adaptive rate backoff: when more than 30% of the main-phase probes
+  /// attempted in a round time out, the probing rate is halved (down to
+  /// probes_per_second / 16); it doubles back one step per round once the
+  /// loss ratio falls below 15%.
   bool adaptive_backoff = false;
-  double backoff_loss_threshold = 0.3;
 
   /// Checkpointing: at the first main-phase round barrier past each
   /// interval the engine quiesces (drains the retransmission queue and
@@ -269,8 +268,9 @@ class Tracer {
   std::uint8_t current_hop_flags_ = 0;
 
   /// Bit per prefix offset: set = the operator exclusion list covers part of
-  /// this /24.  Filled once per scan by the trie's bulk pass, so ring
-  /// construction pays O(1) per prefix instead of a range query each.
+  /// this /24.  Filled once per scan by mark_excluded_prefix24's one pass
+  /// over the list's sorted ranges, so ring construction pays O(1) per
+  /// prefix instead of a range query each.
   std::vector<std::uint64_t> excluded_bitmap_;
 
   // --- Resilience state (DESIGN.md §9) ------------------------------------

@@ -2,13 +2,14 @@
 //
 // A checkpoint is taken at a main-phase round barrier after the engine has
 // quiesced (retransmission wheel drained, responses idled out), so the
-// captured state has no in-flight probes.  The "FRCK" container embeds the
-// partial core::ScanResult through the existing FRSC archive writer —
-// checkpoints reuse the frozen v1 result encoding rather than inventing a
-// second one — and adds what FRSC does not carry: the probe log, the
-// resilience counters, the engine's per-destination control state, and the
+// captured state has no in-flight probes.  The "FRCK" container, written
+// and read through io/codec.h, holds what FRSC does not carry — the
 // virtual-time cursor needed to resume the timeline exactly where it
-// stopped.
+// stopped, the engine's per-destination control state, the probe log and
+// the resilience counters — and ends with the partial core::ScanResult as
+// one FRSC archive: checkpoints reuse the frozen v1 result encoding rather
+// than inventing a second one, and the reader decodes it in place into the
+// same result.
 //
 // Resume contract (core::Tracer): restoring a checkpoint and finishing the
 // scan produces merged results identical to the same scan never having been
@@ -18,13 +19,13 @@
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <optional>
-#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/result.h"
+#include "io/codec.h"
 #include "io/scan_archive.h"
 #include "util/clock.h"
 
@@ -67,12 +68,12 @@ struct ScanCheckpoint {
   core::ScanResult result;
 };
 
-/// Writes a checkpoint ("FRCK" magic, format version 1).
-void write_checkpoint(const ScanCheckpoint& checkpoint, std::ostream& out);
+/// Appends a checkpoint ("FRCK" magic, format version 1) to `out`.
+void write_checkpoint(const ScanCheckpoint& checkpoint, Writer& out);
 
-/// Reads a checkpoint; returns nullopt on bad magic, unsupported version,
-/// or truncated/corrupt input.
-std::optional<ScanCheckpoint> read_checkpoint(std::istream& in);
+/// Reads `bytes` holding exactly one checkpoint; nullopt on a bad magic,
+/// an unsupported version, or truncated or corrupt input.
+std::optional<ScanCheckpoint> read_checkpoint(std::string_view bytes);
 
 // --- atomic file publish (DESIGN.md §14.3) -----------------------------------
 //

@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <limits>
 
-#include "io/varint.h"
+#include "io/codec.h"
 #include "util/crash_point.h"
 
 namespace flashroute::io {
@@ -63,11 +63,12 @@ struct Scanner {
     head.clear();
     char* buf = buffer.data();
     if (offset > file_size || file_size - offset < kOverhead ||
-        !read_at(fd, offset, buf, kHeaderBytes) ||
-        std::string_view(buf, 4) != magic) {
+        !read_at(fd, offset, buf, kHeaderBytes)) {
       return std::nullopt;
     }
-    const std::uint64_t size = get_le(buf + 4, 4);
+    Reader header({buf, kHeaderBytes});
+    if (header.raw(magic.size()) != magic) return std::nullopt;
+    const std::uint64_t size = header.u32();
     if (size > file_size - offset - kOverhead) return std::nullopt;
     std::uint32_t crc = crc32c(0, std::string_view(buf + 4, 4));
     const std::uint64_t payload = offset + kHeaderBytes;
@@ -80,7 +81,8 @@ struct Scanner {
       }
       done += n;
     }
-    if (!read_at(fd, payload + size, buf, 4) || get_le(buf, 4) != crc) {
+    if (!read_at(fd, payload + size, buf, 4) ||
+        Reader({buf, 4}).u32() != crc) {
       return std::nullopt;
     }
     return RecordLog::Frame{payload, static_cast<std::uint32_t>(size)};
@@ -127,7 +129,7 @@ std::uint32_t crc32c(std::uint32_t crc, std::string_view bytes) {
   std::size_t n = bytes.size();
   crc = ~crc;
   for (; n >= 8; p += 8, n -= 8) {
-    const std::uint64_t word = get_le(p, 8) ^ crc;
+    const std::uint64_t word = Reader({p, 8}).u64() ^ crc;
     crc = t[7][word & 0xFF] ^ t[6][(word >> 8) & 0xFF] ^
           t[5][(word >> 16) & 0xFF] ^ t[4][(word >> 24) & 0xFF] ^
           t[3][(word >> 32) & 0xFF] ^ t[2][(word >> 40) & 0xFF] ^
@@ -202,7 +204,7 @@ RecordLog::RecordLog(const std::string& path, std::string_view magic,
         std::string_view(header, std::min(n, magic.size())) !=
             magic.substr(0, n) ||
         (n == kHeaderBytes &&
-         get_le(header + 4, 4) + kOverhead <= scan.file_size)) {
+         Reader({header + 4, 4}).u32() + kOverhead <= scan.file_size)) {
       return;
     }
   }
@@ -218,19 +220,21 @@ std::optional<RecordLog::Frame> RecordLog::append(std::string_view payload) {
   if (!ok() || payload.size() > std::numeric_limits<std::uint32_t>::max()) {
     return std::nullopt;
   }
-  std::string frame = magic_;
-  put_le(frame, payload.size(), 4);
-  frame.append(payload);
-  put_le(frame, crc32c(0, std::string_view(frame).substr(4)), 4);
+  Writer frame;
+  frame.put_raw(magic_);
+  frame.put_u32(static_cast<std::uint32_t>(payload.size()));
+  frame.put_raw(payload);
+  frame.put_u32(crc32c(0, std::string_view(frame.str()).substr(4)));
 
   const util::MutexLock lock(mutex_);
-  if (::pwrite(fd_, frame.data(), frame.size(), static_cast<off_t>(end_)) !=
-      static_cast<ssize_t>(frame.size())) {
+  const std::string& bytes = frame.str();
+  if (::pwrite(fd_, bytes.data(), bytes.size(), static_cast<off_t>(end_)) !=
+      static_cast<ssize_t>(bytes.size())) {
     return std::nullopt;
   }
   const Frame placed{end_ + kHeaderBytes,
                      static_cast<std::uint32_t>(payload.size())};
-  end_ += frame.size();
+  end_ += bytes.size();
   FR_CRASH_POINT(crash_site_);
   if (durability_ == Durability::kFsync && ::fdatasync(fd_) != 0) {
     return std::nullopt;

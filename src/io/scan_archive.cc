@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <iterator>
-#include <sstream>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "io/varint.h"
 #include "util/crash_point.h"
 #include "util/sync.h"
 #include "net/ipv4.h"
@@ -16,7 +14,7 @@ namespace flashroute::io {
 
 namespace {
 
-constexpr char kMagic[4] = {'F', 'R', 'S', 'C'};
+constexpr std::string_view kMagic = "FRSC";
 constexpr std::uint64_t kFormatVersion = 1;
 // The frame magic of an archive file (save_archive_file).
 constexpr std::string_view kFileMagic = "FRSA";
@@ -92,126 +90,103 @@ void write_routes_csv(const core::ScanResult& result,
 }
 
 void write_archive(const core::ScanResult& result,
-                   const ArchiveHeader& header, std::ostream& out) {
-  out.write(kMagic, sizeof kMagic);
-  write_varint(out, kFormatVersion);
-  write_varint(out, header.first_prefix);
-  write_varint(out, static_cast<std::uint64_t>(header.prefix_bits));
-  write_varint(out, header.seed);
+                   const ArchiveHeader& header, Writer& out) {
+  out.put_raw(kMagic);
+  out.put_varint(kFormatVersion);
+  out.put_varint(header.first_prefix);
+  out.put_varint(static_cast<std::uint64_t>(header.prefix_bits));
+  out.put_varint(header.seed);
 
   // Scalar counters.
-  write_varint(out, result.probes_sent);
-  write_varint(out, result.preprobe_probes);
-  write_varint(out, result.responses);
-  write_varint(out, result.mismatches);
-  write_varint(out, result.destinations_reached);
-  write_varint(out, result.distances_measured);
-  write_varint(out, result.distances_predicted);
-  write_varint(out, result.convergence_stops);
-  write_varint(out, static_cast<std::uint64_t>(result.scan_time));
-  write_varint(out, static_cast<std::uint64_t>(result.preprobe_time));
+  out.put_varint(result.probes_sent);
+  out.put_varint(result.preprobe_probes);
+  out.put_varint(result.responses);
+  out.put_varint(result.mismatches);
+  out.put_varint(result.destinations_reached);
+  out.put_varint(result.distances_measured);
+  out.put_varint(result.distances_predicted);
+  out.put_varint(result.convergence_stops);
+  out.put_varint(static_cast<std::uint64_t>(result.scan_time));
+  out.put_varint(static_cast<std::uint64_t>(result.preprobe_time));
 
   // Interfaces, delta-coded over the sorted set.
   std::vector<std::uint32_t> interfaces(result.interfaces.begin(),
                                         result.interfaces.end());
   std::sort(interfaces.begin(), interfaces.end());
-  write_varint(out, interfaces.size());
+  out.put_varint(interfaces.size());
   std::uint32_t previous = 0;
   for (const std::uint32_t ip : interfaces) {
-    write_varint(out, ip - previous);
+    out.put_varint(ip - previous);
     previous = ip;
   }
 
   // Per-prefix byte vectors (empty vectors are stored with length 0).
-  write_bytes(out, result.destination_distance);
-  write_bytes(out, result.trigger_ttl);
-  write_bytes(out, result.measured_distance);
-  write_bytes(out, result.predicted_distance);
+  out.put_bytes(result.destination_distance);
+  out.put_bytes(result.trigger_ttl);
+  out.put_bytes(result.measured_distance);
+  out.put_bytes(result.predicted_distance);
 
   // Routes.
-  write_varint(out, result.routes.size());
+  out.put_varint(result.routes.size());
   for (const auto& route : result.routes) {
-    write_varint(out, route.size());
+    out.put_varint(route.size());
     for (const core::RouteHop& hop : route) {
-      write_varint(out, hop.ip);
-      out.put(static_cast<char>(hop.ttl));
-      out.put(static_cast<char>(hop.flags));
+      out.put_varint(hop.ip);
+      out.put_u8(hop.ttl);
+      out.put_u8(hop.flags);
     }
   }
 }
 
-std::optional<LoadedArchive> read_archive(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof magic);
-  if (!in || !std::equal(magic, magic + 4, kMagic)) return std::nullopt;
-  const auto version = read_varint(in);
-  if (!version || *version != kFormatVersion) return std::nullopt;
+bool read_archive(Reader& in, ArchiveHeader& header,
+                  core::ScanResult& result) {
+  if (in.raw(kMagic.size()) != kMagic || in.varint() != kFormatVersion) {
+    return false;
+  }
+  header.first_prefix = static_cast<std::uint32_t>(in.varint());
+  header.prefix_bits = static_cast<int>(in.varint());
+  header.seed = in.varint();
 
-  LoadedArchive loaded;
-  const auto read_u64 = [&](auto& field) -> bool {
-    const auto value = read_varint(in);
-    if (!value) return false;
-    field = static_cast<std::remove_reference_t<decltype(field)>>(*value);
-    return true;
-  };
+  result.probes_sent = in.varint();
+  result.preprobe_probes = in.varint();
+  result.responses = in.varint();
+  result.mismatches = in.varint();
+  result.destinations_reached = in.varint();
+  result.distances_measured = in.varint();
+  result.distances_predicted = in.varint();
+  result.convergence_stops = in.varint();
+  result.scan_time = static_cast<util::Nanos>(in.varint());
+  result.preprobe_time = static_cast<util::Nanos>(in.varint());
 
-  if (!read_u64(loaded.header.first_prefix)) return std::nullopt;
-  if (!read_u64(loaded.header.prefix_bits)) return std::nullopt;
-  if (!read_u64(loaded.header.seed)) return std::nullopt;
-
-  core::ScanResult& result = loaded.result;
-  if (!read_u64(result.probes_sent)) return std::nullopt;
-  if (!read_u64(result.preprobe_probes)) return std::nullopt;
-  if (!read_u64(result.responses)) return std::nullopt;
-  if (!read_u64(result.mismatches)) return std::nullopt;
-  if (!read_u64(result.destinations_reached)) return std::nullopt;
-  if (!read_u64(result.distances_measured)) return std::nullopt;
-  if (!read_u64(result.distances_predicted)) return std::nullopt;
-  if (!read_u64(result.convergence_stops)) return std::nullopt;
-  if (!read_u64(result.scan_time)) return std::nullopt;
-  if (!read_u64(result.preprobe_time)) return std::nullopt;
-
-  const auto interface_count = read_varint(in);
-  if (!interface_count) return std::nullopt;
   std::uint32_t previous = 0;
-  for (std::uint64_t i = 0; i < *interface_count; ++i) {
-    const auto delta = read_varint(in);
-    if (!delta) return std::nullopt;
-    previous += static_cast<std::uint32_t>(*delta);
+  for (std::uint64_t left = in.count(1); left > 0 && in.ok(); --left) {
+    previous += static_cast<std::uint32_t>(in.varint());
     result.interfaces.insert(previous);
   }
 
-  if (!read_bytes(in, result.destination_distance) ||
-      !read_bytes(in, result.trigger_ttl) ||
-      !read_bytes(in, result.measured_distance) ||
-      !read_bytes(in, result.predicted_distance)) {
-    return std::nullopt;
-  }
+  result.destination_distance = in.bytes();
+  result.trigger_ttl = in.bytes();
+  result.measured_distance = in.bytes();
+  result.predicted_distance = in.bytes();
 
-  const auto route_count = read_varint(in);
-  if (!route_count || *route_count > (std::uint64_t{1} << 32)) {
-    return std::nullopt;
-  }
-  result.routes.resize(static_cast<std::size_t>(*route_count));
+  // A route takes at least its hop count's byte, a hop at least 3 bytes.
+  result.routes.resize(in.count(1));
   for (auto& route : result.routes) {
-    const auto hop_count = read_varint(in);
-    if (!hop_count || *hop_count > (std::uint64_t{1} << 24)) {
-      return std::nullopt;
-    }
-    route.resize(static_cast<std::size_t>(*hop_count));
+    route.resize(in.count(3));
     for (core::RouteHop& hop : route) {
-      const auto ip = read_varint(in);
-      if (!ip) return std::nullopt;
-      hop.ip = static_cast<std::uint32_t>(*ip);
-      const int ttl = in.get();
-      const int flags = in.get();
-      if (ttl == std::char_traits<char>::eof() ||
-          flags == std::char_traits<char>::eof()) {
-        return std::nullopt;
-      }
-      hop.ttl = static_cast<std::uint8_t>(ttl);
-      hop.flags = static_cast<std::uint8_t>(flags);
+      hop.ip = static_cast<std::uint32_t>(in.varint());
+      hop.ttl = in.u8();
+      hop.flags = in.u8();
     }
+  }
+  return in.ok();
+}
+
+std::optional<LoadedArchive> read_archive(std::string_view bytes) {
+  Reader in(bytes);
+  LoadedArchive loaded;
+  if (!read_archive(in, loaded.header, loaded.result) || !in.done()) {
+    return std::nullopt;
   }
   return loaded;
 }
@@ -219,17 +194,16 @@ std::optional<LoadedArchive> read_archive(std::istream& in) {
 bool save_archive_file(const std::string& path,
                        const core::ScanResult& result,
                        const ArchiveHeader& header) {
-  std::ostringstream out;
+  Writer out;
   write_archive(result, header, out);
-  return out && publish_frame_atomic(path, kFileMagic, out.view(),
-                                     /*sync=*/true);
+  return publish_frame_atomic(path, kFileMagic, out.str(), /*sync=*/true);
 }
 
 std::optional<LoadedArchive> load_archive_file(const std::string& path) {
-  std::optional<std::string> payload = read_frame_file(path, kFileMagic);
+  const std::optional<std::string> payload =
+      read_frame_file(path, kFileMagic);
   if (!payload.has_value()) return std::nullopt;
-  std::istringstream in(std::move(*payload));
-  return read_archive(in);
+  return read_archive(*payload);
 }
 
 // --- JobArchive --------------------------------------------------------------
@@ -237,23 +211,23 @@ std::optional<LoadedArchive> load_archive_file(const std::string& path) {
 JobArchive::JobArchive(const std::string& path, Durability durability)
     : log_(path, "FRSJ", durability, util::crash::kArchiveFlush, kJobIdBytes,
            [this](const RecordLog::Frame& frame, std::string_view head) {
-             if (head.size() < kJobIdBytes) return;
+             Reader id(head);
+             const std::uint64_t job_id = id.u64();
+             if (!id.ok()) return;
              const util::MutexLock lock(mutex_);
-             index_.push_back({get_le(head.data(), kJobIdBytes), frame});
+             index_.push_back({job_id, frame});
            }) {}
 
 bool JobArchive::append(std::uint64_t job_id, const core::ScanResult& result,
                         const ArchiveHeader& header) {
-  std::string id;
-  put_le(id, job_id, kJobIdBytes);
-  std::ostringstream payload(id, std::ios::ate);
+  Writer payload;
+  payload.put_u64(job_id);
   write_archive(result, header, payload);
 
   // The log serializes the write; the archive lock guards only the index,
   // so queries never wait on file I/O.  Appends racing each other may
   // finish out of order: insert by offset to keep the index in file order.
-  const std::optional<RecordLog::Frame> frame =
-      log_.append(std::move(payload).str());
+  const std::optional<RecordLog::Frame> frame = log_.append(payload.str());
   if (!frame.has_value()) return false;
   const util::MutexLock lock(mutex_);
   auto at = index_.end();
@@ -285,10 +259,9 @@ std::optional<std::string> JobArchive::payload_bytes(
 }
 
 std::optional<LoadedArchive> JobArchive::load(std::uint64_t job_id) const {
-  const auto payload = payload_bytes(job_id);
-  if (!payload) return std::nullopt;
-  std::istringstream in(*payload);
-  return read_archive(in);
+  const std::optional<std::string> payload = payload_bytes(job_id);
+  if (!payload.has_value()) return std::nullopt;
+  return read_archive(*payload);
 }
 
 }  // namespace flashroute::io

@@ -5,22 +5,28 @@
 //
 //  * text  — human-readable per-target route listings (traceroute-style);
 //  * csv   — one row per discovered hop, for spreadsheet/pandas analysis;
-//  * a versioned binary archive ("FRSC" magic) with varint coding, carrying
-//    everything in core::ScanResult (routes, distances, counters) so a scan
-//    can be analysed later without re-running it.  write_archive/read_archive
+//  * a versioned binary archive ("FRSC" magic), carrying everything in
+//    core::ScanResult that a later analysis reads (routes, distances,
+//    counters) so a scan can be analysed without re-running it.  It is
+//    written and read through io/codec.h: the magic, then varints (the
+//    header, the counters, the sorted interfaces as deltas), the four
+//    per-prefix byte vectors as length-prefixed strings, and the routes
+//    (a route count, then per route a hop count and each hop as a varint
+//    address, a TTL byte and a flags byte).  write_archive/read_archive
 //    round-trip exactly; on disk it sits inside a CRC-checked frame.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <istream>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/result.h"
+#include "io/codec.h"
 #include "io/record_log.h"
 #include "util/annotations.h"
 #include "util/sync.h"
@@ -50,18 +56,25 @@ void write_routes_csv(const core::ScanResult& result,
                       const TargetResolver& target_of,
                       std::uint32_t first_prefix, std::ostream& out);
 
-/// Binary archive (format version 1).  Everything in `result` is stored.
+/// Appends the binary archive (format version 1) of `result` to `out`.
+/// The resilience counters and the probe log are not stored (FRCK
+/// checkpoints carry them).
 void write_archive(const core::ScanResult& result,
-                   const ArchiveHeader& header, std::ostream& out);
+                   const ArchiveHeader& header, Writer& out);
+
+/// Reads one archive from `in` into `header` and the fields of `result`
+/// that write_archive stores; false on a bad magic, an unsupported
+/// version, or truncated or corrupt input (`in` then fails too).
+bool read_archive(Reader& in, ArchiveHeader& header, core::ScanResult& result);
 
 struct LoadedArchive {
   ArchiveHeader header;
   core::ScanResult result;
 };
 
-/// Reads an archive; returns nullopt on a bad magic, unsupported version,
-/// or truncated/corrupt input.
-std::optional<LoadedArchive> read_archive(std::istream& in);
+/// Reads `bytes` holding exactly one archive; nullopt when read_archive
+/// fails or bytes follow the archive.
+std::optional<LoadedArchive> read_archive(std::string_view bytes);
 
 /// Archive file (flashroute_cli --archive): the write_archive bytes as the
 /// one CRC-checked frame of a file under the "FRSA" magic, fdatasync'd and
@@ -79,7 +92,7 @@ std::optional<LoadedArchive> load_archive_file(const std::string& path);
 /// Multi-job archive file: many FRSC payloads appended by concurrent scan
 /// jobs into one io::RecordLog under the "FRSJ" magic (DESIGN.md §12).
 ///
-/// Each frame's payload is the job id (u64 LE) followed by the (frozen)
+/// Each frame's payload is the job id (a put_u64) followed by the (frozen)
 /// FRSC v1 bytes.  The log serializes appends, so two jobs finishing at
 /// once never interleave; a daemon killed mid-append leaves a torn tail
 /// the next open cuts; a payload damaged on disk costs only its own job;

@@ -31,13 +31,13 @@ std::optional<std::string> Client::roundtrip(const std::string& request) {
 }
 
 std::optional<Submission> Client::submit(const JobSpec& spec) {
-  Writer w(MsgType::kSubmit);
+  io::Writer w = message(MsgType::kSubmit);
   encode_spec(w, spec);
-  const auto reply = roundtrip(w.bytes());
+  const auto reply = roundtrip(w.str());
   if (!reply.has_value() || peek_type(*reply) != MsgType::kSubmitReply) {
     return std::nullopt;
   }
-  Reader r(*reply);
+  io::Reader r(*reply);
   r.u8();
   Submission submission;
   submission.admitted = r.boolean();
@@ -49,45 +49,44 @@ std::optional<Submission> Client::submit(const JobSpec& spec) {
 }
 
 std::optional<JobView> Client::status(std::uint64_t job_id) {
-  Writer w(MsgType::kStatus);
+  io::Writer w = message(MsgType::kStatus);
   w.put_u64(job_id);
-  const auto reply = roundtrip(w.bytes());
+  const auto reply = roundtrip(w.str());
   if (!reply.has_value() || peek_type(*reply) != MsgType::kStatusReply) {
     return std::nullopt;
   }
-  Reader r(*reply);
+  io::Reader r(*reply);
   r.u8();
   if (!r.boolean()) return std::nullopt;  // unknown job id
   return decode_view(r);
 }
 
 std::optional<std::vector<JobView>> Client::list() {
-  Writer w(MsgType::kList);
-  const auto reply = roundtrip(w.bytes());
+  io::Writer w = message(MsgType::kList);
+  const auto reply = roundtrip(w.str());
   if (!reply.has_value() || peek_type(*reply) != MsgType::kListReply) {
     return std::nullopt;
   }
-  Reader r(*reply);
+  io::Reader r(*reply);
   r.u8();
-  const std::uint64_t count = r.varint();
   std::vector<JobView> views;
-  views.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  for (std::uint64_t left = r.count(1); left > 0; --left) {
     auto view = decode_view(r);
     if (!view.has_value()) return std::nullopt;
     views.push_back(std::move(*view));
   }
+  if (!r.ok()) return std::nullopt;
   return views;
 }
 
 std::optional<CancelOutcome> Client::cancel(std::uint64_t job_id) {
-  Writer w(MsgType::kCancel);
+  io::Writer w = message(MsgType::kCancel);
   w.put_u64(job_id);
-  const auto reply = roundtrip(w.bytes());
+  const auto reply = roundtrip(w.str());
   if (!reply.has_value() || peek_type(*reply) != MsgType::kCancelReply) {
     return std::nullopt;
   }
-  Reader r(*reply);
+  io::Reader r(*reply);
   r.u8();
   const std::uint8_t outcome = r.u8();
   if (!r.ok() ||
@@ -99,14 +98,14 @@ std::optional<CancelOutcome> Client::cancel(std::uint64_t job_id) {
 
 std::optional<DiffReply> Client::diff(std::uint64_t before_id,
                                       std::uint64_t after_id) {
-  Writer w(MsgType::kDiff);
+  io::Writer w = message(MsgType::kDiff);
   w.put_u64(before_id);
   w.put_u64(after_id);
-  const auto reply = roundtrip(w.bytes());
+  const auto reply = roundtrip(w.str());
   if (!reply.has_value() || peek_type(*reply) != MsgType::kDiffReply) {
     return std::nullopt;
   }
-  Reader r(*reply);
+  io::Reader r(*reply);
   r.u8();
   DiffReply diff;
   diff.ok = r.boolean();
@@ -126,13 +125,13 @@ std::optional<DiffReply> Client::diff(std::uint64_t before_id,
 }
 
 std::optional<VerifyReply> Client::verify(std::uint64_t job_id) {
-  Writer w(MsgType::kVerify);
+  io::Writer w = message(MsgType::kVerify);
   w.put_u64(job_id);
-  const auto reply = roundtrip(w.bytes());
+  const auto reply = roundtrip(w.str());
   if (!reply.has_value() || peek_type(*reply) != MsgType::kVerifyReply) {
     return std::nullopt;
   }
-  Reader r(*reply);
+  io::Reader r(*reply);
   r.u8();
   VerifyReply verify;
   verify.found = r.boolean();
@@ -145,8 +144,8 @@ std::optional<VerifyReply> Client::verify(std::uint64_t job_id) {
 }
 
 bool Client::shutdown() {
-  Writer w(MsgType::kShutdown);
-  const auto reply = roundtrip(w.bytes());
+  io::Writer w = message(MsgType::kShutdown);
+  const auto reply = roundtrip(w.str());
   return reply.has_value() && peek_type(*reply) == MsgType::kOk;
 }
 

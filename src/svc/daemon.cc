@@ -28,10 +28,10 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return hash;
 }
 
-std::string error_reply(const char* message) {
-  Writer w(MsgType::kError);
-  w.put_string(message);
-  return w.bytes();
+std::string error_reply(const char* text) {
+  io::Writer w = message(MsgType::kError);
+  w.put_string(text);
+  return w.str();
 }
 
 }  // namespace
@@ -351,7 +351,7 @@ void Daemon::io_loop() {
 std::string Daemon::handle_request(std::string_view payload) {
   const std::optional<MsgType> type = peek_type(payload);
   if (!type.has_value()) return error_reply("unknown message type");
-  Reader reader(payload);
+  io::Reader reader(payload);
   reader.u8();  // consume the type byte
   switch (*type) {
     case MsgType::kSubmit:
@@ -366,17 +366,15 @@ std::string Daemon::handle_request(std::string_view payload) {
       return handle_diff(reader);
     case MsgType::kVerify:
       return handle_verify(reader);
-    case MsgType::kShutdown: {
+    case MsgType::kShutdown:
       request_shutdown();
-      Writer w(MsgType::kOk);
-      return w.bytes();
-    }
+      return message(MsgType::kOk).str();
     default:
       return error_reply("unexpected message type");
   }
 }
 
-std::string Daemon::handle_submit(Reader& reader) {
+std::string Daemon::handle_submit(io::Reader& reader) {
   const std::optional<JobSpec> spec = decode_spec(reader);
   if (!spec.has_value()) return error_reply("malformed submit");
 
@@ -387,12 +385,12 @@ std::string Daemon::handle_submit(Reader& reader) {
     const util::MutexLock lock(mutex_);
     const auto it = request_keys_.find(spec->request_key);
     if (it != request_keys_.end()) {
-      Writer w(MsgType::kSubmitReply);
+      io::Writer w = message(MsgType::kSubmitReply);
       w.put_bool(it->second.admitted);
       w.put_u64(it->second.job_id);
       w.put_string(it->second.reason);
       w.put_string(it->second.detail);
-      return w.bytes();
+      return w.str();
     }
   }
 
@@ -443,15 +441,15 @@ std::string Daemon::handle_submit(Reader& reader) {
   FR_CRASH_POINT(util::crash::kSubmitJournaled);
   cv_.notify_all();
 
-  Writer w(MsgType::kSubmitReply);
+  io::Writer w = message(MsgType::kSubmitReply);
   w.put_bool(submission.admitted);
   w.put_u64(submission.job_id);
   w.put_string(submission.reason);
   w.put_string(submission.detail);
-  return w.bytes();
+  return w.str();
 }
 
-std::string Daemon::handle_status(Reader& reader) {
+std::string Daemon::handle_status(io::Reader& reader) {
   const std::uint64_t job_id = reader.u64();
   if (!reader.ok()) return error_reply("malformed status");
   std::optional<JobView> view;
@@ -459,10 +457,10 @@ std::string Daemon::handle_status(Reader& reader) {
     const util::MutexLock lock(mutex_);
     view = scheduler_.view(job_id);
   }
-  Writer w(MsgType::kStatusReply);
+  io::Writer w = message(MsgType::kStatusReply);
   w.put_bool(view.has_value());
   if (view.has_value()) encode_view(w, *view);
-  return w.bytes();
+  return w.str();
 }
 
 std::string Daemon::handle_list() {
@@ -471,13 +469,13 @@ std::string Daemon::handle_list() {
     const util::MutexLock lock(mutex_);
     views = scheduler_.views();
   }
-  Writer w(MsgType::kListReply);
+  io::Writer w = message(MsgType::kListReply);
   w.put_varint(views.size());
   for (const JobView& view : views) encode_view(w, view);
-  return w.bytes();
+  return w.str();
 }
 
-std::string Daemon::handle_cancel(Reader& reader) {
+std::string Daemon::handle_cancel(io::Reader& reader) {
   const std::uint64_t job_id = reader.u64();
   if (!reader.ok()) return error_reply("malformed cancel");
   CancelOutcome outcome = CancelOutcome::kNotFound;
@@ -508,12 +506,12 @@ std::string Daemon::handle_cancel(Reader& reader) {
     journal_->append(record);
     io::discard_checkpoint(checkpoint_path(job_id));
   }
-  Writer w(MsgType::kCancelReply);
+  io::Writer w = message(MsgType::kCancelReply);
   w.put_u8(static_cast<std::uint8_t>(outcome));
-  return w.bytes();
+  return w.str();
 }
 
-std::string Daemon::handle_diff(Reader& reader) {
+std::string Daemon::handle_diff(io::Reader& reader) {
   const std::uint64_t before_id = reader.u64();
   const std::uint64_t after_id = reader.u64();
   if (!reader.ok()) return error_reply("malformed diff");
@@ -521,18 +519,18 @@ std::string Daemon::handle_diff(Reader& reader) {
   // of two large snapshots must not stall admissions.
   const std::optional<io::LoadedArchive> before = archive_->load(before_id);
   const std::optional<io::LoadedArchive> after = archive_->load(after_id);
-  Writer w(MsgType::kDiffReply);
+  io::Writer w = message(MsgType::kDiffReply);
   if (!before.has_value() || !after.has_value()) {
     w.put_bool(false);
     w.put_string("job has no archived result");
-    return w.bytes();
+    return w.str();
   }
   const std::optional<analysis::ChurnReport> report =
       analysis::diff_snapshots(*before, *after);
   if (!report.has_value()) {
     w.put_bool(false);
     w.put_string("snapshots are not comparable");
-    return w.bytes();
+    return w.str();
   }
   w.put_bool(true);
   w.put_u64(report->interfaces_before);
@@ -542,20 +540,20 @@ std::string Daemon::handle_diff(Reader& reader) {
   w.put_u64(report->routes_compared);
   w.put_u64(report->routes_changed_hops);
   w.put_u64(report->routes_changed_length);
-  return w.bytes();
+  return w.str();
 }
 
-std::string Daemon::handle_verify(Reader& reader) {
+std::string Daemon::handle_verify(io::Reader& reader) {
   const std::uint64_t job_id = reader.u64();
   if (!reader.ok()) return error_reply("malformed verify");
   const std::optional<std::string> payload = archive_->payload_bytes(job_id);
-  Writer w(MsgType::kVerifyReply);
+  io::Writer w = message(MsgType::kVerifyReply);
   w.put_bool(payload.has_value());
   if (payload.has_value()) {
     w.put_u64(payload->size());
     w.put_u64(fnv1a(*payload));
   }
-  return w.bytes();
+  return w.str();
 }
 
 void Daemon::worker_loop(int worker_index) {

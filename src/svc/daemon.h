@@ -127,12 +127,12 @@ class Daemon {
   /// Serves one request frame; returns the reply payload ("" = drop peer).
   /// Handlers lock internally, so the I/O thread must call them unlocked.
   std::string handle_request(std::string_view payload) FR_EXCLUDES(mutex_);
-  std::string handle_submit(Reader& reader) FR_EXCLUDES(mutex_);
-  std::string handle_status(Reader& reader) FR_EXCLUDES(mutex_);
+  std::string handle_submit(io::Reader& reader) FR_EXCLUDES(mutex_);
+  std::string handle_status(io::Reader& reader) FR_EXCLUDES(mutex_);
   std::string handle_list() FR_EXCLUDES(mutex_);
-  std::string handle_cancel(Reader& reader) FR_EXCLUDES(mutex_);
-  std::string handle_diff(Reader& reader) FR_EXCLUDES(mutex_);
-  std::string handle_verify(Reader& reader) FR_EXCLUDES(mutex_);
+  std::string handle_cancel(io::Reader& reader) FR_EXCLUDES(mutex_);
+  std::string handle_diff(io::Reader& reader) FR_EXCLUDES(mutex_);
+  std::string handle_verify(io::Reader& reader) FR_EXCLUDES(mutex_);
   /// Boot-time recovery (DESIGN.md §14): replays the journal against the
   /// archive and on-disk checkpoints, rebuilding scheduler/runners/dedup
   /// state.  Runs in start() before any thread is spawned.

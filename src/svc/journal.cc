@@ -13,7 +13,7 @@ namespace flashroute::svc {
 namespace {
 
 std::string encode_record(const JournalRecord& record) {
-  Writer w;  // bare buffer: journal payloads carry no MsgType byte
+  io::Writer w;  // journal payloads carry no MsgType byte
   w.put_u8(static_cast<std::uint8_t>(record.kind));
   w.put_u64(record.job_id);
   encode_spec(w, record.spec);
@@ -21,11 +21,11 @@ std::string encode_record(const JournalRecord& record) {
   w.put_string(record.detail);
   w.put_u64(record.probes);
   w.put_u64(record.slices);
-  return w.bytes();
+  return w.str();
 }
 
 std::optional<JournalRecord> decode_record(std::string_view payload) {
-  Reader r(payload);
+  io::Reader r(payload);
   JournalRecord record;
   const std::uint8_t kind = r.u8();
   if (kind < static_cast<std::uint8_t>(JournalKind::kAdmitted) ||

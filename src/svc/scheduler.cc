@@ -134,9 +134,7 @@ BarrierDecision Scheduler::on_barrier(std::uint64_t job_id,
     return BarrierDecision::kPreempt;
   }
   if (waiter.spec.priority == entry->spec.priority &&
-      waiter.progress() +
-              static_cast<double>(config_.fair_share_slack) / entry->spec.weight <
-          entry->progress()) {
+      waiter.progress() < entry->progress()) {
     return BarrierDecision::kPreempt;  // fair-share: let the laggard catch up
   }
   return BarrierDecision::kContinue;

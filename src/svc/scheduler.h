@@ -64,9 +64,6 @@ struct SchedulerConfig {
   int max_queued = 8;
   /// Wall-credit multiplier for the per-job token buckets (see above).
   double rate_multiplier = 0.0;
-  /// Fair-share hysteresis in probes: a running job yields to an
-  /// equal-priority peer only when the peer lags by more than this.
-  std::uint64_t fair_share_slack = 0;
 };
 
 /// What a running job must do at a checkpoint barrier.

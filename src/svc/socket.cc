@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "io/codec.h"
 #include "svc/wire.h"
 
 namespace flashroute::svc {
@@ -74,11 +75,7 @@ bool Connection::read_frame(std::string& payload) {
   if (fd_ < 0) return false;
   char header[4];
   if (!read_full(fd_, header, sizeof(header))) return false;
-  std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<std::uint32_t>(static_cast<unsigned char>(header[i]))
-              << (8 * i);
-  }
+  const std::uint32_t length = io::Reader({header, sizeof(header)}).u32();
   if (length > kMaxFrame) return false;  // protocol violation: drop peer
   payload.resize(length);
   return length == 0 || read_full(fd_, payload.data(), length);
@@ -86,12 +83,9 @@ bool Connection::read_frame(std::string& payload) {
 
 bool Connection::write_frame(std::string_view payload) {
   if (fd_ < 0 || payload.size() > kMaxFrame) return false;
-  const auto length = static_cast<std::uint32_t>(payload.size());
-  char header[4];
-  for (int i = 0; i < 4; ++i) {
-    header[i] = static_cast<char>((length >> (8 * i)) & 0xFF);
-  }
-  return write_full(fd_, header, sizeof(header)) &&
+  io::Writer header;
+  header.put_u32(static_cast<std::uint32_t>(payload.size()));
+  return write_full(fd_, header.str().data(), header.str().size()) &&
          write_full(fd_, payload.data(), payload.size());
 }
 

@@ -1,92 +1,11 @@
 #include "svc/wire.h"
 
-#include <cstring>
-
-#include "io/varint.h"
-
 namespace flashroute::svc {
 
-void Writer::put_u32(std::uint32_t v) { io::put_le(buffer_, v, 4); }
-
-void Writer::put_u64(std::uint64_t v) { io::put_le(buffer_, v, 8); }
-
-void Writer::put_varint(std::uint64_t v) {
-  while (v >= 0x80) {
-    put_u8(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  put_u8(static_cast<std::uint8_t>(v));
-}
-
-void Writer::put_f64(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(bits);
-}
-
-void Writer::put_string(std::string_view v) {
-  put_varint(v.size());
-  buffer_.append(v.data(), v.size());
-}
-
-bool Reader::need(std::size_t n) {
-  if (!ok_ || data_.size() - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-std::uint8_t Reader::u8() {
-  if (!need(1)) return 0;
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::uint32_t Reader::u32() {
-  if (!need(4)) return 0;
-  pos_ += 4;
-  return static_cast<std::uint32_t>(io::get_le(data_.data() + pos_ - 4, 4));
-}
-
-std::uint64_t Reader::u64() {
-  if (!need(8)) return 0;
-  pos_ += 8;
-  return io::get_le(data_.data() + pos_ - 8, 8);
-}
-
-std::uint64_t Reader::varint() {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (!need(1) || shift > 63) {
-      ok_ = false;
-      return 0;
-    }
-    const auto byte = static_cast<std::uint8_t>(data_[pos_++]);
-    v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) break;
-    shift += 7;
-  }
-  return v;
-}
-
-double Reader::f64() {
-  const std::uint64_t bits = u64();
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string Reader::string() {
-  const std::uint64_t n = varint();
-  if (n > kMaxFrame || !need(static_cast<std::size_t>(n))) {
-    ok_ = false;
-    return {};
-  }
-  std::string s(data_.substr(pos_, static_cast<std::size_t>(n)));
-  pos_ += static_cast<std::size_t>(n);
-  return s;
+io::Writer message(MsgType type) {
+  io::Writer w;
+  w.put_u8(static_cast<std::uint8_t>(type));
+  return w;
 }
 
 std::optional<MsgType> peek_type(std::string_view payload) {
@@ -99,7 +18,7 @@ std::optional<MsgType> peek_type(std::string_view payload) {
   return static_cast<MsgType>(raw);
 }
 
-void encode_spec(Writer& w, const JobSpec& spec) {
+void encode_spec(io::Writer& w, const JobSpec& spec) {
   w.put_string(spec.name);
   w.put_u32(static_cast<std::uint32_t>(spec.prefix_bits));
   w.put_u32(spec.first_prefix);
@@ -121,7 +40,7 @@ void encode_spec(Writer& w, const JobSpec& spec) {
   w.put_string(spec.request_key);
 }
 
-std::optional<JobSpec> decode_spec(Reader& r) {
+std::optional<JobSpec> decode_spec(io::Reader& r) {
   JobSpec spec;
   spec.name = r.string();
   spec.prefix_bits = static_cast<int>(r.u32());
@@ -146,7 +65,7 @@ std::optional<JobSpec> decode_spec(Reader& r) {
   return spec;
 }
 
-void encode_view(Writer& w, const JobView& view) {
+void encode_view(io::Writer& w, const JobView& view) {
   w.put_u64(view.id);
   w.put_u8(static_cast<std::uint8_t>(view.state));
   w.put_string(view.name);
@@ -158,7 +77,7 @@ void encode_view(Writer& w, const JobView& view) {
   w.put_string(view.detail);
 }
 
-std::optional<JobView> decode_view(Reader& r) {
+std::optional<JobView> decode_view(io::Reader& r) {
   JobView view;
   view.id = r.u64();
   view.state = static_cast<JobState>(r.u8());

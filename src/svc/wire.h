@@ -6,22 +6,22 @@
 //
 // with payload length capped at kMaxFrame.  This header describes the
 // *payload* encoding: byte 0 is the MsgType, the rest is a flat sequence of
-// little-endian fixed-width integers, LEB128 varints, IEEE-754 doubles
-// (bit-cast to u64 LE), and length-prefixed strings — no self-description,
-// both ends share this file.  The codec is pure buffer-in/buffer-out and
-// does no I/O, so it is unit-testable without a socket and keeps the
-// daemon's syscall surface confined to socket.cc.
+// io/codec.h values (little-endian fixed-width integers, varints, doubles
+// and length-prefixed strings) — no self-description, both ends share this
+// file.  The codec is pure buffer-in/buffer-out and does no I/O, so it is
+// unit-testable without a socket and keeps the daemon's syscall surface
+// confined to socket.cc.
 //
-// A malformed payload never traps: Reader sets a sticky error flag and
+// A malformed payload never traps: io::Reader latches its failure and
 // yields zeros, and message decoders return nullopt.
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <string_view>
 
+#include "io/codec.h"
 #include "svc/job.h"
 #include "svc/scheduler.h"
 
@@ -48,60 +48,18 @@ enum class MsgType : std::uint8_t {
   kError = 15,
 };
 
-/// Append-only payload builder.
-class Writer {
- public:
-  /// A bare buffer (no leading MsgType byte) — used by non-socket record
-  /// formats built on this codec, e.g. the job journal (svc/journal.h).
-  Writer() = default;
-  explicit Writer(MsgType type) { put_u8(static_cast<std::uint8_t>(type)); }
-
-  void put_u8(std::uint8_t v) { buffer_ += static_cast<char>(v); }
-  void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
-  void put_varint(std::uint64_t v);
-  void put_f64(double v);
-  void put_string(std::string_view v);
-  void put_bool(bool v) { put_u8(v ? 1 : 0); }
-
-  const std::string& bytes() const noexcept { return buffer_; }
-
- private:
-  std::string buffer_;
-};
-
-/// Bounds-checked payload reader with a sticky error flag.
-class Reader {
- public:
-  explicit Reader(std::string_view payload) : data_(payload) {}
-
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::uint64_t varint();
-  double f64();
-  std::string string();
-  bool boolean() { return u8() != 0; }
-
-  bool ok() const noexcept { return ok_; }
-  bool done() const noexcept { return ok_ && pos_ == data_.size(); }
-
- private:
-  bool need(std::size_t n);
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
+/// A payload holding only `type`'s byte, for the message's fields to
+/// follow.
+io::Writer message(MsgType type);
 
 /// Reads the MsgType of a framed payload (nullopt when empty/unknown).
 std::optional<MsgType> peek_type(std::string_view payload);
 
 // Field-group codecs shared by daemon and client.
-void encode_spec(Writer& w, const JobSpec& spec);
-std::optional<JobSpec> decode_spec(Reader& r);
+void encode_spec(io::Writer& w, const JobSpec& spec);
+std::optional<JobSpec> decode_spec(io::Reader& r);
 
-void encode_view(Writer& w, const JobView& view);
-std::optional<JobView> decode_view(Reader& r);
+void encode_view(io::Writer& w, const JobView& view);
+std::optional<JobView> decode_view(io::Reader& r);
 
 }  // namespace flashroute::svc

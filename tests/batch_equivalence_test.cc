@@ -77,7 +77,7 @@ std::uint64_t digest_string(const std::string& bytes) {
 }
 
 std::uint64_t result_digest(const core::ScanResult& r) {
-  std::ostringstream archive;
+  io::Writer archive;
   io::write_archive(r, io::ArchiveHeader{}, archive);
   std::uint64_t h = digest_string(archive.str());
   for (const std::uint64_t word :
@@ -315,15 +315,15 @@ TEST(BatchEquivalence, TracerCheckpointResumeWithRetransmits) {
 
   expect_golden(0xc37bc757fc1b2306ULL, [&](Cadence cadence) {
     int seen = 0;
-    std::stringstream stream;
+    io::Writer bytes;
     core::TracerConfig killed = config;
     killed.checkpoint_sink = [&](const io::ScanCheckpoint& checkpoint) {
       if (++seen < 2) return true;
-      io::write_checkpoint(checkpoint, stream);
+      io::write_checkpoint(checkpoint, bytes);
       return false;
     };
     const core::ScanResult partial = run_tracer(topology, killed, cadence);
-    const auto loaded = io::read_checkpoint(stream);
+    const auto loaded = io::read_checkpoint(bytes.str());
     EXPECT_TRUE(loaded.has_value()) << "the scan never reached a checkpoint";
     if (!loaded) return result_digest(partial);
     const util::Nanos start = loaded->virtual_now;

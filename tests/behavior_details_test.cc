@@ -179,10 +179,10 @@ TEST(Composition, CapturingRuntimeWithExclusionsAndArchive) {
   ASSERT_TRUE(packets);
   EXPECT_EQ(packets->size(), result.probes_sent + result.responses);
 
-  std::stringstream archive;
+  io::Writer archive;
   io::write_archive(result, {config.first_prefix, config.prefix_bits, 8},
                     archive);
-  const auto loaded = io::read_archive(archive);
+  const auto loaded = io::read_archive(archive.str());
   ASSERT_TRUE(loaded);
   EXPECT_EQ(loaded->result.interfaces, result.interfaces);
   // The excluded quarter has no recorded hops.

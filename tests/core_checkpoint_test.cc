@@ -1,5 +1,6 @@
 // Tests for checkpoint/resume (io/checkpoint.h + core::Tracer resume):
-// FRCK round-trips, kill-at-checkpoint resume equivalence under an active
+// FRCK round-trips and golden bytes, declared lengths past the end refused
+// before allocating, kill-at-checkpoint resume equivalence under an active
 // fault plane, config-digest validation, and a barrier's allocations
 // staying flat in the scan's result.
 //
@@ -13,11 +14,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -105,9 +106,9 @@ TEST(Checkpoint, RoundTripsThroughBytes) {
   cp.result.probe_log = {{100, 0x01000001, 8, false},
                          {200, 0x01000102, 9, true}};
 
-  std::stringstream stream;
-  io::write_checkpoint(cp, stream);
-  const auto loaded = io::read_checkpoint(stream);
+  io::Writer bytes;
+  io::write_checkpoint(cp, bytes);
+  const auto loaded = io::read_checkpoint(bytes.str());
   ASSERT_TRUE(loaded.has_value());
 
   EXPECT_EQ(loaded->header.first_prefix, cp.header.first_prefix);
@@ -149,23 +150,87 @@ TEST(Checkpoint, LossyScanAtItsSecondBarrierMatchesItsGoldenBytes) {
   const sim::SimParams params = world_params();
   const sim::Topology topology(params);
   TracerConfig config = checkpointing_config(params);
-  std::string bytes;
+  io::Writer bytes;
   int seen = 0;
   config.checkpoint_sink = [&](const io::ScanCheckpoint& cp) {
     if (++seen < 2) return true;
-    std::ostringstream out;
-    io::write_checkpoint(cp, out);
-    bytes = out.str();
+    io::write_checkpoint(cp, bytes);
     return false;
   };
   (void)run_once(topology, config);
   ASSERT_EQ(seen, 2);
-  EXPECT_EQ(fnv1a(bytes), 0x692706292e5d5e30ULL) << std::hex << fnv1a(bytes);
+  EXPECT_EQ(fnv1a(bytes.str()), 0x692706292e5d5e30ULL)
+      << std::hex << fnv1a(bytes.str());
 }
 
 TEST(Checkpoint, RejectsGarbage) {
-  std::stringstream stream("not a checkpoint at all");
-  EXPECT_FALSE(io::read_checkpoint(stream).has_value());
+  EXPECT_FALSE(io::read_checkpoint("not a checkpoint at all").has_value());
+}
+
+// --- Declared lengths --------------------------------------------------------
+
+/// The per-DCB vectors of a checkpoint, in write order.
+const std::vector<std::string> kDcbVectors = {
+    "next_backward", "next_forward", "forward_horizon", "dcb_flags",
+    "retransmit_left"};
+
+/// Checkpoint bytes up to `field` (a per-DCB vector, or "probe_log"),
+/// which declares `declared` items with only 8 bytes behind them.
+std::string checkpoint_declaring(const std::string& field,
+                                 std::uint64_t declared) {
+  io::Writer bytes;
+  bytes.put_raw("FRCK");
+  bytes.put_varint(1);  // format version
+  for (int i = 0; i < 6; ++i) {
+    bytes.put_varint(0);  // digest, clocks, rounds, backoff, ring head
+  }
+  for (const std::string& vector : kDcbVectors) {
+    if (vector == field) break;
+    bytes.put_varint(0);
+  }
+  bytes.put_varint(declared);
+  bytes.put_u64(0);
+  return bytes.str();
+}
+
+class CheckpointLength : public ::testing::TestWithParam<std::string> {};
+
+// 2^20 bytes would take 1 MiB; none of it may be allocated before the
+// bytes are there.
+TEST_P(CheckpointLength, PastTheEndIsRefusedBeforeAllocating) {
+  const std::string bytes =
+      checkpoint_declaring(GetParam(), std::uint64_t{1} << 20);
+  g_thread_largest_allocation = 0;
+  EXPECT_FALSE(io::read_checkpoint(bytes).has_value());
+  EXPECT_LT(g_thread_largest_allocation, std::size_t{1} << 16);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, CheckpointLength, ::testing::ValuesIn(kDcbVectors),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+// A probe-log count no vector can hold is a corrupt checkpoint, not a
+// std::length_error out of a resume.
+TEST(Checkpoint, ProbeLogCountPastTheEndIsRefused) {
+  const std::string bytes =
+      checkpoint_declaring("probe_log", std::uint64_t{1} << 62);
+  g_thread_largest_allocation = 0;
+  EXPECT_FALSE(io::read_checkpoint(bytes).has_value());
+  EXPECT_LT(g_thread_largest_allocation, std::size_t{1} << 16);
+}
+
+// std::stable_sort takes its merge buffer from the nothrow operator new
+// and returns it through operator delete.  The allocation hook replaces
+// both, so a sanitizer sees the buffer come from malloc and go to free.
+TEST(Checkpoint, StableSortBufferPassesThroughTheAllocationHook) {
+  std::vector<std::uint64_t> values(1000);
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = i * 7919 % 1000;
+  const std::uint64_t before = g_thread_allocations;
+  std::stable_sort(values.begin(), values.end());
+  EXPECT_GT(g_thread_allocations, before);
+  EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
 }
 
 /// Flips every bit of the checkpoint file at `path` in turn and counts the
@@ -243,9 +308,9 @@ TEST(Checkpoint, KillAndResumeReproducesTheUninterruptedScan) {
     }
 
     // Serialize through bytes, as a real resume would.
-    std::stringstream stream;
-    io::write_checkpoint(at_kill, stream);
-    const auto loaded = io::read_checkpoint(stream);
+    io::Writer bytes;
+    io::write_checkpoint(at_kill, bytes);
+    const auto loaded = io::read_checkpoint(bytes.str());
     ASSERT_TRUE(loaded.has_value());
 
     TracerConfig resumed = checkpointing_config(params);

@@ -153,7 +153,8 @@ TEST(ExclusionList, ReservedDefaultsMatchProbeExclusions) {
 }
 
 TEST(ExclusionList, BulkBitmapMatchesPerPrefixQueries) {
-  // The trie's one-pass DFS must agree bit-for-bit with excludes_prefix24.
+  // The one pass over the sorted ranges must agree bit-for-bit with
+  // excludes_prefix24.
   ExclusionList list;
   ASSERT_TRUE(list.add_entry("1.0.3.7"));          // single host
   ASSERT_TRUE(list.add_entry("1.0.16.0/20"));      // spans 16 /24s

@@ -266,7 +266,6 @@ TEST(Resilience, AdaptiveBackoffEngagesUnderHeavyLoss) {
   TracerConfig config = base_config(params);
   config.max_retransmits = 1;
   config.adaptive_backoff = true;
-  config.backoff_loss_threshold = 0.3;
   const ScanResult result = scan(topology, faults, config);
   EXPECT_GT(result.rate_backoffs, 0u);
   // Backed-off rounds stretch the virtual timeline beyond the clean scan's.

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,7 +67,7 @@ TEST(JobArchive, AppendsAndLoadsFramedRecords) {
     EXPECT_EQ(loaded->header.first_prefix, 0x010000u);
 
     // The stored payload is exactly the standalone FRSC encoding.
-    std::ostringstream expected;
+    Writer expected;
     write_archive(sample_result(1), sample_header(), expected);
     const auto payload = archive.payload_bytes(1);
     ASSERT_TRUE(payload.has_value());

@@ -1,5 +1,6 @@
-// Tests for scan persistence (io/scan_archive.h): varint coding, the binary
-// archive round-trip (including on real scan results), archive files (one
+// Tests for scan persistence (io/scan_archive.h): the binary archive
+// round-trip (including on real scan results), every declared length past
+// the end refused before anything is allocated for it, archive files (one
 // CRC-checked frame, published atomically), and the text/CSV writers.
 
 #include "io/scan_archive.h"
@@ -13,47 +14,16 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/tracer.h"
-#include "io/varint.h"
 #include "sim/network.h"
 #include "sim/runtime.h"
 #include "sim/topology.h"
+#include "thread_allocations.h"
 
 namespace flashroute::io {
 namespace {
-
-TEST(Varint, RoundTripsBoundaryValues) {
-  for (const std::uint64_t value :
-       {0ull, 1ull, 127ull, 128ull, 129ull, 16383ull, 16384ull,
-        0xFFFFFFFFull, 0x100000000ull, ~0ull}) {
-    std::stringstream stream;
-    write_varint(stream, value);
-    const auto read = read_varint(stream);
-    ASSERT_TRUE(read) << value;
-    EXPECT_EQ(*read, value);
-  }
-}
-
-TEST(Varint, SmallValuesAreOneByte) {
-  std::stringstream stream;
-  write_varint(stream, 100);
-  EXPECT_EQ(stream.str().size(), 1u);
-  write_varint(stream, 1000);
-  EXPECT_EQ(stream.str().size(), 3u);  // 1 + 2
-}
-
-TEST(Varint, ReadFailsOnTruncation) {
-  std::stringstream stream;
-  stream.put(static_cast<char>(0x80));  // continuation bit, then EOF
-  EXPECT_FALSE(read_varint(stream));
-}
-
-TEST(Varint, ReadFailsOnOverlongInput) {
-  std::stringstream stream;
-  for (int i = 0; i < 11; ++i) stream.put(static_cast<char>(0xFF));
-  EXPECT_FALSE(read_varint(stream));
-}
 
 core::ScanResult sample_result() {
   core::ScanResult result;
@@ -82,10 +52,10 @@ core::ScanResult sample_result() {
 TEST(Archive, RoundTripsSyntheticResult) {
   const auto original = sample_result();
   const ArchiveHeader header{0x010200, 2, 77};
-  std::stringstream stream;
-  write_archive(original, header, stream);
+  Writer bytes;
+  write_archive(original, header, bytes);
 
-  const auto loaded = read_archive(stream);
+  const auto loaded = read_archive(bytes.str());
   ASSERT_TRUE(loaded);
   EXPECT_EQ(loaded->header.first_prefix, header.first_prefix);
   EXPECT_EQ(loaded->header.prefix_bits, header.prefix_bits);
@@ -127,10 +97,10 @@ TEST(Archive, RoundTripsRealScan) {
   core::Tracer tracer(config, runtime);
   const auto original = tracer.run();
 
-  std::stringstream stream;
+  Writer bytes;
   write_archive(original, {config.first_prefix, config.prefix_bits, 1},
-                stream);
-  const auto loaded = read_archive(stream);
+                bytes);
+  const auto loaded = read_archive(bytes.str());
   ASSERT_TRUE(loaded);
   EXPECT_EQ(loaded->result.interfaces, original.interfaces);
   EXPECT_EQ(loaded->result.probes_sent, original.probes_sent);
@@ -143,25 +113,69 @@ TEST(Archive, RoundTripsRealScan) {
 }
 
 TEST(Archive, RejectsBadMagicAndTruncation) {
-  std::stringstream bad("NOPE....");
-  EXPECT_FALSE(read_archive(bad));
+  EXPECT_FALSE(read_archive("NOPE...."));
 
   const auto original = sample_result();
-  std::stringstream stream;
-  write_archive(original, {0, 1, 0}, stream);
-  const std::string full = stream.str();
+  Writer bytes;
+  write_archive(original, {0, 1, 0}, bytes);
+  const std::string& full = bytes.str();
   for (const std::size_t cut : {4ul, 8ul, full.size() / 2, full.size() - 1}) {
-    std::stringstream truncated(full.substr(0, cut));
-    EXPECT_FALSE(read_archive(truncated)) << "cut at " << cut;
+    EXPECT_FALSE(read_archive(full.substr(0, cut))) << "cut at " << cut;
   }
+  // Bytes after the archive are damage too.
+  EXPECT_FALSE(read_archive(full + '\0'));
 }
 
 TEST(Archive, RejectsWrongVersion) {
-  std::stringstream stream;
-  stream.write("FRSC", 4);
-  write_varint(stream, 99);  // unsupported version
-  EXPECT_FALSE(read_archive(stream));
+  Writer bytes;
+  bytes.put_raw("FRSC");
+  bytes.put_varint(99);  // unsupported version
+  EXPECT_FALSE(read_archive(bytes.str()));
 }
+
+// --- Declared lengths --------------------------------------------------------
+
+/// Every length field of an archive, in write order.
+const std::vector<std::string> kLengthFields = {
+    "destination_distance", "trigger_ttl", "measured_distance",
+    "predicted_distance", "routes", "hops"};
+
+/// An archive of an empty result whose `field` declares `declared` items
+/// with only 8 bytes behind them; the hops are those of one route.
+std::string archive_declaring(const std::string& field,
+                              std::uint64_t declared) {
+  Writer bytes;
+  bytes.put_raw("FRSC");
+  bytes.put_varint(1);  // format version
+  for (int i = 0; i < 3 + 10 + 1; ++i) {
+    bytes.put_varint(0);  // header, counters, no interfaces
+  }
+  for (const std::string& length : kLengthFields) {
+    if (length == field) break;
+    bytes.put_varint(length == "routes" ? 1 : 0);
+  }
+  bytes.put_varint(declared);
+  bytes.put_u64(0);
+  return bytes.str();
+}
+
+class ArchiveLength : public ::testing::TestWithParam<std::string> {};
+
+// 2^20 items would take 1 MiB as bytes, 8 MiB as hops and 24 MiB as
+// routes; none of it may be allocated before the bytes are there.
+TEST_P(ArchiveLength, PastTheEndIsRefusedBeforeAllocating) {
+  const std::string bytes =
+      archive_declaring(GetParam(), std::uint64_t{1} << 20);
+  g_thread_largest_allocation = 0;
+  EXPECT_FALSE(read_archive(bytes).has_value());
+  EXPECT_LT(g_thread_largest_allocation, std::size_t{1} << 16);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, ArchiveLength, ::testing::ValuesIn(kLengthFields),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 // --- Archive files -----------------------------------------------------------
 
@@ -183,7 +197,7 @@ void write_file(const std::string& path, const std::string& bytes) {
 
 std::string archive_bytes(const core::ScanResult& result,
                           const ArchiveHeader& header) {
-  std::ostringstream out;
+  Writer out;
   write_archive(result, header, out);
   return out.str();
 }

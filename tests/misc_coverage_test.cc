@@ -261,9 +261,9 @@ TEST(Writers, EmptyResultsProduceHeadersOnly) {
   io::write_routes_csv(empty, resolver, 0, csv);
   EXPECT_EQ(csv.str(), "prefix,target,ttl,hop,kind\n");
 
-  std::stringstream archive;
+  io::Writer archive;
   io::write_archive(empty, {0, 1, 0}, archive);
-  const auto loaded = io::read_archive(archive);
+  const auto loaded = io::read_archive(archive.str());
   ASSERT_TRUE(loaded);
   EXPECT_TRUE(loaded->result.interfaces.empty());
   EXPECT_TRUE(loaded->result.routes.empty());

@@ -11,9 +11,7 @@
 
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <new>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -26,34 +24,9 @@
 #include "sim/rate_limit_table.h"
 #include "sim/runtime.h"
 #include "sim/topology.h"
+#include "thread_allocations.h"
 #include "util/rng.h"
 #include "util/token_bucket.h"
-
-// --- Thread-local allocation counting for the zero-allocation test ---------
-//
-// Replacing the global operators is binary-wide, so the counter is
-// thread-local: only allocations made by the calling thread are charged.
-
-namespace {
-thread_local std::uint64_t g_thread_allocations = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_thread_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size) {
-  ++g_thread_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace flashroute {
 namespace {

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -174,11 +175,11 @@ TEST(SvcDaemon, SurvivesClientsThatHangUpBeforeTheirReply) {
   // would kill the daemon, and this test process with it.
   DaemonFixture fixture("hangup");
   ASSERT_TRUE(fixture.daemon->start());
-  const Writer list(MsgType::kList);
+  const io::Writer list = message(MsgType::kList);
   for (int i = 0; i < 20; ++i) {
     auto connection = connect_unix(fixture.socket_path);
     ASSERT_TRUE(connection.has_value());
-    ASSERT_TRUE(connection->write_frame(list.bytes()));
+    ASSERT_TRUE(connection->write_frame(list.str()));
   }  // each connection closes here, before its reply
 
   Client client = fixture.connect();
@@ -252,42 +253,61 @@ std::uint64_t frames_digest(const std::vector<std::string>& frames) {
   return hash;
 }
 
+/// Serves one Client on `path` in place of frd, answering every request
+/// with `reply`, while `session` runs; returns the requests it received.
+std::vector<std::string> stand_in(const std::string& path,
+                                  const std::string& reply,
+                                  const std::function<void(Client&)>& session) {
+  std::optional<ListenSocket> listener = ListenSocket::bind_and_listen(path);
+  EXPECT_TRUE(listener.has_value());
+  if (!listener.has_value()) return {};
+  std::vector<std::string> requests;
+  std::jthread server([&listener, &requests, &reply] {
+    std::optional<Connection> peer = listener->accept_client();
+    std::string frame;
+    while (peer.has_value() && peer->read_frame(frame)) {
+      requests.push_back(frame);
+      if (!peer->write_frame(reply)) break;
+    }
+  });
+  {
+    std::optional<Client> client = Client::connect(path);
+    EXPECT_TRUE(client.has_value());
+    if (client.has_value()) {
+      session(*client);
+    } else {
+      (void)connect_unix(path);  // let the server's accept return
+    }
+  }  // the client hangs up, so the server's read fails and it ends
+  server.join();
+  return requests;
+}
+
+std::string stand_in_path(const char* tag) {
+  return "/tmp/fr_svc_test_stand_in_" + std::string(tag) + "_" +
+         std::to_string(static_cast<long>(::getpid())) + ".sock";
+}
+
 // Pins every byte of the frd protocol: one request of each type as Client
 // sends it, captured by a stand-in server that answers each with an error,
 // then the real daemon's reply to each of those requests (a rejected job's
 // views included) and to a malformed one.
 TEST(SvcDaemon, RequestAndReplyFramesMatchTheirGoldenBytes) {
-  const std::string stand_in = "/tmp/fr_svc_test_stand_in_" +
-                               std::to_string(static_cast<long>(::getpid())) +
-                               ".sock";
-  std::vector<std::string> requests;
-  {
-    std::optional<ListenSocket> listener =
-        ListenSocket::bind_and_listen(stand_in);
-    ASSERT_TRUE(listener.has_value());
-    std::jthread server([&listener, &requests] {
-      std::optional<Connection> peer = listener->accept_client();
-      const std::string error(1, static_cast<char>(MsgType::kError));
-      std::string frame;
-      while (peer.has_value() && peer->read_frame(frame)) {
-        requests.push_back(frame);
-        if (!peer->write_frame(error)) break;
-      }
-    });
-    std::optional<Client> client = Client::connect(stand_in);
-    ASSERT_TRUE(client.has_value());
-    JobSpec greedy = quick_spec("greedy", 9);
-    greedy.probes_per_second = 20'000.0;
-    greedy.priority = 2;
-    greedy.request_key = "frames";
-    EXPECT_FALSE(client->submit(greedy).has_value());
-    EXPECT_FALSE(client->status(1).has_value());
-    EXPECT_FALSE(client->list().has_value());
-    EXPECT_FALSE(client->cancel(1).has_value());
-    EXPECT_FALSE(client->diff(1, 2).has_value());
-    EXPECT_FALSE(client->verify(1).has_value());
-    EXPECT_FALSE(client->shutdown());
-  }  // the client hangs up first, so the stand-in's read fails and it ends
+  const std::string error(1, static_cast<char>(MsgType::kError));
+  std::vector<std::string> requests =
+      stand_in(stand_in_path("frames"), error, [](Client& client) {
+        JobSpec greedy = quick_spec("greedy", 9);
+        greedy.probes_per_second = 20'000.0;
+        greedy.priority = 2;
+        greedy.request_key = "frames";
+        EXPECT_FALSE(client.submit(greedy).has_value());
+        EXPECT_FALSE(client.status(1).has_value());
+        EXPECT_FALSE(client.list().has_value());
+        EXPECT_FALSE(client.cancel(1).has_value());
+        EXPECT_FALSE(client.diff(1, 2).has_value());
+        EXPECT_FALSE(client.verify(1).has_value());
+        EXPECT_FALSE(client.shutdown());
+      });
   ASSERT_EQ(requests.size(), 7u);
   EXPECT_EQ(frames_digest(requests), 0x0d038958f29b5454ULL)
       << std::hex << frames_digest(requests);
@@ -306,6 +326,17 @@ TEST(SvcDaemon, RequestAndReplyFramesMatchTheirGoldenBytes) {
   }
   EXPECT_EQ(frames_digest(replies), 0x2d31b9512553cdedULL)
       << std::hex << frames_digest(replies);
+}
+
+// A list reply declaring more views than its bytes hold is refused before
+// anything is allocated for them.
+TEST(SvcDaemon, ListReplyCountPastTheEndIsRefused) {
+  io::Writer reply = message(MsgType::kListReply);
+  reply.put_varint(std::uint64_t{1} << 62);
+  reply.put_u64(0);
+  stand_in(stand_in_path("list"), reply.str(), [](Client& client) {
+    EXPECT_FALSE(client.list().has_value());
+  });
 }
 
 TEST(SvcDaemon, CancelQueuedJobBeforeItRuns) {

@@ -366,7 +366,7 @@ TEST(SvcPreemption, ResumedJobIsByteIdenticalToUncontendedRun) {
         [](const io::ScanCheckpoint&) { return BarrierDecision::kContinue; });
     ASSERT_EQ(solo_run.outcome, SliceOutcome::kCompleted);
 
-    std::ostringstream expected;
+    io::Writer expected;
     io::write_archive(solo_run.result, solo.archive_header(), expected);
     const auto archived = archive.payload_bytes(victim);
     ASSERT_TRUE(archived.has_value());

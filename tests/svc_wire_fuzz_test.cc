@@ -2,8 +2,8 @@
 // seeded byte mutations over valid frames, every truncation prefix, and
 // crafted varint / length-prefix edge cases around the 1 MiB kMaxFrame
 // cap.  The contract under test is wire.h's "a malformed payload never
-// traps": Reader must stay in-bounds for arbitrary input (its sticky
-// error flag yields zeros), and the message decoders must return either
+// traps": io::Reader must stay in-bounds for arbitrary input (its latched
+// failure yields zeros), and the message decoders must return either
 // nullopt or a value that survives an encode/decode round trip.  Seeds
 // are fixed (util::Xoshiro256), so a failure is a unit-test failure with
 // a printable seed+iteration, not a flaky repro.  CI runs this under
@@ -78,15 +78,15 @@ bool specs_equal(const JobSpec& a, const JobSpec& b) {
 }
 
 std::string valid_submit_payload() {
-  Writer w(MsgType::kSubmit);
+  io::Writer w = message(MsgType::kSubmit);
   encode_spec(w, sample_spec());
-  return w.bytes();
+  return w.str();
 }
 
 std::string valid_view_payload() {
-  Writer w(MsgType::kListReply);
+  io::Writer w = message(MsgType::kListReply);
   encode_view(w, sample_view());
-  return w.bytes();
+  return w.str();
 }
 
 std::uint64_t fnv1a(std::string_view bytes) {
@@ -114,16 +114,16 @@ void exercise_payload(std::string_view payload, const std::string& context) {
   (void)peek_type(payload);
 
   {
-    Reader r(payload);
+    io::Reader r(payload);
     r.u8();  // type byte, as Daemon::handle_request does
     const std::optional<JobSpec> spec = decode_spec(r);
     if (spec.has_value()) {
       ASSERT_TRUE(r.ok());
       // Canonicalization: whatever bytes produced it, a decoded spec
       // round-trips exactly through its own encoding.
-      Writer w(MsgType::kSubmit);
+      io::Writer w = message(MsgType::kSubmit);
       encode_spec(w, *spec);
-      Reader r2(w.bytes());
+      io::Reader r2(w.str());
       r2.u8();
       const std::optional<JobSpec> again = decode_spec(r2);
       ASSERT_TRUE(again.has_value());
@@ -131,13 +131,13 @@ void exercise_payload(std::string_view payload, const std::string& context) {
     }
   }
   {
-    Reader r(payload);
+    io::Reader r(payload);
     r.u8();
     (void)decode_view(r);
   }
   {
     // Drain with mismatched primitive types: sticky error, zeros after.
-    Reader r(payload);
+    io::Reader r(payload);
     (void)r.string();
     (void)r.varint();
     (void)r.u64();
@@ -162,7 +162,7 @@ TEST(SvcWireFuzz, EveryTruncationPrefixIsRejectedCleanly) {
         // A strictly truncated submit can never decode to a spec: the
         // field sequence ends with a non-empty length-prefixed string
         // after fixed-width integers, so any cut starves some read.
-        Reader r(prefix);
+        io::Reader r(prefix);
         r.u8();
         EXPECT_FALSE(decode_spec(r).has_value());
       }
@@ -221,11 +221,11 @@ TEST(SvcWireFuzz, VarintAndLengthPrefixEdgesAroundTheFrameCap) {
       0,  1,  kMaxFrame - 1, kMaxFrame, std::uint64_t{kMaxFrame} + 1,
       std::uint64_t{1} << 32, ~std::uint64_t{0}};
   for (const std::uint64_t claim : claims) {
-    Writer w(MsgType::kSubmit);
+    io::Writer w = message(MsgType::kSubmit);
     w.put_varint(claim);
     // Supply only 4 bytes of "string" body regardless of the claim.
     w.put_u32(0xDEADBEEF);
-    Reader r(w.bytes());
+    io::Reader r(w.str());
     r.u8();
     const std::string s = r.string();
     if (claim <= 4) {
@@ -242,7 +242,7 @@ TEST(SvcWireFuzz, VarintAndLengthPrefixEdgesAroundTheFrameCap) {
   {
     std::string bytes(1, static_cast<char>(MsgType::kSubmit));
     bytes.append(11, static_cast<char>(0xFF));
-    Reader r(bytes);
+    io::Reader r(bytes);
     r.u8();
     EXPECT_EQ(r.varint(), 0u);
     EXPECT_FALSE(r.ok());
@@ -250,9 +250,9 @@ TEST(SvcWireFuzz, VarintAndLengthPrefixEdgesAroundTheFrameCap) {
 
   // A varint that terminates exactly at the shift limit stays valid.
   {
-    Writer w(MsgType::kSubmit);
+    io::Writer w = message(MsgType::kSubmit);
     w.put_varint(~std::uint64_t{0});
-    Reader r(w.bytes());
+    io::Reader r(w.str());
     r.u8();
     EXPECT_EQ(r.varint(), ~std::uint64_t{0});
     EXPECT_TRUE(r.ok());
