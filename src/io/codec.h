@@ -129,10 +129,13 @@ class Reader {
     rest_ = {};
   }
 
+  // The loop runs to `bytes`, a constant at every call, so the compiler
+  // turns it into one load: crc32c reads its words through here.
   std::uint64_t le(std::size_t bytes) {
-    const std::string_view field = raw(bytes);
+    const char* field = raw(bytes).data();
+    if (!ok_) return 0;
     std::uint64_t value = 0;
-    for (std::size_t i = 0; i < field.size(); ++i) {
+    for (std::size_t i = 0; i < bytes; ++i) {
       value |= std::uint64_t{static_cast<unsigned char>(field[i])} << (8 * i);
     }
     return value;

@@ -135,7 +135,8 @@ TEST(Archive, RejectsWrongVersion) {
 
 // --- Declared lengths --------------------------------------------------------
 
-/// Every length field of an archive, in write order.
+/// The length fields of an archive that size an allocation, in write
+/// order.  The interface count sizes none: each is inserted as it is read.
 const std::vector<std::string> kLengthFields = {
     "destination_distance", "trigger_ttl", "measured_distance",
     "predicted_distance", "routes", "hops"};
