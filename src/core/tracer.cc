@@ -440,16 +440,14 @@ void Tracer::update_backoff() {
       round_probes_ > 0 ? static_cast<double>(round_loss_events_) /
                               static_cast<double>(round_probes_)
                         : 0.0;
-  if (ratio > kBackoffLossThreshold &&
-      backoff_level_ < kMaxBackoffLevel) {
+  if (ratio > kBackoffLossThreshold && backoff_level_ < kMaxBackoffLevel) {
     ++backoff_level_;
     sender_.set_rate(config_.probes_per_second /
                      static_cast<double>(std::uint64_t{1} << backoff_level_));
     ++result_.rate_backoffs;
     const obs::ScanTelemetry& tel = config_.telemetry;
     if (tel.ids.resilience) tel.count(tel.ids.rate_backoffs);
-  } else if (backoff_level_ > 0 &&
-             ratio < kBackoffLossThreshold / 2.0) {
+  } else if (backoff_level_ > 0 && ratio < kBackoffLossThreshold / 2.0) {
     --backoff_level_;
     sender_.set_rate(config_.probes_per_second /
                      static_cast<double>(std::uint64_t{1} << backoff_level_));

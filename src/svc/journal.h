@@ -12,11 +12,12 @@
 //
 // The file is an io::RecordLog under the "FRWJ" magic; each frame's
 // payload is one record in io/codec.h values: kind, job id, the spec as
-// svc::wire's encode_spec writes it, reason, detail and counters.  Opening is the log's recovery: every frame whose
-// CRC verifies is decoded, a torn tail (a crash mid-append) is cut, and a
-// damaged frame mid-file costs only itself.  A file that is not a journal
-// of this format — an archive passed as --journal, or a journal written
-// before frames carried a CRC — fails ok() and is left untouched.
+// svc::wire's encode_spec writes it, reason, detail and counters.  Opening
+// is the log's recovery: every frame whose CRC verifies is decoded, a torn
+// tail (a crash mid-append) is cut, and a damaged frame mid-file costs
+// only itself.  A file that is not a journal of this format — an archive
+// passed as --journal, or a journal written before frames carried a CRC —
+// fails ok() and is left untouched.
 //
 // Durability (io::Durability) is configurable per daemon: flush hands
 // each record to the kernel — surviving process death — and fsync adds
