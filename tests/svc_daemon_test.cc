@@ -254,10 +254,10 @@ std::uint64_t frames_digest(const std::vector<std::string>& frames) {
 }
 
 /// Serves one Client on `path` in place of frd, answering every request
-/// with `reply`, while `session` runs; returns the requests it received.
+/// with `reply`, while `calls` runs; returns the requests it received.
 std::vector<std::string> stand_in(const std::string& path,
                                   const std::string& reply,
-                                  const std::function<void(Client&)>& session) {
+                                  const std::function<void(Client&)>& calls) {
   std::optional<ListenSocket> listener = ListenSocket::bind_and_listen(path);
   EXPECT_TRUE(listener.has_value());
   if (!listener.has_value()) return {};
@@ -274,7 +274,7 @@ std::vector<std::string> stand_in(const std::string& path,
     std::optional<Client> client = Client::connect(path);
     EXPECT_TRUE(client.has_value());
     if (client.has_value()) {
-      session(*client);
+      calls(*client);
     } else {
       (void)connect_unix(path);  // let the server's accept return
     }
