@@ -156,7 +156,8 @@ void print_usage() {
       "  --checkpoint-interval=MS checkpoint cadence in virtual ms\n"
       "                           (default 1000)\n"
       "  --resume-from=FILE       resume a scan from a checkpoint written\n"
-      "                           by --checkpoint-out (same flags required)\n"
+      "                           by --checkpoint-out (same flags required,\n"
+      "                           or exit 2 without scanning)\n"
       "  --help                   this text");
 }
 
@@ -360,22 +361,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::optional<io::ScanCheckpoint> resume_checkpoint;
-  if (!options->resume_file.empty()) {
-    auto loaded = io::load_checkpoint_file(options->resume_file);
-    if (!loaded) {
-      std::fprintf(stderr, "%s: not a FlashRoute scan checkpoint\n",
-                   options->resume_file.c_str());
-      return 1;
-    }
-    resume_checkpoint = std::move(*loaded);
-    std::printf("resuming from %s: %s elapsed, %llu rounds done\n",
-                options->resume_file.c_str(),
-                util::format_duration(resume_checkpoint->scan_elapsed).c_str(),
-                static_cast<unsigned long long>(
-                    resume_checkpoint->rounds_completed));
-  }
-
   std::uint64_t checkpoints_written = 0;
   if (!options->checkpoint_file.empty()) {
     config.checkpoint_interval = static_cast<util::Nanos>(
@@ -393,6 +378,36 @@ int main(int argc, char** argv) {
           ++checkpoints_written;
           return true;
         };
+  }
+
+  std::optional<io::ScanCheckpoint> resume_checkpoint;
+  if (!options->resume_file.empty()) {
+    auto loaded = io::load_checkpoint_file(options->resume_file);
+    if (!loaded) {
+      std::fprintf(stderr, "%s: not a FlashRoute scan checkpoint\n",
+                   options->resume_file.c_str());
+      return 1;
+    }
+    // Every config field a checkpoint depends on is set by now.  A scan
+    // that cannot resume the file is refused here: the engine would
+    // otherwise rescan from scratch on the checkpoint's clock.
+    if (loaded->config_digest != core::checkpoint_digest(config)) {
+      std::fprintf(stderr,
+                   "%s: checkpoint of a scan with other settings; not "
+                   "resuming\n"
+                   "  resume with the flags that wrote it: --checkpoint-out "
+                   "and --checkpoint-interval, --retransmit,\n"
+                   "  --retransmit-timeout and --backoff enter its config "
+                   "digest, as do the scan flags\n",
+                   options->resume_file.c_str());
+      return 2;
+    }
+    resume_checkpoint = std::move(*loaded);
+    std::printf("resuming from %s: %s elapsed, %llu rounds done\n",
+                options->resume_file.c_str(),
+                util::format_duration(resume_checkpoint->scan_elapsed).c_str(),
+                static_cast<unsigned long long>(
+                    resume_checkpoint->rounds_completed));
   }
 
   // Declared before the runtime so the runtime's receiver thread is joined

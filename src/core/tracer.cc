@@ -35,28 +35,28 @@ Tracer::Tracer(const TracerConfig& config, ScanRuntime& runtime)
       recorder_(result_, config_.telemetry, config.first_prefix,
                 config.num_prefixes(), config.collect_routes) {}
 
-std::uint64_t Tracer::checkpoint_digest() const noexcept {
+std::uint64_t checkpoint_digest(const TracerConfig& config) noexcept {
   using util::hash_combine;
   std::uint64_t digest =
-      hash_combine(config_.first_prefix,
-                   static_cast<std::uint64_t>(config_.prefix_bits),
-                   config_.seed, config_.target_seed);
-  digest = hash_combine(digest, config_.split_ttl, config_.max_ttl,
-                        config_.gap_limit);
+      hash_combine(config.first_prefix,
+                   static_cast<std::uint64_t>(config.prefix_bits),
+                   config.seed, config.target_seed);
+  digest = hash_combine(digest, config.split_ttl, config.max_ttl,
+                        config.gap_limit);
   digest = hash_combine(
-      digest, static_cast<std::uint64_t>(config_.preprobe),
-      config_.proximity_span,
-      (std::uint64_t{config_.forward_probing} << 2) |
-          (std::uint64_t{config_.redundancy_removal} << 1) |
-          std::uint64_t{config_.fold_preprobe});
-  digest = hash_combine(digest, config_.max_retransmits,
-                        static_cast<std::uint64_t>(config_.retransmit_timeout),
-                        std::uint64_t{config_.adaptive_backoff});
+      digest, static_cast<std::uint64_t>(config.preprobe),
+      config.proximity_span,
+      (std::uint64_t{config.forward_probing} << 2) |
+          (std::uint64_t{config.redundancy_removal} << 1) |
+          std::uint64_t{config.fold_preprobe});
+  digest = hash_combine(digest, config.max_retransmits,
+                        static_cast<std::uint64_t>(config.retransmit_timeout),
+                        std::uint64_t{config.adaptive_backoff});
   digest = hash_combine(
-      digest, static_cast<std::uint64_t>(config_.checkpoint_interval),
-      static_cast<std::uint64_t>(config_.min_round_duration),
-      std::uint64_t{config_.collect_routes} << 1 |
-          std::uint64_t{config_.collect_probe_log});
+      digest, static_cast<std::uint64_t>(config.checkpoint_interval),
+      static_cast<std::uint64_t>(config.min_round_duration),
+      std::uint64_t{config.collect_routes} << 1 |
+          std::uint64_t{config.collect_probe_log});
   return digest;
 }
 
@@ -86,8 +86,17 @@ ScanResult Tracer::run(std::optional<io::ScanCheckpoint> resume_from) {
   result_.measured_distance.assign(n, 0);
   result_.predicted_distance.assign(n, 0);
 
+  if (resume_from.has_value() &&
+      resume_from->config_digest != checkpoint_digest(config_)) {
+    FR_LOG_WARN("checkpoint config digest mismatch; starting fresh");
+    resume_from.reset();
+  }
+  const bool resuming = resume_from.has_value();
+
   // Initialize DCBs and thread the ring in random permutation order;
   // private/multicast/reserved targets keep their slots but stay out (§3.4).
+  // A checkpoint with per-DCB state threads the ring over its own
+  // survivors instead (restore_checkpoint).
   for (std::uint32_t i = 0; i < n; ++i) {
     dcbs_[i].set_dest_octet(static_cast<std::uint8_t>(target_of(i)));
   }
@@ -97,9 +106,11 @@ ScanResult Tracer::run(std::optional<io::ScanCheckpoint> resume_from) {
     config_.exclusions->mark_excluded_prefix24(config_.first_prefix, n,
                                                excluded_bitmap_);
   }
-  dcbs_.build_ring(config_.seed, [this](std::uint32_t index) {
-    return include_in_scan(index);
-  });
+  if (!resuming || resume_from->next_backward.size() != n) {
+    dcbs_.build_ring(config_.seed, [this](std::uint32_t index) {
+      return include_in_scan(index);
+    });
+  }
 
   // Start from a clean resilience state: a cancelled run leaves probes
   // outstanding, and a run that ended backed off left the runtime's rate
@@ -117,17 +128,9 @@ ScanResult Tracer::run(std::optional<io::ScanCheckpoint> resume_from) {
 
   scan_start_ = sender_.now();
 
-  bool resuming = false;
-  if (resume_from.has_value()) {
-    if (resume_from->config_digest == checkpoint_digest()) {
-      restore_checkpoint(*resume_from);
-      resuming = true;
-    } else {
-      FR_LOG_WARN("checkpoint config digest mismatch; starting fresh");
-    }
-  }
-
-  if (!resuming) {
+  if (resuming) {
+    restore_checkpoint(*resume_from);
+  } else {
     if (config_.preprobe != PreprobeMode::kNone && !fold_mode()) {
       config_.telemetry.begin_phase(obs::ScanPhase::kPreprobe,
                                     sender_.now());
@@ -149,7 +152,21 @@ ScanResult Tracer::run(std::optional<io::ScanCheckpoint> resume_from) {
   config_.telemetry.begin_phase(obs::ScanPhase::kMain, sender_.now());
   next_checkpoint_ = sender_.now() + config_.checkpoint_interval;
   main_rounds(codec_, !resuming && fold_mode(), 0);
+  return finish_run();
+}
 
+ScanResult Tracer::continue_run(ScanResult paused) {
+  result_ = std::move(paused);
+  aborted_ = false;
+  // The pause fell at a main-phase barrier after the quiesce, with nothing
+  // in flight and nothing staged: re-entering the rounds there is what the
+  // uninterrupted scan does next.  The fold round lies before every barrier.
+  config_.telemetry.begin_phase(obs::ScanPhase::kMain, sender_.now());
+  main_rounds(codec_, false, 0);
+  return finish_run();
+}
+
+ScanResult Tracer::finish_run() {
   if (config_.extra_scans > 0 && !aborted_) {
     config_.telemetry.begin_phase(obs::ScanPhase::kExtra, sender_.now());
     run_extra_scans();
@@ -466,7 +483,7 @@ io::ScanCheckpoint Tracer::capture_checkpoint() {
   io::ScanCheckpoint checkpoint;
   checkpoint.header = {config_.first_prefix, config_.prefix_bits,
                        config_.seed};
-  checkpoint.config_digest = checkpoint_digest();
+  checkpoint.config_digest = checkpoint_digest(config_);
   checkpoint.virtual_now = sender_.now();
   checkpoint.scan_elapsed =
       resume_elapsed_base_ + (sender_.now() - scan_start_);
@@ -544,7 +561,7 @@ void Tracer::maybe_checkpoint() {
   if (keep_going) {
     if (tel.ids.resilience) tel.count(tel.ids.checkpoints_written);
   } else {
-    aborted_ = true;  // the sink's way of killing the scan mid-sweep
+    aborted_ = true;  // the sink's way of stopping the scan mid-sweep
   }
 }
 

@@ -149,15 +149,19 @@ struct TracerConfig {
   /// Checkpointing: at the first main-phase round barrier past each
   /// interval the engine quiesces (drains the retransmission queue and
   /// in-flight responses) and hands a checkpoint to `checkpoint_sink`.
-  /// The sink returning false aborts the scan — the hook tests use to kill
-  /// a scan mid-sweep.  0 = no checkpointing.
+  /// The sink returning false stops the scan at that barrier — the hook
+  /// tests use to kill a scan mid-sweep, and frd's preemption.  0 = no
+  /// checkpointing.
   ///
   /// The checkpoint's result is the scan's own, lent for the call and taken
   /// back when the sink returns, so a barrier copies no routes or
-  /// interfaces.  A sink that returns false may keep the checkpoint by
-  /// moving from it; the result leaves with it, and run() then returns
-  /// only the scalar counters.  A sink that returns true must leave the
-  /// checkpoint intact.
+  /// interfaces.  A sink that returns false and leaves the checkpoint
+  /// intact pauses the scan: run() returns the result so far, and
+  /// Tracer::continue_run() carries on from the barrier.  A sink that
+  /// returns false may instead keep the checkpoint by moving from it; the
+  /// result leaves with it, run() then returns only the scalar counters,
+  /// and there is nothing left to continue.  A sink that returns true must
+  /// leave the checkpoint intact.
   util::Nanos checkpoint_interval = 0;
   std::function<bool(io::ScanCheckpoint&)> checkpoint_sink;
 
@@ -181,6 +185,10 @@ struct TracerConfig {
   }
 };
 
+/// Digest of the resume-relevant config fields; a checkpoint resumes only
+/// into a tracer whose config digests to its config_digest.
+std::uint64_t checkpoint_digest(const TracerConfig& config) noexcept;
+
 class Tracer {
  public:
   Tracer(const TracerConfig& config, ScanRuntime& runtime);
@@ -189,24 +197,31 @@ class Tracer {
   ///
   /// With `resume_from`, continues the checkpointed scan instead, and
   /// consumes the checkpoint: its result becomes the scan's.  The config
-  /// must match the checkpointed scan's (checkpoint_digest(); a mismatch
-  /// starts fresh), and the runtime's clock must start at the checkpoint's
-  /// virtual_now.  Preprobing is skipped — the checkpoint captured
-  /// post-initialization state.
+  /// must match the checkpointed scan's (core::checkpoint_digest; a
+  /// mismatch starts fresh), and the runtime's clock must start at the
+  /// checkpoint's virtual_now.  Preprobing is skipped — the checkpoint
+  /// captured post-initialization state.
   [[nodiscard]] ScanResult run(
       std::optional<io::ScanCheckpoint> resume_from = std::nullopt);
+
+  /// Continues a scan that its checkpoint sink paused (see
+  /// TracerConfig::checkpoint_sink), as if it had never stopped: the rest
+  /// of the main rounds, then the extra scans and the finish that run()
+  /// runs.  `paused` is the result the pausing call returned; it moves back
+  /// into the engine.  The runtime must be the one the scan ran on, idle
+  /// since the pause.  Nothing is rebuilt or restored, so the continued
+  /// scan produces the uninterrupted scan's results exactly.  A scan the
+  /// cancel flag stopped, or whose sink kept the checkpoint, cannot be
+  /// continued.
+  [[nodiscard]] ScanResult continue_run(ScanResult paused);
 
   /// The target address the engine probes for a /24 (random host octet
   /// unless overridden) — exposed for analyses that need it.
   std::uint32_t target_of(std::uint32_t prefix_offset) const noexcept;
 
-  /// Digest of the resume-relevant config fields; a checkpoint resumes only
-  /// into a tracer whose digest matches its config_digest.
-  std::uint64_t checkpoint_digest() const noexcept;
-
-  /// True when the last run() stopped early — the checkpoint sink returned
-  /// false (preemption) or the cancel flag fired.  A completed scan (even a
-  /// resumed one) reports false.
+  /// True when the last run() or continue_run() stopped early — the
+  /// checkpoint sink returned false (preemption) or the cancel flag fired.
+  /// A completed scan (even a resumed one) reports false.
   bool aborted() const noexcept { return aborted_; }
 
  private:
@@ -216,6 +231,9 @@ class Tracer {
     std::uint8_t ttl;
   };
 
+  /// What run() and continue_run() share after the main rounds: the extra
+  /// scans, the final submit and the scan time; returns the result.
+  ScanResult finish_run();
   void preprobe_phase();
   void predict_distances();
   void apply_fold_predictions();

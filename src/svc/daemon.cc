@@ -233,11 +233,14 @@ void Daemon::recover_from_journal() {
       }
     }
 
-    scheduler_.restore(replay.spec, state, probes, replay.slices,
-                       std::move(checkpoint), detail, now());
+    scheduler_.restore(replay.spec, state, probes, replay.slices, detail,
+                       now());
+    // The recovered checkpoint goes to the runner whose first slice
+    // restores the scan from it.
     runners_.push_back(job_state_terminal(state)
                            ? nullptr
-                           : std::make_unique<JobRunner>(replay.spec));
+                           : std::make_unique<JobRunner>(
+                                 replay.spec, std::move(checkpoint)));
     if (replay.seen_admitted && !replay.spec.request_key.empty()) {
       Submission submission;
       submission.admitted = !replay.rejected;
@@ -566,7 +569,6 @@ void Daemon::worker_loop(int worker_index) {
     // thread-safety analysis — and a reader — sees exactly where the lock
     // is held, and the scan slice provably runs outside it.
     std::optional<std::uint64_t> id;
-    std::optional<io::ScanCheckpoint> checkpoint;
     JobRunner* runner = nullptr;
     bool resumed = false;
     std::uint64_t base_probes = 0;
@@ -580,10 +582,11 @@ void Daemon::worker_loop(int worker_index) {
       id = scheduler_.acquire(now());
       if (!id.has_value()) continue;
 
-      checkpoint = scheduler_.take_checkpoint(*id);
       runner = runners_[*id - 1].get();
-      resumed = checkpoint.has_value();
-      base_probes = resumed ? checkpoint->result.probes_sent : 0;
+      const std::optional<std::uint64_t> resume_probes =
+          runner->resume_probes();
+      resumed = resume_probes.has_value();
+      base_probes = resume_probes.value_or(0);
       slice_no = scheduler_.view(*id)->slices;
       lane.inc(ids_.slices_dispatched);
       if (resumed) lane.inc(ids_.jobs_resumed);
@@ -609,11 +612,11 @@ void Daemon::worker_loop(int worker_index) {
     // preemption quanta included — fire on the virtual clock, which
     // outruns the wall clock by orders of magnitude, and recovery only
     // ever reads the newest file.  A preemption barrier needs no publish
-    // of its own: the preempt checkpoint stays in memory for resumption,
-    // and a crash simply resumes from the last published file (or reruns
-    // from scratch) with byte-identical output.
+    // of its own: the paused engine stays in the runner for the next
+    // slice, and a crash simply resumes from the last published file (or
+    // reruns from scratch) with byte-identical output.
     SliceResult slice = runner->run_slice(
-        std::move(checkpoint),
+        std::nullopt,
         [&](const io::ScanCheckpoint& barrier_checkpoint) {
           BarrierDecision decision;
           bool due = false;
@@ -697,7 +700,7 @@ void Daemon::worker_loop(int worker_index) {
           }
           break;
         case SliceOutcome::kPreempted:
-          scheduler_.release_preempted(*id, std::move(*slice.checkpoint));
+          scheduler_.release_preempted(*id);
           lane.inc(ids_.jobs_preempted);
           done.event = "preempted";
           break;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "core/tracer.h"
+#include "sim/network.h"
 #include "sim/params.h"
 #include "sim/runtime.h"
 
@@ -40,13 +41,48 @@ core::TracerConfig tracer_config_for(const JobSpec& spec) {
 
 }  // namespace
 
-JobRunner::JobRunner(const JobSpec& spec) : spec_(spec) {}
+/// What a paused job keeps between slices: the simulator its scan runs
+/// on, the Tracer, and the result the Tracer handed out when it paused.
+struct JobRunner::Engine {
+  Engine(const sim::Topology& topology, const core::TracerConfig& config,
+         util::Nanos start)
+      : network(topology),
+        runtime(network, config.probes_per_second, start),
+        tracer(config, runtime) {}
+  // The runtime holds the network and the Tracer the runtime by address.
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
+  sim::SimNetwork network;
+  sim::SimScanRuntime runtime;
+  core::Tracer tracer;
+  core::ScanResult paused;
+};
+
+JobRunner::JobRunner(const JobSpec& spec,
+                     std::optional<io::ScanCheckpoint> recovered)
+    : spec_(spec), recovered_(std::move(recovered)) {}
+
+JobRunner::~JobRunner() = default;
 
 const sim::Topology& JobRunner::topology() {
   if (topology_ == nullptr) {
     topology_ = std::make_unique<sim::Topology>(sim_params_for(spec_));
   }
   return *topology_;
+}
+
+std::unique_ptr<JobRunner::Engine> JobRunner::build_engine(util::Nanos start) {
+  core::TracerConfig config = tracer_config_for(spec_);
+  config.cancel = &cancel_;
+  // Preempt and cancel both stop the scan and leave the checkpoint intact,
+  // so the Tracer pauses with its result in place; run_slice tells the
+  // two apart by the verdict.
+  config.checkpoint_sink = [this](io::ScanCheckpoint& checkpoint) {
+    decision_ = (*on_barrier_)(checkpoint);
+    return decision_ == BarrierDecision::kContinue;
+  };
+  return std::make_unique<Engine>(topology(), config, start);
 }
 
 io::ArchiveHeader JobRunner::archive_header() const {
@@ -57,46 +93,45 @@ io::ArchiveHeader JobRunner::archive_header() const {
   return header;
 }
 
+std::optional<std::uint64_t> JobRunner::resume_probes() const {
+  if (recovered_.has_value()) return recovered_->result.probes_sent;
+  if (engine_ != nullptr) return engine_->paused.probes_sent;
+  return std::nullopt;
+}
+
 SliceResult JobRunner::run_slice(
-    std::optional<io::ScanCheckpoint> resume,
+    std::optional<io::ScanCheckpoint> recovered,
     const std::function<BarrierDecision(const io::ScanCheckpoint&)>&
         on_barrier) {
-  sim::SimNetwork network(topology());
-  const util::Nanos start =
-      resume.has_value() ? resume->virtual_now : util::Nanos{0};
-  sim::SimScanRuntime runtime(network, spec_.probes_per_second, start);
+  if (!recovered.has_value()) recovered = std::exchange(recovered_, {});
+  on_barrier_ = &on_barrier;
+  decision_ = BarrierDecision::kContinue;
+  core::ScanResult result;
+  if (recovered.has_value()) {
+    engine_ = build_engine(recovered->virtual_now);
+    result = engine_->tracer.run(std::move(recovered));
+  } else if (engine_ != nullptr) {
+    result = engine_->tracer.continue_run(std::move(engine_->paused));
+  } else {
+    engine_ = build_engine(0);
+    result = engine_->tracer.run();
+  }
+  on_barrier_ = nullptr;
 
   SliceResult slice;
-  core::TracerConfig config = tracer_config_for(spec_);
-  config.cancel = &cancel_;
-  config.checkpoint_sink = [&](io::ScanCheckpoint& checkpoint) {
-    switch (on_barrier(checkpoint)) {
-      case BarrierDecision::kContinue:
-        return true;
-      case BarrierDecision::kPreempt:
-        // The slice keeps the checkpoint, and the scan's result with it.
-        slice.checkpoint = std::move(checkpoint);
-        return false;
-      case BarrierDecision::kCancel:
-        break;
-    }
-    slice.checkpoint.reset();
-    return false;
-  };
-
-  core::Tracer tracer(config, runtime);
-  core::ScanResult result = tracer.run(std::move(resume));
-
-  if (!tracer.aborted()) {
-    slice.outcome = SliceOutcome::kCompleted;
-    slice.probes_total = result.probes_sent;
-    slice.result = std::move(result);
-  } else if (slice.checkpoint.has_value()) {
+  slice.probes_total = result.probes_sent;
+  const bool stopped = engine_->tracer.aborted();
+  if (stopped && decision_ == BarrierDecision::kPreempt) {
     slice.outcome = SliceOutcome::kPreempted;
-    slice.probes_total = slice.checkpoint->result.probes_sent;
-  } else {
+    engine_->paused = std::move(result);
+    return slice;
+  }
+  engine_.reset();
+  if (stopped) {
     slice.outcome = SliceOutcome::kCancelled;
-    slice.probes_total = result.probes_sent;
+  } else {
+    slice.outcome = SliceOutcome::kCompleted;
+    slice.result = std::move(result);
   }
   return slice;
 }

@@ -1,22 +1,28 @@
 // JobRunner: one scan job's execution state across scheduler slices
 // (DESIGN.md §12).
 //
-// A slice is a span of scan execution between scheduler decisions: the
-// runner builds a fresh SimNetwork + SimScanRuntime + Tracer per slice
-// (resuming from the job's checkpoint when it has one) and runs until the
-// engine either finishes or hits a checkpoint barrier at which the
-// scheduler's verdict is preempt/cancel.  The expensive part — the
-// simulated topology — is built once and retained across slices; the
-// daemon frees the runner, topology and all, when the job turns terminal.
-// The scan result is never copied between slices: a preempted slice keeps
-// it inside its checkpoint, and the next slice moves it back into its
-// engine.
+// A slice is a span of scan execution between scheduler decisions.  The
+// job's first slice builds its engine: the simulated topology, a
+// SimNetwork and SimScanRuntime over it, and the Tracer with its DCB ring
+// and result.  The runner keeps that engine until the job ends.  At every
+// checkpoint barrier the runner asks the scheduler's verdict; a preempting
+// one pauses the Tracer where it stands, and the job's next slice, on
+// whichever worker picks it up, continues it.  So a resumed slice rebuilds
+// nothing, restores nothing and copies nothing.  The daemon frees the
+// runner, engine and topology with it, when the job turns terminal.
+//
+// A checkpoint reaches a runner only from disk: frd's boot recovery hands
+// over the job's last published barrier, and the slice that runs it builds
+// a fresh engine on the checkpoint's clock and restores the scan from it.
 //
 // Determinism: the spec fixes checkpoint_interval > 0, so the engine
-// quiesces at every barrier whether or not the slice ends there (PR 5's
-// equivalence contract).  A job preempted N times therefore produces a
-// ScanResult byte-identical (in FRSC archive form) to the same spec run
-// uncontended — the property the daemon bench gates.
+// quiesces at every barrier whether or not the slice ends there (the
+// equivalence contract of DESIGN.md §9).  A paused and continued scan is
+// the uninterrupted scan, on the same objects and clock, and a scan
+// restored from a barrier's checkpoint reproduces it too.  A job preempted
+// N times therefore produces a ScanResult byte-identical (in FRSC archive
+// form) to the same spec run uncontended — the property the daemon bench
+// gates.
 
 #pragma once
 
@@ -29,7 +35,6 @@
 #include "core/result.h"
 #include "io/checkpoint.h"
 #include "io/scan_archive.h"
-#include "sim/network.h"
 #include "sim/topology.h"
 #include "svc/job.h"
 #include "svc/scheduler.h"
@@ -38,31 +43,40 @@ namespace flashroute::svc {
 
 enum class SliceOutcome : std::uint8_t {
   kCompleted,  ///< the scan finished; SliceResult::result is valid
-  kPreempted,  ///< stopped at a barrier; SliceResult::checkpoint is valid
-  kCancelled,  ///< stopped without a checkpoint; the job is dead
+  kPreempted,  ///< paused at a barrier; the next slice continues it
+  kCancelled,  ///< stopped for good; the job is dead
 };
 
 struct SliceResult {
   SliceOutcome outcome = SliceOutcome::kCancelled;
   /// Cumulative probes sent across all of the job's slices so far.
   std::uint64_t probes_total = 0;
-  std::optional<io::ScanCheckpoint> checkpoint;  ///< kPreempted only
-  core::ScanResult result;                       ///< kCompleted only
+  core::ScanResult result;  ///< kCompleted only
 };
 
 class JobRunner {
  public:
-  explicit JobRunner(const JobSpec& spec);
+  /// `recovered` is the job's barrier checkpoint read back from disk, if
+  /// any; the job's first slice restores the scan from it.
+  explicit JobRunner(
+      const JobSpec& spec,
+      std::optional<io::ScanCheckpoint> recovered = std::nullopt);
+  ~JobRunner();
 
-  /// Runs one slice.  `resume` is the checkpoint a previous slice saved
-  /// (nullopt = first slice); the slice consumes it.  `on_barrier` is
-  /// consulted at every checkpoint barrier with the engine's checkpoint —
-  /// returning kPreempt moves it into the slice's result, kCancel discards
-  /// it and kills the job.
+  /// Runs one slice.  A checkpoint in `recovered` (or the one given to the
+  /// constructor) builds a fresh engine on its clock and restores the scan
+  /// from it; otherwise a paused engine continues; otherwise a fresh scan
+  /// starts.  `on_barrier` is consulted at every checkpoint barrier with
+  /// the engine's checkpoint: kPreempt pauses the engine for the next
+  /// slice, kCancel ends the job and frees the engine.
   SliceResult run_slice(
-      std::optional<io::ScanCheckpoint> resume,
+      std::optional<io::ScanCheckpoint> recovered,
       const std::function<BarrierDecision(const io::ScanCheckpoint&)>&
           on_barrier);
+
+  /// Probes the job has sent when its next slice continues a paused engine
+  /// or restores a recovered checkpoint; nullopt when it starts afresh.
+  std::optional<std::uint64_t> resume_probes() const;
 
   /// Asynchronous hard cancel: the engine aborts at its next round barrier
   /// (finer-grained than checkpoint barriers), yielding kCancelled.
@@ -74,10 +88,22 @@ class JobRunner {
   const JobSpec& spec() const noexcept { return spec_; }
 
  private:
+  struct Engine;
+
   const sim::Topology& topology();
+  /// A new engine whose runtime clock starts at `start`.
+  std::unique_ptr<Engine> build_engine(util::Nanos start);
 
   JobSpec spec_;
   std::unique_ptr<sim::Topology> topology_;  ///< lazy; retained across slices
+  std::optional<io::ScanCheckpoint> recovered_;
+  /// Built by the slice that starts or restores the scan, kept while the
+  /// job is paused, freed when the scan ends.
+  std::unique_ptr<Engine> engine_;
+  /// The running slice's barrier callback, and the verdict it last gave.
+  const std::function<BarrierDecision(const io::ScanCheckpoint&)>*
+      on_barrier_ = nullptr;
+  BarrierDecision decision_ = BarrierDecision::kContinue;
   // fr-atomic: cancel flag — set by the daemon's control plane, polled
   // (relaxed) by whichever worker is running the job's current slice.
   std::atomic<bool> cancel_{false};

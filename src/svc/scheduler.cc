@@ -1,6 +1,6 @@
 #include "svc/scheduler.h"
 
-#include <memory>
+#include <algorithm>
 #include <utility>
 
 namespace flashroute::svc {
@@ -60,6 +60,7 @@ Submission Scheduler::submit(const JobSpec& spec, util::Nanos now) {
   } else {
     entry.state = JobState::kQueued;
     submission.admitted = true;
+    live_.push_back(entry.id);
   }
   jobs_.push_back(std::move(entry));
   return submission;
@@ -67,41 +68,27 @@ Submission Scheduler::submit(const JobSpec& spec, util::Nanos now) {
 
 std::uint64_t Scheduler::restore(const JobSpec& spec, JobState state,
                                  std::uint64_t probes, std::uint64_t slices,
-                                 std::optional<io::ScanCheckpoint> checkpoint,
                                  std::string detail, util::Nanos now) {
   Entry entry(jobs_.size() + 1, spec, make_bucket(spec, config_, now));
   entry.metered = config_.rate_multiplier > 0.0;
   entry.state = state == JobState::kRunning ? JobState::kQueued : state;
   entry.probes = probes;
   entry.slices = slices;
-  if (checkpoint.has_value()) {
-    entry.checkpoint =
-        std::make_unique<io::ScanCheckpoint>(std::move(*checkpoint));
-  }
   entry.detail = std::move(detail);
+  if (!job_state_terminal(entry.state)) live_.push_back(entry.id);
   jobs_.push_back(std::move(entry));
   return jobs_.back().id;
 }
 
 std::optional<std::uint64_t> Scheduler::acquire(util::Nanos now) {
   if (draining_ || running_count_ >= config_.num_workers) return std::nullopt;
-  const int index = pick_index(now, nullptr);
-  if (index < 0) return std::nullopt;
-  Entry& entry = jobs_[static_cast<std::size_t>(index)];
-  entry.state = JobState::kRunning;
-  entry.slices += 1;
-  running_pps_ += entry.spec.probes_per_second;
+  Entry* entry = pick(now, nullptr);
+  if (entry == nullptr) return std::nullopt;
+  entry->state = JobState::kRunning;
+  entry->slices += 1;
+  running_pps_ += entry->spec.probes_per_second;
   running_count_ += 1;
-  return entry.id;
-}
-
-std::optional<io::ScanCheckpoint> Scheduler::take_checkpoint(
-    std::uint64_t job_id) {
-  Entry* entry = find(job_id);
-  if (entry == nullptr || entry->checkpoint == nullptr) return std::nullopt;
-  std::optional<io::ScanCheckpoint> checkpoint = std::move(*entry->checkpoint);
-  entry->checkpoint.reset();
-  return checkpoint;
+  return entry->id;
 }
 
 BarrierDecision Scheduler::on_barrier(std::uint64_t job_id,
@@ -122,19 +109,18 @@ BarrierDecision Scheduler::on_barrier(std::uint64_t job_id,
   if (entry->cancel_requested) return BarrierDecision::kCancel;
 
   // Would some waiter win this slot if we yielded it?
-  const int index = pick_index(now, entry);
-  if (index < 0) {
+  const Entry* waiter = pick(now, entry);
+  if (waiter == nullptr) {
     return BarrierDecision::kContinue;  // work-conserving even in debt
   }
   if (entry->metered && !entry->bucket.in_credit(now)) {
     return BarrierDecision::kPreempt;  // out of budget and a peer waits
   }
-  const Entry& waiter = jobs_[static_cast<std::size_t>(index)];
-  if (waiter.spec.priority > entry->spec.priority) {
+  if (waiter->spec.priority > entry->spec.priority) {
     return BarrierDecision::kPreempt;
   }
-  if (waiter.spec.priority == entry->spec.priority &&
-      waiter.progress() < entry->progress()) {
+  if (waiter->spec.priority == entry->spec.priority &&
+      waiter->progress() < entry->progress()) {
     return BarrierDecision::kPreempt;  // fair-share: let the laggard catch up
   }
   return BarrierDecision::kContinue;
@@ -146,14 +132,18 @@ void Scheduler::release_running(Entry& entry) {
   running_count_ -= 1;
 }
 
-void Scheduler::release_preempted(std::uint64_t job_id,
-                                  io::ScanCheckpoint checkpoint) {
+void Scheduler::retire(Entry& entry, JobState terminal) {
+  entry.state = terminal;
+  // live_ is ascending, and a job leaves it once.
+  const auto it = std::lower_bound(live_.begin(), live_.end(), entry.id);
+  if (it != live_.end() && *it == entry.id) live_.erase(it);
+}
+
+void Scheduler::release_preempted(std::uint64_t job_id) {
   Entry* entry = find(job_id);
   if (entry == nullptr || entry->state != JobState::kRunning) return;
   release_running(*entry);
   entry->state = JobState::kPreempted;
-  entry->checkpoint =
-      std::make_unique<io::ScanCheckpoint>(std::move(checkpoint));
 }
 
 void Scheduler::release_completed(std::uint64_t job_id,
@@ -168,14 +158,14 @@ void Scheduler::release_completed(std::uint64_t job_id,
     entry->bucket.charge(static_cast<double>(delta), now);
   }
   release_running(*entry);
-  entry->state = JobState::kCompleted;
+  retire(*entry, JobState::kCompleted);
 }
 
 void Scheduler::release_failed(std::uint64_t job_id, std::string detail) {
   Entry* entry = find(job_id);
   if (entry == nullptr || entry->state != JobState::kRunning) return;
   release_running(*entry);
-  entry->state = JobState::kFailed;
+  retire(*entry, JobState::kFailed);
   entry->detail = std::move(detail);
 }
 
@@ -183,8 +173,7 @@ void Scheduler::release_cancelled(std::uint64_t job_id) {
   Entry* entry = find(job_id);
   if (entry == nullptr || entry->state != JobState::kRunning) return;
   release_running(*entry);
-  entry->state = JobState::kCancelled;
-  entry->checkpoint.reset();
+  retire(*entry, JobState::kCancelled);
 }
 
 CancelOutcome Scheduler::cancel(std::uint64_t job_id) {
@@ -196,8 +185,7 @@ CancelOutcome Scheduler::cancel(std::uint64_t job_id) {
     return CancelOutcome::kSignalled;
   }
   // Queued or preempted: cancel immediately, the job holds no worker.
-  entry->state = JobState::kCancelled;
-  entry->checkpoint.reset();
+  retire(*entry, JobState::kCancelled);
   return CancelOutcome::kCancelled;
 }
 
@@ -205,20 +193,15 @@ void Scheduler::drain() { draining_ = true; }
 
 bool Scheduler::has_dispatchable(util::Nanos now) {
   return !draining_ && running_count_ < config_.num_workers &&
-         pick_index(now, nullptr) >= 0;
+         pick(now, nullptr) != nullptr;
 }
 
-bool Scheduler::idle() const {
-  for (const Entry& entry : jobs_) {
-    if (!job_state_terminal(entry.state)) return false;
-  }
-  return true;
-}
+bool Scheduler::idle() const { return live_.empty(); }
 
 int Scheduler::queue_depth() const {
   int depth = 0;
-  for (const Entry& entry : jobs_) {
-    if (entry.state == JobState::kQueued) ++depth;
+  for (const std::uint64_t id : live_) {
+    if (jobs_[id - 1].state == JobState::kQueued) ++depth;
   }
   return depth;
 }
@@ -255,25 +238,23 @@ JobView Scheduler::view_of(const Entry& entry) {
   view.probes_per_second = entry.spec.probes_per_second;
   view.probes = entry.probes;
   view.slices = entry.slices;
-  view.has_checkpoint = entry.checkpoint != nullptr;
+  view.has_checkpoint = entry.state == JobState::kPreempted;
   view.detail = entry.detail;
   return view;
 }
 
-FR_HOT int Scheduler::pick_index(util::Nanos now,
-                                 const Entry* yielding) noexcept {
+FR_HOT Scheduler::Entry* Scheduler::pick(util::Nanos now,
+                                         const Entry* yielding) noexcept {
   double reserved = running_pps_;
   if (yielding != nullptr) reserved -= yielding->spec.probes_per_second;
   if (reserved < 0.0) reserved = 0.0;
-  int best = -1;
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    Entry& entry = jobs_[i];
+  Entry* best = nullptr;
+  for (const std::uint64_t id : live_) {
+    Entry& entry = jobs_[id - 1];
     if (!entry.waiting() || entry.cancel_requested) continue;
     if (&entry == yielding) continue;
     if (!dispatchable(entry, reserved, now)) continue;
-    if (best < 0 || wins(entry, jobs_[static_cast<std::size_t>(best)])) {
-      best = static_cast<int>(i);
-    }
+    if (best == nullptr || wins(entry, *best)) best = &entry;
   }
   return best;
 }

@@ -40,12 +40,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "io/checkpoint.h"
 #include "svc/job.h"
 #include "util/annotations.h"
 #include "util/clock.h"
@@ -69,7 +67,7 @@ struct SchedulerConfig {
 /// What a running job must do at a checkpoint barrier.
 enum class BarrierDecision : std::uint8_t {
   kContinue,  ///< keep scanning
-  kPreempt,   ///< stop here; the checkpoint will be kept for resumption
+  kPreempt,   ///< stop here; the job's next slice continues from here
   kCancel,    ///< stop here and discard the job
 };
 
@@ -89,6 +87,7 @@ struct JobView {
   double probes_per_second = 0.0;
   std::uint64_t probes = 0;
   std::uint64_t slices = 0;
+  /// Set while the job is preempted: it resumes where it stopped.
   bool has_checkpoint = false;
   std::string detail;
 };
@@ -111,21 +110,17 @@ class Scheduler {
   /// Recovery (DESIGN.md §14): recreates a journaled job at boot.  Must be
   /// called in job-id order before any submit(), because ids are assigned
   /// positionally.  A job is never restored as kRunning — an interrupted
-  /// slice re-enters as kPreempted (resume from `checkpoint`) or kQueued
-  /// (rerun from scratch; determinism makes the output identical), so the
-  /// running-slot counters stay untouched.  Returns the assigned id.
+  /// slice re-enters as kPreempted (its runner resumes from the recovered
+  /// checkpoint) or kQueued (rerun from scratch; determinism makes the
+  /// output identical), so the running-slot counters stay untouched.
+  /// Returns the assigned id.
   std::uint64_t restore(const JobSpec& spec, JobState state,
                         std::uint64_t probes, std::uint64_t slices,
-                        std::optional<io::ScanCheckpoint> checkpoint,
                         std::string detail, util::Nanos now);
 
   /// A free worker asks for work; marks the winner running.  nullopt when
   /// nothing is dispatchable.
   std::optional<std::uint64_t> acquire(util::Nanos now);
-
-  /// Moves the job's saved checkpoint out (nullopt = start fresh), for the
-  /// caller to hand to the resumed slice.
-  std::optional<io::ScanCheckpoint> take_checkpoint(std::uint64_t job_id);
 
   /// Decision point at a checkpoint barrier of a running job.
   /// `probes_total` is the scan's cumulative probe count at the barrier;
@@ -133,8 +128,9 @@ class Scheduler {
   BarrierDecision on_barrier(std::uint64_t job_id, std::uint64_t probes_total,
                              util::Nanos now);
 
-  // Slice outcomes (the job must be running).
-  void release_preempted(std::uint64_t job_id, io::ScanCheckpoint checkpoint);
+  // Slice outcomes (the job must be running).  A preempted job's paused
+  // engine stays with its runner, not here.
+  void release_preempted(std::uint64_t job_id);
   void release_completed(std::uint64_t job_id, std::uint64_t probes_total,
                          util::Nanos now);
   void release_failed(std::uint64_t job_id, std::string detail);
@@ -172,9 +168,6 @@ class Scheduler {
     bool cancel_requested = false;
     std::uint64_t probes = 0;  ///< cumulative, updated at barriers
     std::uint64_t slices = 0;
-    /// Set only while the job waits to resume.  Held by pointer so that
-    /// every other job's record, finished ones included, stays small.
-    std::unique_ptr<io::ScanCheckpoint> checkpoint;
     std::string detail;
 
     Entry(std::uint64_t id_in, JobSpec spec_in, util::TokenBucket bucket_in)
@@ -192,11 +185,13 @@ class Scheduler {
   const Entry* find(std::uint64_t job_id) const;
   static JobView view_of(const Entry& entry);
   void release_running(Entry& entry);
+  /// Moves a job into a terminal state and off the live list.
+  void retire(Entry& entry, JobState terminal);
 
-  /// Scheduler tick: index of the best dispatchable waiter, -1 when none.
+  /// Scheduler tick: the best dispatchable waiter, null when none.
   /// `yielding` (nullable) is a running job assumed to give up its slot —
   /// its rate is returned to the budget and it never competes.
-  FR_HOT int pick_index(util::Nanos now, const Entry* yielding) noexcept;
+  FR_HOT Entry* pick(util::Nanos now, const Entry* yielding) noexcept;
   /// Budget accounting: does `entry`'s rate fit beside `reserved_pps`, and
   /// is its bucket in credit (when metered)?
   FR_HOT bool dispatchable(Entry& entry, double reserved_pps,
@@ -205,6 +200,9 @@ class Scheduler {
 
   SchedulerConfig config_;
   std::vector<Entry> jobs_;  ///< job id i lives at index i - 1
+  /// Ids of the jobs not yet terminal, ascending: what every scheduler
+  /// tick walks, so its cost follows the live jobs, not the history.
+  std::vector<std::uint64_t> live_;
   double running_pps_ = 0.0;
   int running_count_ = 0;
   bool draining_ = false;

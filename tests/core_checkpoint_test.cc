@@ -1,8 +1,9 @@
 // Tests for checkpoint/resume (io/checkpoint.h + core::Tracer resume):
 // FRCK round-trips and golden bytes, declared lengths past the end refused
 // before allocating, kill-at-checkpoint resume equivalence under an active
-// fault plane, config-digest validation, and a barrier's allocations
-// staying flat in the scan's result.
+// fault plane, a scan paused at every barrier and continued, config-digest
+// validation, and a barrier's allocations staying flat in the scan's
+// result.
 //
 // The equivalence contract (DESIGN.md §9): a checkpointing scan quiesces at
 // every checkpoint barrier, so the reference for a killed-and-resumed scan
@@ -319,6 +320,71 @@ TEST(Checkpoint, KillAndResumeReproducesTheUninterruptedScan) {
     const ScanResult completed =
         run_once(topology, resumed, start, std::move(*loaded));
     expect_equal_results(completed, reference);
+  }
+}
+
+std::string frsc_bytes(const ScanResult& result) {
+  io::Writer bytes;
+  io::write_archive(result, io::ArchiveHeader{}, bytes);
+  return bytes.str();
+}
+
+// A sink that stops the scan and leaves the checkpoint whole pauses it, and
+// continue_run() carries on from that barrier on the same engine.  A
+// faulted scan paused at every barrier and continued to its end is the
+// uninterrupted scan, byte for byte, and so is the scan restored from any
+// one barrier's checkpoint: the two ways a preempted frd job resumes.
+TEST(Checkpoint, ScanPausedAtEveryBarrierContinuesToTheUninterruptedBytes) {
+  const sim::SimParams params = world_params();
+  const sim::Topology topology(params);
+  TracerConfig config = checkpointing_config(params);
+  config.adaptive_backoff = true;
+  // Probes time out inside the round that sent them, so the round's loss
+  // ratio sees them before the next quiesce drains them, and backs off.
+  config.retransmit_timeout = 20 * util::kMillisecond;
+
+  std::vector<std::string> barriers;
+  TracerConfig uninterrupted = config;
+  uninterrupted.checkpoint_sink = [&barriers](const io::ScanCheckpoint& cp) {
+    io::Writer bytes;
+    io::write_checkpoint(cp, bytes);
+    barriers.push_back(bytes.str());
+    return true;
+  };
+  const ScanResult reference = run_once(topology, uninterrupted);
+  ASSERT_GE(barriers.size(), 3u) << "scan too short to exercise checkpoints";
+  ASSERT_GT(reference.retransmits, 0u);
+  ASSERT_GT(reference.rate_backoffs, 0u);
+
+  std::size_t pauses = 0;
+  TracerConfig pausing = config;
+  pausing.checkpoint_sink = [&pauses](const io::ScanCheckpoint&) {
+    ++pauses;
+    return false;
+  };
+  sim::SimNetwork network(topology);
+  sim::SimScanRuntime runtime(network, pausing.probes_per_second);
+  Tracer tracer(pausing, runtime);
+  ScanResult continued = tracer.run();
+  while (tracer.aborted() && pauses <= barriers.size()) {
+    continued = tracer.continue_run(std::move(continued));
+  }
+  ASSERT_FALSE(tracer.aborted()) << "still paused after every barrier";
+  EXPECT_EQ(pauses, barriers.size());
+  expect_equal_results(continued, reference);
+  EXPECT_EQ(frsc_bytes(continued), frsc_bytes(reference));
+
+  for (std::size_t i = 0; i < barriers.size(); ++i) {
+    auto loaded = io::read_checkpoint(barriers[i]);
+    ASSERT_TRUE(loaded.has_value());
+    TracerConfig resumed = config;
+    resumed.checkpoint_sink = [](const io::ScanCheckpoint&) { return true; };
+    const util::Nanos start = loaded->virtual_now;
+    const ScanResult restored =
+        run_once(topology, resumed, start, std::move(*loaded));
+    expect_equal_results(restored, reference);
+    EXPECT_EQ(frsc_bytes(restored), frsc_bytes(reference))
+        << "restored from barrier " << i;
   }
 }
 

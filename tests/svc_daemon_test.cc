@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -114,6 +116,16 @@ struct DaemonFixture {
     return std::move(*client);
   }
 };
+
+/// FNV-1a 64 over `bytes`: the digest `verify` answers with.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
 
 JobSpec quick_spec(const std::string& name, std::uint64_t scan_seed = 7) {
   JobSpec spec;
@@ -369,6 +381,136 @@ TEST(SvcDaemon, CancelQueuedJobBeforeItRuns) {
   EXPECT_EQ(final_runner->state, JobState::kCompleted);
 }
 
+/// The job_event lines of `stream` that belong to job `id`.
+std::vector<std::string> events_of(const std::string& stream,
+                                   std::uint64_t id) {
+  const std::string tag = "\"job\":" + std::to_string(id) + ",";
+  std::vector<std::string> lines;
+  std::istringstream in(stream);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find(tag) != std::string::npos) lines.push_back(line);
+  }
+  return lines;
+}
+
+bool has_event(const std::string& line, const char* event) {
+  return line.find("\"event\":\"" + std::string(event) + "\"") !=
+         std::string::npos;
+}
+
+// A job preempted at a barrier waits with its engine paused.  Cancelling it
+// then is terminal at once: the daemon frees its runner, engine and all,
+// and no worker runs it again.
+TEST(SvcDaemon, CancelledPausedJobNeverRunsAgain) {
+  DaemonFixture fixture("cancel_paused", /*workers=*/1);
+  ASSERT_TRUE(fixture.daemon->start());
+  Client client = fixture.connect();
+
+  std::optional<JobView> view;
+  // Polls job `id` while it is in `state`; `view` keeps the last answer.
+  const auto wait_out = [&](std::uint64_t id, JobState state) {
+    for (int poll = 0; poll < 10'000; ++poll) {
+      view = client.status(id);
+      if (!view.has_value() || view->state != state) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+
+  JobSpec victim = quick_spec("victim");
+  victim.prefix_bits = 15;
+  const auto paused = client.submit(victim);
+  ASSERT_TRUE(paused.has_value() && paused->admitted);
+  // The intruder arrives once the victim holds the only worker, so the
+  // victim's next barrier preempts it.
+  wait_out(paused->job_id, JobState::kQueued);
+  ASSERT_TRUE(view.has_value());
+  ASSERT_EQ(view->state, JobState::kRunning) << job_state_name(view->state);
+  JobSpec intruder = quick_spec("intruder", 8);
+  intruder.prefix_bits = 16;  // outlasts the polls below
+  intruder.priority = 5;
+  const auto running = client.submit(intruder);
+  ASSERT_TRUE(running.has_value() && running->admitted);
+
+  wait_out(paused->job_id, JobState::kRunning);
+  ASSERT_TRUE(view.has_value());
+  ASSERT_EQ(view->state, JobState::kPreempted) << job_state_name(view->state);
+  EXPECT_TRUE(view->has_checkpoint);
+  const auto outcome = client.cancel(paused->job_id);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(*outcome, CancelOutcome::kCancelled);
+  // The intruder has done its part; stopping it ends the test sooner.
+  ASSERT_TRUE(client.cancel(running->job_id).has_value());
+
+  ASSERT_TRUE(client.wait_all());
+  view = client.status(paused->job_id);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->state, JobState::kCancelled);
+  EXPECT_FALSE(view->has_checkpoint);
+  const auto verify = client.verify(paused->job_id);
+  ASSERT_TRUE(verify.has_value());
+  EXPECT_FALSE(verify->found);
+  EXPECT_TRUE(client.shutdown());
+  fixture.daemon->wait();
+
+  const std::vector<std::string> lines =
+      events_of(fixture.events.str(), paused->job_id);
+  const auto preempted = std::find_if(
+      lines.begin(), lines.end(),
+      [](const std::string& line) { return has_event(line, "preempted"); });
+  ASSERT_NE(preempted, lines.end());
+  int cancelled = 0;
+  for (auto it = preempted + 1; it != lines.end(); ++it) {
+    EXPECT_FALSE(has_event(*it, "resumed")) << *it;
+    if (has_event(*it, "cancelled")) ++cancelled;
+  }
+  EXPECT_EQ(cancelled, 1);
+}
+
+// With two workers and more jobs than workers, fair share preempts jobs at
+// their barriers, and whichever worker dispatches a paused job next
+// continues its engine.  Every payload matches its spec run alone.
+TEST(SvcDaemon, PausedJobsContinueOnWhicheverWorkerPicksThemUp) {
+  constexpr int kJobs = 6;
+  std::vector<JobSpec> specs;
+  for (int k = 0; k < kJobs; ++k) {
+    JobSpec spec = quick_spec("shared", static_cast<std::uint64_t>(11 + k));
+    spec.prefix_bits = 10;
+    spec.max_retransmits = k % 2 == 0 ? 1 : 0;
+    specs.push_back(spec);
+  }
+
+  DaemonFixture fixture("continue_anywhere", /*workers=*/2);
+  ASSERT_TRUE(fixture.daemon->start());
+  Client client = fixture.connect();
+  std::vector<std::uint64_t> ids;
+  for (const JobSpec& spec : specs) {
+    const auto submission = client.submit(spec);
+    ASSERT_TRUE(submission.has_value() && submission->admitted);
+    ids.push_back(submission->job_id);
+  }
+  ASSERT_TRUE(client.wait_all());
+
+  for (int k = 0; k < kJobs; ++k) {
+    JobRunner solo(specs[static_cast<std::size_t>(k)]);
+    const SliceResult alone = solo.run_slice(
+        std::nullopt,
+        [](const io::ScanCheckpoint&) { return BarrierDecision::kContinue; });
+    ASSERT_EQ(alone.outcome, SliceOutcome::kCompleted);
+    io::Writer expected;
+    io::write_archive(alone.result, solo.archive_header(), expected);
+    const auto verify = client.verify(ids[static_cast<std::size_t>(k)]);
+    ASSERT_TRUE(verify.has_value() && verify->found);
+    EXPECT_EQ(verify->payload_size, expected.str().size()) << "job " << k;
+    EXPECT_EQ(verify->payload_fnv1a, fnv1a(expected.str())) << "job " << k;
+  }
+  EXPECT_TRUE(client.shutdown());
+  fixture.daemon->wait();
+  const std::string stream = fixture.events.str();
+  EXPECT_NE(stream.find("\"event\":\"resumed\""), std::string::npos)
+      << "no job was preempted and continued";
+}
+
 JobSpec keyed_spec(const std::string& name, const std::string& key,
                    std::uint64_t scan_seed = 7) {
   JobSpec spec = quick_spec(name, scan_seed);
@@ -538,15 +680,17 @@ TEST(SvcDaemon, CorruptCheckpointRerunsTheJobFromScratch) {
     record.slices = 1;
     ASSERT_TRUE(journal.append(record));
   }
-  JobRunner runner(spec);
-  const SliceResult slice = runner.run_slice(
-      std::nullopt,
-      [](const io::ScanCheckpoint&) { return BarrierDecision::kPreempt; });
-  ASSERT_EQ(slice.outcome, SliceOutcome::kPreempted);
   const std::string checkpoint = fixture.state_dir + "/job_1.frck";
   ASSERT_TRUE(io::ensure_directory(fixture.state_dir));
-  ASSERT_TRUE(
-      io::save_checkpoint_atomic(checkpoint, *slice.checkpoint, false));
+  JobRunner runner(spec);
+  bool published = false;
+  const SliceResult slice = runner.run_slice(
+      std::nullopt, [&](const io::ScanCheckpoint& barrier) {
+        published = io::save_checkpoint_atomic(checkpoint, barrier, false);
+        return BarrierDecision::kPreempt;
+      });
+  ASSERT_EQ(slice.outcome, SliceOutcome::kPreempted);
+  ASSERT_TRUE(published);
   ASSERT_TRUE(io::load_checkpoint_file(checkpoint).has_value());
   std::string bytes = read_file(checkpoint);
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 4);

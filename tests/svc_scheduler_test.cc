@@ -1,9 +1,9 @@
 // Tests for the multi-tenant scan-job scheduler (svc/scheduler.h) and its
 // coupling to slice execution (svc/job_runner.h): admission reasons,
-// dispatch order, fair-share alternation, budget metering, drain, and the
-// headline determinism contract — a job preempted at a checkpoint barrier
-// and resumed later produces a byte-identical archive payload to the same
-// spec run uncontended.
+// dispatch order, fair-share alternation, budget metering, drain, decisions
+// that ignore finished jobs, and the headline determinism contract — a job
+// preempted at a checkpoint barrier and continued later produces a
+// byte-identical archive payload to the same spec run uncontended.
 //
 // Everything here is single-threaded and runs on virtual time: the
 // scheduler takes `now` explicitly, so the tests replay the exact decision
@@ -14,10 +14,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -97,16 +99,14 @@ struct Service {
     const auto id = scheduler.acquire(now);
     if (!id) return false;
     if (order) order->push_back(*id);
-    auto resume = scheduler.take_checkpoint(*id);
     const std::uint64_t slice_no = scheduler.view(*id)->slices;
-    const std::uint64_t base =
-        resume ? resume->result.probes_sent : 0;
+    JobRunner& runner = *runners.at(*id);
+    const std::uint64_t base = runner.resume_probes().value_or(0);
     emit_progress(*id, slice_no == 1 ? "running" : "resumed", base,
                   slice_no);
-    JobRunner& runner = *runners.at(*id);
     int barriers = 0;
     SliceResult slice = runner.run_slice(
-        std::move(resume), [&](const io::ScanCheckpoint& cp) {
+        std::nullopt, [&](const io::ScanCheckpoint& cp) {
           ++barriers;
           if (at_barrier) at_barrier(*id, barriers);
           now += util::kMillisecond;  // one control-plane tick per barrier
@@ -121,7 +121,7 @@ struct Service {
         emit_progress(*id, "completed", slice.probes_total, slice_no);
         break;
       case SliceOutcome::kPreempted:
-        scheduler.release_preempted(*id, std::move(*slice.checkpoint));
+        scheduler.release_preempted(*id);
         emit_progress(*id, "preempted", slice.probes_total, slice_no);
         break;
       case SliceOutcome::kCancelled:
@@ -315,8 +315,7 @@ TEST(SvcDrain, RunningJobsPreemptAndNothingDispatches) {
   EXPECT_TRUE(scheduler.draining());
   EXPECT_EQ(scheduler.on_barrier(job.job_id, 10, 0),
             BarrierDecision::kPreempt);
-  io::ScanCheckpoint checkpoint;
-  scheduler.release_preempted(job.job_id, checkpoint);
+  scheduler.release_preempted(job.job_id);
   EXPECT_EQ(scheduler.view(job.job_id)->state, JobState::kPreempted);
   EXPECT_FALSE(scheduler.acquire(0).has_value());
   EXPECT_FALSE(scheduler.idle());
@@ -374,6 +373,176 @@ TEST(SvcPreemption, ResumedJobIsByteIdenticalToUncontendedRun) {
     EXPECT_EQ(view->probes, solo_run.probes_total);
   }
   std::remove(path.c_str());
+}
+
+// The paused engine is the uninterrupted one: a runner told to preempt at
+// every barrier, and continued slice after slice, archives the bytes of
+// the same spec run in one slice.
+TEST(SvcRunner, PreemptedAtEveryBarrierMatchesOneUninterruptedSlice) {
+  JobSpec spec = small_spec("sliced");
+  spec.prefix_bits = 7;
+  spec.max_retransmits = 1;
+  spec.adaptive_backoff = true;
+  JobRunner solo(spec);
+  const SliceResult whole = solo.run_slice(
+      std::nullopt,
+      [](const io::ScanCheckpoint&) { return BarrierDecision::kContinue; });
+  ASSERT_EQ(whole.outcome, SliceOutcome::kCompleted);
+
+  JobRunner runner(spec);
+  EXPECT_FALSE(runner.resume_probes().has_value());
+  int slices = 0;
+  std::uint64_t probes = 0;
+  SliceResult slice;
+  do {
+    if (slices > 0) {
+      ASSERT_TRUE(runner.resume_probes().has_value());
+      EXPECT_EQ(*runner.resume_probes(), probes);
+    }
+    ++slices;
+    slice = runner.run_slice(std::nullopt, [](const io::ScanCheckpoint&) {
+      return BarrierDecision::kPreempt;
+    });
+    EXPECT_GE(slice.probes_total, probes);
+    probes = slice.probes_total;
+  } while (slice.outcome == SliceOutcome::kPreempted && slices < 1000);
+  ASSERT_EQ(slice.outcome, SliceOutcome::kCompleted);
+  EXPECT_GE(slices, 3) << "too few barriers to exercise the pause";
+  EXPECT_FALSE(runner.resume_probes().has_value());
+  EXPECT_EQ(slice.probes_total, whole.probes_total);
+
+  io::Writer expected;
+  io::write_archive(whole.result, solo.archive_header(), expected);
+  io::Writer sliced;
+  io::write_archive(slice.result, runner.archive_header(), sliced);
+  EXPECT_EQ(sliced.str(), expected.str());
+}
+
+// A job cancelled while it waits, paused at a barrier, is never dispatched
+// again, and a runner whose barrier verdict is kCancel frees the engine it
+// had paused.
+TEST(SvcRunner, CancelledPausedJobFreesItsEngineAndNeverRunsAgain) {
+  Service service(SchedulerConfig{});
+  JobSpec victim_spec = small_spec("victim");
+  victim_spec.prefix_bits = 7;
+  const std::uint64_t victim = service.submit(victim_spec);
+  JobSpec intruder = small_spec("intruder");
+  intruder.priority = 5;
+  std::uint64_t intruder_id = 0;
+  bool cancelled = false;
+  std::vector<std::uint64_t> order;
+  service.run_all(
+      [&](std::uint64_t job, int barrier) {
+        if (job == victim && barrier == 1 && intruder_id == 0) {
+          intruder_id = service.submit(intruder);
+        }
+        if (job == intruder_id && barrier == 1) {
+          ASSERT_EQ(service.scheduler.view(victim)->state,
+                    JobState::kPreempted);
+          EXPECT_TRUE(service.scheduler.view(victim)->has_checkpoint);
+          const JobRunner& paused = *service.runners.at(victim);
+          EXPECT_TRUE(paused.resume_probes().has_value());
+          EXPECT_EQ(service.scheduler.cancel(victim),
+                    CancelOutcome::kCancelled);
+          cancelled = true;
+        }
+      },
+      &order);
+  ASSERT_TRUE(cancelled);
+  EXPECT_EQ(std::count(order.begin(), order.end(), victim), 1);
+  const auto view = service.scheduler.view(victim);
+  EXPECT_EQ(view->state, JobState::kCancelled);
+  EXPECT_FALSE(view->has_checkpoint);
+  EXPECT_EQ(service.scheduler.view(intruder_id)->state,
+            JobState::kCompleted);
+  EXPECT_TRUE(service.scheduler.idle());
+
+  JobRunner runner(victim_spec);
+  const SliceResult paused = runner.run_slice(
+      std::nullopt,
+      [](const io::ScanCheckpoint&) { return BarrierDecision::kPreempt; });
+  ASSERT_EQ(paused.outcome, SliceOutcome::kPreempted);
+  ASSERT_TRUE(runner.resume_probes().has_value());
+  const SliceResult stopped = runner.run_slice(
+      std::nullopt,
+      [](const io::ScanCheckpoint&) { return BarrierDecision::kCancel; });
+  EXPECT_EQ(stopped.outcome, SliceOutcome::kCancelled);
+  EXPECT_GE(stopped.probes_total, paused.probes_total);
+  EXPECT_FALSE(runner.resume_probes().has_value());
+}
+
+// Every scheduler tick walks only the jobs that are not yet terminal: one
+// that has finished 100,000 jobs decides exactly as one that never held
+// them.
+TEST(SvcDispatch, FinishedJobsLeaveEveryDecisionUnchanged) {
+  constexpr std::uint64_t kFinished = 100'000;
+  constexpr std::uint64_t kBarriersPerJob = 6;
+  SchedulerConfig config;
+  config.num_workers = 1;
+  Scheduler veteran(config);
+  for (std::uint64_t i = 0; i < kFinished; ++i) {
+    const Submission done = veteran.submit(small_spec("done"), 0);
+    const std::optional<std::uint64_t> id = veteran.acquire(0);
+    ASSERT_TRUE(id.has_value() && *id == done.job_id);
+    veteran.release_completed(done.job_id, 10, 0);
+  }
+  ASSERT_TRUE(veteran.idle());
+  Scheduler fresh(config);
+
+  JobSpec low = small_spec("low");
+  JobSpec heavy = small_spec("heavy");
+  heavy.weight = 2.0;
+  JobSpec high = small_spec("high");
+  high.priority = 1;
+  for (const JobSpec* spec : {&low, &heavy, &high}) {
+    ASSERT_TRUE(veteran.submit(*spec, 0).admitted);
+    ASSERT_TRUE(fresh.submit(*spec, 0).admitted);
+  }
+  EXPECT_EQ(veteran.queue_depth(), 3);
+  EXPECT_EQ(fresh.queue_depth(), 3);
+
+  std::map<std::uint64_t, std::uint64_t> barriers;  // by the fresh id
+  util::Nanos now = 0;
+  int preemptions = 0;
+  while (true) {
+    EXPECT_EQ(veteran.idle(), fresh.idle());
+    EXPECT_EQ(veteran.queue_depth(), fresh.queue_depth());
+    EXPECT_EQ(veteran.has_dispatchable(now), fresh.has_dispatchable(now));
+    const std::optional<std::uint64_t> id = fresh.acquire(now);
+    const std::optional<std::uint64_t> veteran_id = veteran.acquire(now);
+    ASSERT_EQ(veteran_id.has_value(), id.has_value());
+    if (!id.has_value()) break;
+    ASSERT_EQ(*veteran_id, *id + kFinished);
+
+    BarrierDecision decision = BarrierDecision::kContinue;
+    std::uint64_t probes = 0;
+    while (decision == BarrierDecision::kContinue &&
+           barriers[*id] < kBarriersPerJob) {
+      now += util::kMillisecond;
+      probes = 100 * ++barriers[*id];
+      decision = fresh.on_barrier(*id, probes, now);
+      ASSERT_EQ(veteran.on_barrier(*veteran_id, probes, now), decision);
+    }
+    if (decision == BarrierDecision::kPreempt) {
+      ++preemptions;
+      fresh.release_preempted(*id);
+      veteran.release_preempted(*veteran_id);
+      EXPECT_TRUE(veteran.view(*veteran_id)->has_checkpoint);
+    } else {
+      fresh.release_completed(*id, probes, now);
+      veteran.release_completed(*veteran_id, probes, now);
+    }
+  }
+  EXPECT_GE(preemptions, 3);
+  EXPECT_TRUE(fresh.idle());
+  EXPECT_TRUE(veteran.idle());
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    const auto a = fresh.view(id);
+    const auto b = veteran.view(id + kFinished);
+    EXPECT_EQ(a->state, b->state);
+    EXPECT_EQ(a->probes, b->probes);
+    EXPECT_EQ(a->slices, b->slices);
+  }
 }
 
 // Two identical workloads driven on virtual time emit byte-identical JSONL
