@@ -200,7 +200,7 @@ AdmissionResult run_admission(int nonce) {
   if (!client) return result;
 
   svc::JobSpec bad;
-  bad.prefix_bits = 0;  // invalid: validate_spec wants [1, 20]
+  bad.prefix_bits = 0;  // invalid: validate_scan wants [1, 24]
   const auto r1 = client->submit(bad);
   if (!r1 || r1->admitted) return result;
   result.bad_spec_reason = r1->reason;

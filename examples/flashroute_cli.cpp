@@ -10,6 +10,11 @@
 //                   with permission from your network operators — see the
 //                   paper's ethics appendix.
 //
+// The scan itself is an svc::ScanSpec, read from the flags `frctl submit`
+// takes too (svc/scan_spec.h): the same flags run the same scan here and
+// as an frd job, byte for byte.  A malformed or refused spec prints why
+// and the usage, and exits 2.
+//
 // Examples:
 //   flashroute_cli --prefix-bits=12 --split-ttl=16 --gap-limit=5
 //   flashroute_cli --preprobe=hitlist --extra-scans=3 --routes=routes.txt
@@ -18,11 +23,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/exclusion.h"
 #include "core/sharded_tracer.h"
@@ -38,8 +43,8 @@
 #include "obs/snapshot_exporter.h"
 #include "sim/network.h"
 #include "sim/runtime.h"
-#include "sim/topology.h"
-#include "util/logging.h"
+#include "svc/scan_spec.h"
+#include "util/flags.h"
 #include "util/stats.h"
 
 using namespace flashroute;
@@ -48,19 +53,8 @@ namespace {
 
 struct CliOptions {
   std::string backend = "sim";
-  int prefix_bits = 12;
-  std::string first_prefix = "1.0.0.0";
-  double pps = 0;  // 0 = auto (100 Kpps scaled for sim, 1 Kpps raw)
   int shards = 0;  // 0 = classic single-engine scan; N>=1 = sharded engine
-  int split_ttl = 16;
-  int gap_limit = 5;
-  int max_ttl = 32;
-  std::string preprobe = "random";  // none | random | hitlist
-  int proximity_span = 5;
-  int extra_scans = 0;
-  bool redundancy = true;
-  bool forward = true;
-  std::uint64_t seed = 1;
+  svc::ScanSpec spec;
   std::string routes_file;
   std::string routes_format = "text";  // text | csv
   std::string archive_file;            // binary scan archive output
@@ -70,58 +64,28 @@ struct CliOptions {
   std::string pcap_file;  // capture all probes and responses
   std::string metrics_file;         // JSONL telemetry stream (DESIGN.md §7)
   double metrics_interval_ms = 1000;  // snapshot cadence, virtual ms
-
-  // Fault injection (sim backend only; DESIGN.md §9).
-  double fault_probe_loss = 0;
-  double fault_response_loss = 0;
-  double fault_duplicate = 0;
-  double fault_reorder = 0;
-  double fault_corrupt = 0;
-  double fault_blackhole = 0;
-  double fault_flap = 0;
-  double fault_send_fail = 0;
-
-  // Resilience layer (DESIGN.md §9).
-  int retransmit = 0;
-  double retransmit_timeout_ms = 500;
-  bool backoff = false;
-  std::string checkpoint_file;         // write checkpoints here
-  double checkpoint_interval_ms = 1000;
-  std::string resume_file;             // resume a checkpointed scan
+  std::string checkpoint_file;        // write checkpoints here
+  std::string resume_file;            // resume a checkpointed scan
   bool help = false;
 
-  bool any_fault() const {
-    return fault_probe_loss > 0 || fault_response_loss > 0 ||
-           fault_duplicate > 0 || fault_reorder > 0 || fault_corrupt > 0 ||
-           fault_blackhole > 0 || fault_flap > 0 || fault_send_fail > 0;
-  }
   bool resilience() const {
-    return retransmit > 0 || backoff || !checkpoint_file.empty() ||
-           !resume_file.empty();
+    return spec.max_retransmits > 0 || spec.adaptive_backoff ||
+           !checkpoint_file.empty() || !resume_file.empty();
   }
 };
 
-void print_usage() {
-  std::puts(
-      "flashroute_cli — massive-scale traceroute (FlashRoute reproduction)\n"
+void print_usage(std::FILE* out) {
+  std::fputs(
+      "usage: flashroute_cli [FLAG=VALUE ...]\n"
+      "massive-scale traceroute (FlashRoute reproduction)\n"
       "\n"
-      "  --backend=sim|raw        simulated Internet (default) or raw sockets\n"
-      "  --prefix-bits=N          scan 2^N /24 blocks (default 12)\n"
-      "  --first-prefix=A.B.C.0   first /24 of the range (default 1.0.0.0)\n"
-      "  --pps=R                  probing rate (default: auto)\n"
+      "  --backend=sim|raw        simulated Internet (default) or raw sockets;\n"
+      "                           raw scans from 198.18.0.0 at 1000 pps\n"
+      "                           unless --first-prefix or --pps is given\n"
       "  --shards=N               run the sharded engine with N workers over\n"
       "                           a fixed 8-shard decomposition (sim backend\n"
       "                           only; results are identical for any N\n"
       "                           given the same seed; N is capped at 8)\n"
-      "  --split-ttl=N            default split point (default 16)\n"
-      "  --gap-limit=N            forward-probing gap limit (default 5)\n"
-      "  --max-ttl=N              maximum explored TTL (default 32)\n"
-      "  --preprobe=MODE          none | random | hitlist (default random)\n"
-      "  --proximity-span=N       distance-prediction span (default 5)\n"
-      "  --extra-scans=N          discovery-optimized extra scans (default 0)\n"
-      "  --no-redundancy-removal  probe backward exhaustively\n"
-      "  --no-forward             disable forward probing\n"
-      "  --seed=N                 topology/permutation seed (default 1)\n"
       "  --routes=FILE            write discovered routes to FILE\n"
       "  --routes-format=F        text (default) or csv\n"
       "  --archive=FILE           write a binary scan archive to FILE\n"
@@ -135,121 +99,87 @@ void print_usage() {
       "                           deterministic for sim scans)\n"
       "  --metrics-interval=MS    telemetry snapshot cadence in (virtual)\n"
       "                           milliseconds (default 1000)\n"
-      "\n"
-      "fault injection (sim backend; deterministic per seed):\n"
-      "  --fault-probe-loss=P     probability a probe vanishes en route\n"
-      "  --fault-response-loss=P  probability a response vanishes\n"
-      "  --fault-duplicate=P      probability a response is duplicated\n"
-      "  --fault-reorder=P        probability a response is delayed/reordered\n"
-      "  --fault-corrupt=P        probability a response is corrupted\n"
-      "  --fault-blackhole=F      fraction of /24s persistently blackholed\n"
-      "  --fault-flap=F           fraction of /24s behind a flapping link\n"
-      "  --fault-send-fail=P      probability a local send fails (EAGAIN)\n"
-      "\n"
-      "resilience:\n"
-      "  --retransmit=N           per-/24 retransmission budget (default 0)\n"
-      "  --retransmit-timeout=MS  response deadline before re-sending\n"
-      "                           (default 500)\n"
-      "  --backoff                adaptive rate backoff on round loss\n"
-      "  --checkpoint-out=FILE    checkpoint the scan to FILE at each\n"
-      "                           interval (sim backend, unsharded)\n"
-      "  --checkpoint-interval=MS checkpoint cadence in virtual ms\n"
-      "                           (default 1000)\n"
+      "  --checkpoint-out=FILE    save a checkpoint to FILE at each barrier\n"
+      "                           (sim backend, unsharded)\n"
       "  --resume-from=FILE       resume a scan from a checkpoint written\n"
-      "                           by --checkpoint-out (same flags required,\n"
-      "                           or exit 2 without scanning)\n"
-      "  --help                   this text");
+      "                           by --checkpoint-out (same scan flags\n"
+      "                           required, or exit 2 without scanning)\n"
+      "  --help                   this text\n"
+      "\n",
+      out);
+  std::fputs(svc::scan_flags_usage().c_str(), out);
 }
 
+/// The options, or nullopt after printing why they are not.
 std::optional<CliOptions> parse_args(int argc, char** argv) {
+  const auto refuse = [](const char* why, std::string_view arg) {
+    std::fprintf(stderr, "flashroute_cli: %s: %.*s\n", why,
+                 static_cast<int>(arg.size()), arg.data());
+    return std::nullopt;
+  };
   CliOptions options;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::optional<std::string> v;
-    const auto value_of = [&](const char* name) -> std::optional<std::string> {
-      const std::string prefix = std::string(name) + "=";
-      if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-      return std::nullopt;
+    if (const auto v = util::flag_value(argv[i], "--backend")) {
+      options.backend = *v;
+    }
+  }
+  if (options.backend == "raw") {
+    // Good-citizenship defaults: unless the user picks a range and a rate,
+    // a live scan probes the RFC 2544 benchmarking block at 1 Kpps.
+    options.spec.first_prefix = net::prefix24_index(
+        net::Ipv4Address::from_octets(198, 18, 0, 0));
+    options.spec.probes_per_second = 1'000.0;
+  }
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    std::string error;
+    switch (svc::parse_scan_flag(arg, options.spec, error)) {
+      case svc::FlagParse::kApplied:
+        continue;
+      case svc::FlagParse::kBad:
+        std::fprintf(stderr, "flashroute_cli: %s\n", error.c_str());
+        return std::nullopt;
+      case svc::FlagParse::kNotScanFlag:
+        break;
+    }
+    std::optional<std::string_view> v;
+    const auto value_of = [&](const char* name) {
+      return (v = util::flag_value(arg, name)).has_value();
     };
     if (arg == "--help" || arg == "-h") {
       options.help = true;
-    } else if ((v = value_of("--backend"))) {
-      options.backend = *v;
-    } else if ((v = value_of("--prefix-bits"))) {
-      options.prefix_bits = std::stoi(*v);
-    } else if ((v = value_of("--first-prefix"))) {
-      options.first_prefix = *v;
-    } else if ((v = value_of("--pps"))) {
-      options.pps = std::stod(*v);
-    } else if ((v = value_of("--shards"))) {
-      options.shards = std::stoi(*v);
-    } else if ((v = value_of("--split-ttl"))) {
-      options.split_ttl = std::stoi(*v);
-    } else if ((v = value_of("--gap-limit"))) {
-      options.gap_limit = std::stoi(*v);
-    } else if ((v = value_of("--max-ttl"))) {
-      options.max_ttl = std::stoi(*v);
-    } else if ((v = value_of("--preprobe"))) {
-      options.preprobe = *v;
-    } else if ((v = value_of("--proximity-span"))) {
-      options.proximity_span = std::stoi(*v);
-    } else if ((v = value_of("--extra-scans"))) {
-      options.extra_scans = std::stoi(*v);
-    } else if (arg == "--no-redundancy-removal") {
-      options.redundancy = false;
-    } else if (arg == "--no-forward") {
-      options.forward = false;
-    } else if ((v = value_of("--seed"))) {
-      options.seed = std::stoull(*v);
-    } else if ((v = value_of("--routes"))) {
+    } else if (value_of("--backend")) {
+      // read above, before the scan flags it sets defaults for
+    } else if (value_of("--shards")) {
+      if (!util::read_number(*v, options.shards)) {
+        return refuse("bad value", arg);
+      }
+    } else if (value_of("--routes")) {
       options.routes_file = *v;
-    } else if ((v = value_of("--routes-format"))) {
+    } else if (value_of("--routes-format")) {
       options.routes_format = *v;
-    } else if ((v = value_of("--archive"))) {
+    } else if (value_of("--archive")) {
       options.archive_file = *v;
-    } else if ((v = value_of("--inspect"))) {
+    } else if (value_of("--inspect")) {
       options.inspect_file = *v;
-    } else if ((v = value_of("--exclude"))) {
+    } else if (value_of("--exclude")) {
       options.exclusion_file = *v;
-    } else if ((v = value_of("--targets"))) {
+    } else if (value_of("--targets")) {
       options.targets_file = *v;
-    } else if ((v = value_of("--pcap"))) {
+    } else if (value_of("--pcap")) {
       options.pcap_file = *v;
-    } else if ((v = value_of("--metrics-out"))) {
+    } else if (value_of("--metrics-out")) {
       options.metrics_file = *v;
-    } else if ((v = value_of("--metrics-interval"))) {
-      options.metrics_interval_ms = std::stod(*v);
-    } else if ((v = value_of("--fault-probe-loss"))) {
-      options.fault_probe_loss = std::stod(*v);
-    } else if ((v = value_of("--fault-response-loss"))) {
-      options.fault_response_loss = std::stod(*v);
-    } else if ((v = value_of("--fault-duplicate"))) {
-      options.fault_duplicate = std::stod(*v);
-    } else if ((v = value_of("--fault-reorder"))) {
-      options.fault_reorder = std::stod(*v);
-    } else if ((v = value_of("--fault-corrupt"))) {
-      options.fault_corrupt = std::stod(*v);
-    } else if ((v = value_of("--fault-blackhole"))) {
-      options.fault_blackhole = std::stod(*v);
-    } else if ((v = value_of("--fault-flap"))) {
-      options.fault_flap = std::stod(*v);
-    } else if ((v = value_of("--fault-send-fail"))) {
-      options.fault_send_fail = std::stod(*v);
-    } else if ((v = value_of("--retransmit"))) {
-      options.retransmit = std::stoi(*v);
-    } else if ((v = value_of("--retransmit-timeout"))) {
-      options.retransmit_timeout_ms = std::stod(*v);
-    } else if (arg == "--backoff") {
-      options.backoff = true;
-    } else if ((v = value_of("--checkpoint-out"))) {
+    } else if (value_of("--metrics-interval")) {
+      if (!util::read_number(*v, options.metrics_interval_ms)) {
+        return refuse("bad value", arg);
+      }
+    } else if (value_of("--checkpoint-out")) {
       options.checkpoint_file = *v;
-    } else if ((v = value_of("--checkpoint-interval"))) {
-      options.checkpoint_interval_ms = std::stod(*v);
-    } else if ((v = value_of("--resume-from"))) {
+    } else if (value_of("--resume-from")) {
       options.resume_file = *v;
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return std::nullopt;
+      return refuse("unknown argument", arg);
     }
   }
   return options;
@@ -270,11 +200,11 @@ bool written(std::ofstream& out, const std::string& path) {
 int main(int argc, char** argv) {
   const auto options = parse_args(argc, argv);
   if (!options) {
-    print_usage();
+    print_usage(stderr);
     return 2;
   }
   if (options->help) {
-    print_usage();
+    print_usage(stdout);
     return 0;
   }
 
@@ -309,42 +239,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto first = net::Ipv4Address::parse(options->first_prefix);
-  if (!first) {
-    std::fprintf(stderr, "bad --first-prefix: %s\n",
-                 options->first_prefix.c_str());
+  if (const char* invalid = svc::validate_scan(options->spec)) {
+    std::fprintf(stderr, "flashroute_cli: %s\n", invalid);
+    print_usage(stderr);
     return 2;
   }
-
-  core::TracerConfig config;
-  config.first_prefix = net::prefix24_index(*first);
-  config.prefix_bits = options->prefix_bits;
-  config.split_ttl = static_cast<std::uint8_t>(options->split_ttl);
-  config.gap_limit = static_cast<std::uint8_t>(options->gap_limit);
-  config.max_ttl = static_cast<std::uint8_t>(options->max_ttl);
-  config.proximity_span = static_cast<std::uint8_t>(options->proximity_span);
-  config.extra_scans = options->extra_scans;
-  config.redundancy_removal = options->redundancy;
-  config.forward_probing = options->forward;
-  config.seed = options->seed;
-  if (options->preprobe == "none") {
-    config.preprobe = core::PreprobeMode::kNone;
-  } else if (options->preprobe == "random") {
-    config.preprobe = core::PreprobeMode::kRandom;
-  } else if (options->preprobe == "hitlist") {
-    config.preprobe = core::PreprobeMode::kHitlist;
-  } else {
-    std::fprintf(stderr, "bad --preprobe: %s\n", options->preprobe.c_str());
-    return 2;
-  }
-
-  // Resilience knobs (DESIGN.md §9).
-  config.max_retransmits = static_cast<std::uint8_t>(
-      std::clamp(options->retransmit, 0, 255));
-  config.retransmit_timeout = static_cast<util::Nanos>(
-      options->retransmit_timeout_ms * static_cast<double>(
-                                           util::kMillisecond));
-  config.adaptive_backoff = options->backoff;
+  svc::ScanSetup setup(options->spec);
+  core::TracerConfig& config = setup.engine;
 
   // Checkpoint/resume needs the single-engine virtual-time scan: the raw
   // backend cannot replay a timeline, and a sharded scan does not
@@ -356,16 +257,13 @@ int main(int argc, char** argv) {
                  "backend\n");
     return 2;
   }
-  if (options->any_fault() && options->backend != "sim") {
+  if (setup.world.faults.any() && options->backend != "sim") {
     std::fprintf(stderr, "--fault-* flags require the sim backend\n");
     return 2;
   }
 
   std::uint64_t checkpoints_written = 0;
   if (!options->checkpoint_file.empty()) {
-    config.checkpoint_interval = static_cast<util::Nanos>(
-        options->checkpoint_interval_ms *
-        static_cast<double>(util::kMillisecond));
     config.checkpoint_sink =
         [&options, &checkpoints_written](const io::ScanCheckpoint& cp) {
           // Atomic publish (DESIGN.md §14): a crash mid-write must never
@@ -395,10 +293,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "%s: checkpoint of a scan with other settings; not "
                    "resuming\n"
-                   "  resume with the flags that wrote it: --checkpoint-out "
-                   "and --checkpoint-interval, --retransmit,\n"
-                   "  --retransmit-timeout and --backoff enter its config "
-                   "digest, as do the scan flags\n",
+                   "  resume with the scan flags that wrote it: all of them "
+                   "enter its config digest\n",
                    options->resume_file.c_str());
       return 2;
     }
@@ -414,43 +310,18 @@ int main(int argc, char** argv) {
   // before the wire closes its sockets.
   std::unique_ptr<net::RawSocketWire> raw_wire;
   std::unique_ptr<core::ScanRuntime> runtime;
-  std::unique_ptr<sim::Topology> topology;
   std::unique_ptr<sim::SimNetwork> network;
   sim::SimScanRuntime* sim_runtime = nullptr;  // for gauge registration
-  std::vector<std::uint32_t> hitlist;
 
   if (options->backend == "sim") {
-    sim::SimParams params;
-    params.prefix_bits = options->prefix_bits;
-    params.first_prefix = config.first_prefix;
-    params.seed = options->seed;
-    params.faults.probe_loss = options->fault_probe_loss;
-    params.faults.response_loss = options->fault_response_loss;
-    params.faults.duplicate_prob = options->fault_duplicate;
-    params.faults.reorder_prob = options->fault_reorder;
-    params.faults.corrupt_prob = options->fault_corrupt;
-    params.faults.blackhole_fraction = options->fault_blackhole;
-    params.faults.flap_fraction = options->fault_flap;
-    params.faults.send_fail_prob = options->fault_send_fail;
-    topology = std::make_unique<sim::Topology>(params);
-    network = std::make_unique<sim::SimNetwork>(*topology);
-    const double pps =
-        options->pps > 0
-            ? options->pps
-            : sim::scaled_probe_rate(100'000.0, options->prefix_bits);
-    config.probes_per_second = pps;
-    config.vantage = net::Ipv4Address(params.vantage_address);
+    network = std::make_unique<sim::SimNetwork>(setup.build_world());
     // A resumed scan restarts the virtual clock at the checkpoint's cursor
     // so rate pacing and the fault schedule continue the same timeline.
     auto sim_rt = std::make_unique<sim::SimScanRuntime>(
-        *network, pps,
+        *network, config.probes_per_second,
         resume_checkpoint ? resume_checkpoint->virtual_now : 0);
     sim_runtime = sim_rt.get();
     runtime = std::move(sim_rt);
-    if (config.preprobe == core::PreprobeMode::kHitlist) {
-      hitlist = topology->generate_hitlist();
-      config.hitlist = &hitlist;
-    }
   } else if (options->backend == "raw") {
     if (options->shards > 0) {
       std::fprintf(stderr,
@@ -458,25 +329,19 @@ int main(int argc, char** argv) {
                    "single-engine tracer)\n");
       return 2;
     }
-    if (options->first_prefix == "1.0.0.0") {
-      // Good-citizenship default: the user did not pick a range, so target
-      // the RFC 2544 benchmarking block instead of allocated address space.
-      std::fprintf(stderr,
-                   "raw backend: no --first-prefix given; defaulting to the "
-                   "benchmarking range 198.18.0.0\n");
-      config.first_prefix = net::prefix24_index(
-          net::Ipv4Address::from_octets(198, 18, 0, 0));
-    }
-    const double pps = options->pps > 0 ? options->pps : 1'000.0;
-    config.probes_per_second = pps;
     if (config.preprobe == core::PreprobeMode::kHitlist) {
       std::fprintf(stderr,
                    "raw backend has no hitlist source; use --preprobe=random\n");
       return 2;
     }
+    std::fprintf(stderr, "raw backend: 2^%d /24s from %s at %.0f pps\n",
+                 config.prefix_bits,
+                 net::Ipv4Address(config.first_prefix << 8).to_string().c_str(),
+                 config.probes_per_second);
     try {
       raw_wire = std::make_unique<net::RawSocketWire>();
-      runtime = std::make_unique<core::ThreadedRuntime>(*raw_wire, pps);
+      runtime = std::make_unique<core::ThreadedRuntime>(
+          *raw_wire, config.probes_per_second);
     } catch (const net::TransportError& error) {
       std::fprintf(stderr, "raw backend unavailable: %s\n", error.what());
       return 1;
@@ -564,7 +429,7 @@ int main(int argc, char** argv) {
     // count — that is what makes the results identical for any --shards=N.
     sharded_config.shard_prefix_bits = std::max(config.prefix_bits - 3, 0);
     shard_provider = std::make_unique<sim::SimShardRuntimeProvider>(
-        *topology, sharded_config);
+        *setup.topology, sharded_config);
     if (metrics_on) {
       metrics_registry.freeze(sharded_config.num_shards());
       scan_tracer = std::make_unique<obs::ScanTracer>(metrics_registry,
@@ -659,9 +524,8 @@ int main(int argc, char** argv) {
                 options->routes_format.c_str());
   }
   if (!options->archive_file.empty()) {
-    if (!io::save_archive_file(
-            options->archive_file, result,
-            {config.first_prefix, config.prefix_bits, options->seed})) {
+    if (!io::save_archive_file(options->archive_file, result,
+                               svc::archive_header(options->spec))) {
       std::fprintf(stderr, "cannot write %s\n",
                    options->archive_file.c_str());
       return 1;

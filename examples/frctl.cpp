@@ -3,7 +3,10 @@
 // Subcommands (all take --socket=PATH, default /tmp/frd.sock):
 //
 //   submit [spec flags]   submit a scan job; prints "submitted id=N ..."
-//                         exit 0 admitted, 3 rejected, 1 transport error
+//                         exit 0 admitted, 3 rejected, 1 transport error.
+//                         The scan flags are flashroute_cli's
+//                         (svc/scan_spec.h): the same flags run the same
+//                         scan in both programs.
 //   status <id>           one job's state and progress
 //   list                  every job the daemon knows
 //   wait <id>             block until the job is terminal
@@ -22,19 +25,23 @@
 // means "gave up after retries" — distinct from a plain transport error
 // (exit 1) so scripts can tell a dead daemon from a flapping one.
 //
-// Output is line-oriented key=value, so shell scripts (and the CI smoke)
-// can grep it without a JSON parser.
+// The whole command line is read before anything connects: a malformed
+// flag, number or job id prints the usage and exits 2 at once.  Output is
+// line-oriented key=value, so shell scripts (and the CI smoke) can grep it
+// without a JSON parser.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "svc/client.h"
-#include "util/clock.h"
+#include "svc/scan_spec.h"
+#include "util/flags.h"
 
 using namespace flashroute;
 
@@ -45,26 +52,96 @@ constexpr int kExitUsage = 2;
 constexpr int kExitRejected = 3;
 constexpr int kExitRetriesExhausted = 4;
 
-void print_usage() {
-  std::puts(
-      "frctl — frd control client\n"
-      "\n"
-      "  frctl [--socket=PATH] [--connect-timeout-ms=N]\n"
-      "        [--retries=N] [--retry-backoff-ms=N] COMMAND ...\n"
+void print_usage(std::FILE* out) {
+  std::fputs(
+      "usage: frctl [--socket=PATH] [--connect-timeout-ms=N]\n"
+      "             [--retries=N] [--retry-backoff-ms=N] COMMAND ...\n"
+      "frd control client\n"
       "\n"
       "commands:\n"
-      "  submit [--name=S] [--prefix-bits=N] [--first-prefix=HEX]\n"
-      "         [--pps=R] [--priority=N] [--weight=X]\n"
-      "         [--topology-seed=N] [--scan-seed=N] [--target-seed=N]\n"
-      "         [--split-ttl=N] [--gap-limit=N] [--max-ttl=N]\n"
-      "         [--checkpoint-interval-ms=X] [--min-round-ms=X]\n"
-      "         [--preprobe-random] [--no-routes] [--request-key=K]\n"
+      "  submit [--name=S] [--priority=N] [--weight=X] [--request-key=K]\n"
+      "         [scan flags]\n"
       "  status <id> | list | wait <id> | wait-all | cancel <id>\n"
       "  diff <before-id> <after-id> | verify <id> | shutdown\n"
       "\n"
       "--retries=N retries a transiently failing command (daemon\n"
       "restarting) with capped exponential backoff; exit 4 = gave up.\n"
-      "Use submit --request-key=K so retries never double-admit.");
+      "Use submit --request-key=K so retries never double-admit.\n"
+      "\n",
+      out);
+  std::fputs(svc::scan_flags_usage().c_str(), out);
+}
+
+/// One command, read in full before anything connects.
+struct Command {
+  std::string name;
+  svc::JobSpec spec;               ///< submit
+  std::vector<std::uint64_t> ids;  ///< the job ids it names
+};
+
+/// The command `args` spell, or nullopt after printing why not.
+std::optional<Command> parse_command(const std::vector<std::string>& args) {
+  const auto refuse = [](const char* why, std::string_view arg) {
+    std::fprintf(stderr, "frctl: %s: %.*s\n", why,
+                 static_cast<int>(arg.size()), arg.data());
+    return std::nullopt;
+  };
+  Command command;
+  command.name = args[0];
+  if (command.name == "submit") {
+    svc::JobSpec& spec = command.spec;
+    for (std::size_t i = 1; i < args.size(); ++i) {
+      const std::string_view arg = args[i];
+      std::string error;
+      switch (svc::parse_scan_flag(arg, spec, error)) {
+        case svc::FlagParse::kApplied:
+          continue;
+        case svc::FlagParse::kBad:
+          std::fprintf(stderr, "frctl: %s\n", error.c_str());
+          return std::nullopt;
+        case svc::FlagParse::kNotScanFlag:
+          break;
+      }
+      std::optional<std::string_view> v;
+      const auto value_of = [&](const char* name) {
+        return (v = util::flag_value(arg, name)).has_value();
+      };
+      if (value_of("--name")) {
+        spec.name = *v;
+      } else if (value_of("--request-key")) {
+        spec.request_key = *v;
+      } else if (value_of("--priority")) {
+        if (!util::read_number(*v, spec.priority)) {
+          return refuse("bad value", arg);
+        }
+      } else if (value_of("--weight")) {
+        if (!util::read_number(*v, spec.weight)) {
+          return refuse("bad value", arg);
+        }
+      } else {
+        return refuse("unknown submit flag", arg);
+      }
+    }
+    return command;
+  }
+  std::size_t arity = 0;
+  if (command.name == "status" || command.name == "wait" ||
+      command.name == "cancel" || command.name == "verify") {
+    arity = 1;
+  } else if (command.name == "diff") {
+    arity = 2;
+  } else if (command.name != "list" && command.name != "wait-all" &&
+             command.name != "shutdown") {
+    return refuse("unknown command", command.name);
+  }
+  if (args.size() != arity + 1) return refuse("wrong arguments for", args[0]);
+  for (std::size_t i = 1; i < args.size(); ++i) {
+    command.ids.push_back(0);
+    if (!util::read_number(args[i], command.ids.back())) {
+      return refuse("bad job id", args[i]);
+    }
+  }
+  return command;
 }
 
 void print_view(const svc::JobView& view) {
@@ -82,9 +159,9 @@ void print_view(const svc::JobView& view) {
 /// is plausibly the daemon restarting (worth a backoff + retry): the
 /// connection never came up, or the peer vanished mid-exchange.
 int run_once(const std::string& socket_path, int connect_timeout_ms,
-             const std::vector<std::string>& args, bool& transient) {
+             const Command& cmd, bool& transient) {
   transient = false;
-  const std::string& command = args[0];
+  const std::string& command = cmd.name;
 
   auto client = svc::Client::connect(socket_path, connect_timeout_ms);
   if (!client.has_value()) {
@@ -99,59 +176,7 @@ int run_once(const std::string& socket_path, int connect_timeout_ms,
   };
 
   if (command == "submit") {
-    svc::JobSpec spec;
-    for (std::size_t i = 1; i < args.size(); ++i) {
-      const std::string& arg = args[i];
-      std::optional<std::string> v;
-      const auto value_of =
-          [&](const char* name) -> std::optional<std::string> {
-        const std::string prefix = std::string(name) + "=";
-        if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-        return std::nullopt;
-      };
-      if ((v = value_of("--name"))) {
-        spec.name = *v;
-      } else if ((v = value_of("--prefix-bits"))) {
-        spec.prefix_bits = std::stoi(*v);
-      } else if ((v = value_of("--first-prefix"))) {
-        spec.first_prefix =
-            static_cast<std::uint32_t>(std::stoul(*v, nullptr, 0));
-      } else if ((v = value_of("--pps"))) {
-        spec.probes_per_second = std::stod(*v);
-      } else if ((v = value_of("--priority"))) {
-        spec.priority = std::stoi(*v);
-      } else if ((v = value_of("--weight"))) {
-        spec.weight = std::stod(*v);
-      } else if ((v = value_of("--topology-seed"))) {
-        spec.topology_seed = std::stoull(*v);
-      } else if ((v = value_of("--scan-seed"))) {
-        spec.scan_seed = std::stoull(*v);
-      } else if ((v = value_of("--target-seed"))) {
-        spec.target_seed = std::stoull(*v);
-      } else if ((v = value_of("--split-ttl"))) {
-        spec.split_ttl = static_cast<std::uint8_t>(std::stoi(*v));
-      } else if ((v = value_of("--gap-limit"))) {
-        spec.gap_limit = static_cast<std::uint8_t>(std::stoi(*v));
-      } else if ((v = value_of("--max-ttl"))) {
-        spec.max_ttl = static_cast<std::uint8_t>(std::stoi(*v));
-      } else if ((v = value_of("--checkpoint-interval-ms"))) {
-        spec.checkpoint_interval =
-            static_cast<util::Nanos>(std::stod(*v) * util::kMillisecond);
-      } else if ((v = value_of("--min-round-ms"))) {
-        spec.min_round_duration =
-            static_cast<util::Nanos>(std::stod(*v) * util::kMillisecond);
-      } else if ((v = value_of("--request-key"))) {
-        spec.request_key = *v;
-      } else if (arg == "--preprobe-random") {
-        spec.preprobe_random = true;
-      } else if (arg == "--no-routes") {
-        spec.collect_routes = false;
-      } else {
-        std::fprintf(stderr, "unknown submit flag: %s\n", arg.c_str());
-        return kExitUsage;
-      }
-    }
-    const auto submission = client->submit(spec);
+    const auto submission = client->submit(cmd.spec);
     if (!submission.has_value()) return transport_error();
     std::printf("submitted id=%llu admitted=%d reason=%s detail=%s\n",
                 static_cast<unsigned long long>(submission->job_id),
@@ -161,11 +186,7 @@ int run_once(const std::string& socket_path, int connect_timeout_ms,
   }
 
   if (command == "status" || command == "wait") {
-    if (args.size() != 2) {
-      print_usage();
-      return kExitUsage;
-    }
-    const std::uint64_t id = std::stoull(args[1]);
+    const std::uint64_t id = cmd.ids[0];
     const auto view =
         command == "wait" ? client->wait_job(id) : client->status(id);
     if (!view.has_value()) {
@@ -191,11 +212,7 @@ int run_once(const std::string& socket_path, int connect_timeout_ms,
   }
 
   if (command == "cancel") {
-    if (args.size() != 2) {
-      print_usage();
-      return kExitUsage;
-    }
-    const auto outcome = client->cancel(std::stoull(args[1]));
+    const auto outcome = client->cancel(cmd.ids[0]);
     if (!outcome.has_value()) return transport_error();
     const char* text = "not_found";
     switch (*outcome) {
@@ -217,12 +234,7 @@ int run_once(const std::string& socket_path, int connect_timeout_ms,
   }
 
   if (command == "diff") {
-    if (args.size() != 3) {
-      print_usage();
-      return kExitUsage;
-    }
-    const auto diff =
-        client->diff(std::stoull(args[1]), std::stoull(args[2]));
+    const auto diff = client->diff(cmd.ids[0], cmd.ids[1]);
     if (!diff.has_value()) return transport_error();
     if (!diff->ok) {
       std::fprintf(stderr, "frctl: diff failed: %s\n", diff->error.c_str());
@@ -243,11 +255,7 @@ int run_once(const std::string& socket_path, int connect_timeout_ms,
   }
 
   if (command == "verify") {
-    if (args.size() != 2) {
-      print_usage();
-      return kExitUsage;
-    }
-    const auto verify = client->verify(std::stoull(args[1]));
+    const auto verify = client->verify(cmd.ids[0]);
     if (!verify.has_value()) return transport_error();
     if (!verify->found) {
       std::fprintf(stderr, "frctl: job has no archived payload\n");
@@ -259,15 +267,9 @@ int run_once(const std::string& socket_path, int connect_timeout_ms,
     return 0;
   }
 
-  if (command == "shutdown") {
-    if (!client->shutdown()) return transport_error();
-    std::printf("shutdown acknowledged\n");
-    return 0;
-  }
-
-  std::fprintf(stderr, "unknown command: %s\n", command.c_str());
-  print_usage();
-  return kExitUsage;
+  if (!client->shutdown()) return transport_error();  // shutdown
+  std::printf("shutdown acknowledged\n");
+  return 0;
 }
 
 }  // namespace
@@ -279,33 +281,41 @@ int main(int argc, char** argv) {
   int retry_backoff_ms = 100;
   constexpr int kBackoffCapMs = 2000;
   std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+  bool usable = true;
+  for (int i = 1; i < argc && usable; ++i) {
+    const std::string_view arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      print_usage();
+      print_usage(stdout);
       return 0;
     }
-    if (arg.rfind("--socket=", 0) == 0) {
-      socket_path = arg.substr(9);
-    } else if (arg.rfind("--connect-timeout-ms=", 0) == 0) {
-      connect_timeout_ms = std::stoi(arg.substr(21));
-    } else if (arg.rfind("--retries=", 0) == 0) {
-      retries = std::stoi(arg.substr(10));
-    } else if (arg.rfind("--retry-backoff-ms=", 0) == 0) {
-      retry_backoff_ms = std::stoi(arg.substr(19));
+    std::optional<std::string_view> v;
+    const auto value_of = [&](const char* name) {
+      return (v = util::flag_value(arg, name)).has_value();
+    };
+    if (value_of("--socket")) {
+      socket_path = *v;
+    } else if (value_of("--connect-timeout-ms")) {
+      usable = util::read_number(*v, connect_timeout_ms);
+    } else if (value_of("--retries")) {
+      usable = util::read_number(*v, retries);
+    } else if (value_of("--retry-backoff-ms")) {
+      usable = util::read_number(*v, retry_backoff_ms);
     } else {
-      args.push_back(arg);
+      args.emplace_back(arg);
     }
+    if (!usable) std::fprintf(stderr, "frctl: bad value: %s\n", argv[i]);
   }
-  if (args.empty()) {
-    print_usage();
+  const std::optional<Command> command =
+      usable && !args.empty() ? parse_command(args) : std::nullopt;
+  if (!command.has_value()) {
+    print_usage(stderr);
     return kExitUsage;
   }
 
   int backoff_ms = retry_backoff_ms > 0 ? retry_backoff_ms : 100;
   for (int attempt = 0;; ++attempt) {
     bool transient = false;
-    const int code = run_once(socket_path, connect_timeout_ms, args,
+    const int code = run_once(socket_path, connect_timeout_ms, *command,
                               transient);
     if (!transient) return code;
     if (attempt >= retries) {

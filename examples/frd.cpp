@@ -32,9 +32,11 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "svc/daemon.h"
 #include "util/clock.h"
+#include "util/flags.h"
 
 using namespace flashroute;
 
@@ -55,9 +57,10 @@ struct FrdOptions {
   bool help = false;
 };
 
-void print_usage() {
-  std::puts(
-      "frd — continuous-scanning daemon (FlashRoute reproduction)\n"
+void print_usage(std::FILE* out) {
+  std::fputs(
+      "usage: frd [FLAG=VALUE ...]\n"
+      "continuous-scanning daemon (FlashRoute reproduction)\n"
       "\n"
       "  --socket=PATH         AF_UNIX listening socket (default /tmp/frd.sock)\n"
       "  --archive=PATH        multi-job scan archive (default frd_archive.bin)\n"
@@ -76,51 +79,53 @@ void print_usage() {
       "  --rate-multiplier=X   wall-credit multiplier for per-job budgets\n"
       "                        (default 0 = unmetered, fair-share only)\n"
       "\n"
-      "Stop with: frctl --socket=PATH shutdown   (or SIGTERM/SIGINT)");
+      "Jobs are submitted with frctl submit and its scan flags.\n"
+      "Stop with: frctl --socket=PATH shutdown   (or SIGTERM/SIGINT)\n",
+      out);
 }
 
+/// The options, or nullopt after printing why they are not.
 std::optional<FrdOptions> parse_args(int argc, char** argv) {
   FrdOptions options;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::optional<std::string> v;
-    const auto value_of = [&](const char* name) -> std::optional<std::string> {
-      const std::string prefix = std::string(name) + "=";
-      if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-      return std::nullopt;
+    const std::string_view arg = argv[i];
+    std::optional<std::string_view> v;
+    const auto value_of = [&](const char* name) {
+      return (v = util::flag_value(arg, name)).has_value();
     };
+    bool good = true;
     if (arg == "--help" || arg == "-h") {
       options.help = true;
-    } else if ((v = value_of("--socket"))) {
+    } else if (value_of("--socket")) {
       options.socket_path = *v;
-    } else if ((v = value_of("--archive"))) {
+    } else if (value_of("--archive")) {
       options.archive_path = *v;
-    } else if ((v = value_of("--events"))) {
+    } else if (value_of("--events")) {
       options.events_path = *v;
-    } else if ((v = value_of("--journal"))) {
+    } else if (value_of("--journal")) {
       options.journal_path = *v;
-    } else if ((v = value_of("--state-dir"))) {
+    } else if (value_of("--state-dir")) {
       options.state_dir = *v;
-    } else if ((v = value_of("--durability"))) {
+    } else if (value_of("--durability")) {
       const auto mode = io::parse_durability(*v);
-      if (!mode.has_value()) {
-        std::fprintf(stderr, "invalid --durability=%s (flush|fsync)\n",
-                     v->c_str());
-        return std::nullopt;
-      }
-      options.durability = *mode;
-    } else if ((v = value_of("--drain-deadline-ms"))) {
-      options.drain_deadline_ms = std::stoi(*v);
-    } else if ((v = value_of("--workers"))) {
-      options.workers = std::stoi(*v);
-    } else if ((v = value_of("--budget"))) {
-      options.budget_pps = std::stod(*v);
-    } else if ((v = value_of("--max-queued"))) {
-      options.max_queued = std::stoi(*v);
-    } else if ((v = value_of("--rate-multiplier"))) {
-      options.rate_multiplier = std::stod(*v);
+      if (mode.has_value()) options.durability = *mode;
+      good = mode.has_value();
+    } else if (value_of("--drain-deadline-ms")) {
+      good = util::read_number(*v, options.drain_deadline_ms);
+    } else if (value_of("--workers")) {
+      good = util::read_number(*v, options.workers);
+    } else if (value_of("--budget")) {
+      good = util::read_number(*v, options.budget_pps);
+    } else if (value_of("--max-queued")) {
+      good = util::read_number(*v, options.max_queued);
+    } else if (value_of("--rate-multiplier")) {
+      good = util::read_number(*v, options.rate_multiplier);
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      std::fprintf(stderr, "frd: unknown argument: %s\n", argv[i]);
+      return std::nullopt;
+    }
+    if (!good) {
+      std::fprintf(stderr, "frd: bad value: %s\n", argv[i]);
       return std::nullopt;
     }
   }
@@ -140,9 +145,12 @@ void handle_signal(int) {
 
 int main(int argc, char** argv) {
   const auto options = parse_args(argc, argv);
-  if (!options) return 2;
+  if (!options) {
+    print_usage(stderr);
+    return 2;
+  }
   if (options->help) {
-    print_usage();
+    print_usage(stdout);
     return 0;
   }
 
@@ -179,9 +187,7 @@ int main(int argc, char** argv) {
 
   svc::Daemon daemon(daemon_options);
   if (!daemon.start()) {
-    std::fprintf(stderr, "frd: failed to bind %s or open %s, %s or %s\n",
-                 options->socket_path.c_str(), options->archive_path.c_str(),
-                 options->journal_path.c_str(), options->state_dir.c_str());
+    std::fprintf(stderr, "frd: %s\n", daemon.start_error().c_str());
     return 1;
   }
 

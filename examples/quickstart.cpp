@@ -1,7 +1,8 @@
 // Quickstart: trace a simulated universe with FlashRoute and print a route.
 //
 // This is the smallest end-to-end use of the library:
-//   1. build a deterministic simulated Internet (sim::Topology/SimNetwork);
+//   1. describe the scan (svc::ScanSpec, the spec flashroute_cli and frd
+//      take) and build its deterministic simulated Internet from it;
 //   2. run a FlashRoute scan against it in virtual time;
 //   3. inspect the results: discovered interfaces, a reconstructed route,
 //      and the scan's probe/time accounting.
@@ -15,33 +16,30 @@
 #include "net/ipv4.h"
 #include "sim/network.h"
 #include "sim/runtime.h"
-#include "sim/topology.h"
+#include "svc/scan_spec.h"
 #include "util/stats.h"
 
 using namespace flashroute;
 
 int main() {
-  // A small universe: 4096 /24 blocks starting at 1.0.0.0.
-  sim::SimParams params;
-  params.prefix_bits = 12;
-  params.seed = 2026;
-  sim::Topology topology(params);
-  sim::SimNetwork network(topology);
+  // A small universe: 4096 /24 blocks starting at 1.0.0.0.  FlashRoute-16:
+  // split TTL 16, gap limit 5, redundancy removal, and random preprobing
+  // with span-5 prediction, at the paper's 100 Kpps scaled to the universe
+  // size and in its one-second rounds, so the round-feedback dynamics match
+  // a full-scale scan.
+  svc::ScanSpec spec;
+  spec.prefix_bits = 12;
+  spec.topology_seed = 2026;
+  spec.preprobe = core::PreprobeMode::kRandom;
+  spec.probes_per_second = sim::scaled_probe_rate(100'000.0, spec.prefix_bits);
+  spec.min_round_duration = util::kSecond;
+  spec.checkpoint_interval = 0;  // nothing is saved: no barriers
 
-  // Probe at the paper's 100 Kpps, scaled to the universe size so the
-  // round-feedback dynamics match a full-scale scan.
-  const double pps = sim::scaled_probe_rate(100'000.0, params.prefix_bits);
-  sim::SimScanRuntime runtime(network, pps);
-
-  // FlashRoute-16: split TTL 16, gap limit 5, redundancy removal, random
-  // preprobing with span-5 prediction — the paper's default configuration.
-  core::TracerConfig config;
-  config.first_prefix = params.first_prefix;
-  config.prefix_bits = params.prefix_bits;
-  config.vantage = net::Ipv4Address(params.vantage_address);
-  config.probes_per_second = pps;
-  config.preprobe = core::PreprobeMode::kRandom;
-
+  // The spec builds the simulated Internet and the engine's config.
+  svc::ScanSetup setup(spec);
+  sim::SimNetwork network(setup.build_world());
+  sim::SimScanRuntime runtime(network, spec.probes_per_second);
+  const core::TracerConfig& config = setup.engine;
   core::Tracer tracer(config, runtime);
   const core::ScanResult result = tracer.run();
 

@@ -15,41 +15,44 @@
 // Build & run:  ./build/examples/snapshot_churn [num_snapshots]
 
 #include <cstdio>
-#include <cstdlib>
+#include <string_view>
 #include <vector>
 
 #include "analysis/churn.h"
 #include "core/tracer.h"
 #include "sim/network.h"
 #include "sim/runtime.h"
-#include "sim/topology.h"
+#include "svc/scan_spec.h"
+#include "util/flags.h"
 #include "util/stats.h"
 
 using namespace flashroute;
 
 int main(int argc, char** argv) {
-  const int snapshots = argc > 1 ? std::atoi(argv[1]) : 4;
+  int snapshots = 4;
+  if (argc > 2 || (argc == 2 && !util::read_number(std::string_view(argv[1]),
+                                                   snapshots))) {
+    std::fprintf(stderr, "usage: snapshot_churn [num_snapshots]\n");
+    return 2;
+  }
 
-  sim::SimParams params;
-  params.prefix_bits = 12;
-  params.seed = 5;
-  params.route_dynamics_prob = 0.08;  // a lively corner of the Internet
-  const sim::Topology topology(params);
-  const auto hitlist = topology.generate_hitlist();
-
-  const double pps = sim::scaled_probe_rate(100'000.0, params.prefix_bits);
-  core::TracerConfig config;
-  config.first_prefix = params.first_prefix;
-  config.prefix_bits = params.prefix_bits;
-  config.vantage = net::Ipv4Address(params.vantage_address);
-  config.probes_per_second = pps;
-  config.preprobe = core::PreprobeMode::kHitlist;
-  config.hitlist = &hitlist;
+  // FlashRoute-16 with hitlist preprobing at the paper's 100 Kpps (scaled
+  // to the universe) in one-second rounds.
+  svc::ScanSpec spec;
+  spec.prefix_bits = 12;
+  spec.topology_seed = 5;
+  spec.preprobe = core::PreprobeMode::kHitlist;
+  spec.probes_per_second = sim::scaled_probe_rate(100'000.0, spec.prefix_bits);
+  spec.min_round_duration = util::kSecond;
+  spec.checkpoint_interval = 0;  // nothing is saved: no barriers
+  svc::ScanSetup setup(spec);
+  setup.world.route_dynamics_prob = 0.08;  // a lively corner of the Internet
+  const core::TracerConfig& config = setup.engine;
 
   // One network (so rate limiters persist realistically) and one clock that
   // keeps advancing across snapshots: each scan observes a later epoch.
-  sim::SimNetwork network(topology);
-  sim::SimScanRuntime runtime(network, pps);
+  sim::SimNetwork network(setup.build_world());
+  sim::SimScanRuntime runtime(network, spec.probes_per_second);
 
   std::vector<core::ScanResult> results;
   for (int i = 0; i < snapshots; ++i) {

@@ -11,37 +11,44 @@
 // Build & run:  ./build/examples/topology_snapshot [prefix_bits]
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <string_view>
 #include <unordered_set>
 
 #include "core/tracer.h"
 #include "sim/network.h"
 #include "sim/runtime.h"
-#include "sim/topology.h"
+#include "svc/scan_spec.h"
+#include "util/flags.h"
 #include "util/stats.h"
 
 using namespace flashroute;
 
 int main(int argc, char** argv) {
-  sim::SimParams params;
-  params.prefix_bits = argc > 1 ? std::atoi(argv[1]) : 14;
-  params.seed = 7;
-  sim::Topology topology(params);
-  sim::SimNetwork network(topology);
-  const auto hitlist = topology.generate_hitlist();
+  // FlashRoute-16 with hitlist preprobing at the paper's 100 Kpps (scaled
+  // to the universe) in one-second rounds.
+  svc::ScanSpec spec;
+  spec.prefix_bits = 14;
+  spec.topology_seed = 7;
+  spec.preprobe = core::PreprobeMode::kHitlist;
+  spec.min_round_duration = util::kSecond;
+  spec.checkpoint_interval = 0;  // nothing is saved: no barriers
+  if (argc > 2 ||
+      (argc == 2 && !util::read_number(std::string_view(argv[1]),
+                                       spec.prefix_bits))) {
+    std::fprintf(stderr, "usage: topology_snapshot [prefix_bits]\n");
+    return 2;
+  }
+  spec.probes_per_second = sim::scaled_probe_rate(100'000.0, spec.prefix_bits);
+  if (const char* invalid = svc::validate_scan(spec)) {
+    std::fprintf(stderr, "topology_snapshot: %s\n", invalid);
+    return 2;
+  }
 
-  const double pps = sim::scaled_probe_rate(100'000.0, params.prefix_bits);
-  sim::SimScanRuntime runtime(network, pps);
-
-  core::TracerConfig config;
-  config.first_prefix = params.first_prefix;
-  config.prefix_bits = params.prefix_bits;
-  config.vantage = net::Ipv4Address(params.vantage_address);
-  config.probes_per_second = pps;
-  config.preprobe = core::PreprobeMode::kHitlist;
-  config.hitlist = &hitlist;
-
+  svc::ScanSetup setup(spec);
+  sim::SimNetwork network(setup.build_world());
+  sim::SimScanRuntime runtime(network, spec.probes_per_second);
+  const core::TracerConfig& config = setup.engine;
   core::Tracer tracer(config, runtime);
   const core::ScanResult result = tracer.run();
 

@@ -37,6 +37,32 @@ constexpr std::uint32_t kTemplatePool = 256;
 
 }  // namespace
 
+const char* universe_error(const SimParams& params) noexcept {
+  if (params.prefix_bits < 1 || params.prefix_bits > 24) {
+    return "prefix_bits must be in [1, 24]";
+  }
+  const std::uint64_t universe_first = std::uint64_t{params.first_prefix}
+                                       << 8;
+  const std::uint64_t universe_last =
+      (std::uint64_t{params.first_prefix} + params.num_prefixes()) * 256 - 1;
+  if (universe_last > 0xFFFFFFFFull) {
+    return "destination universe overflows IPv4 space";
+  }
+  // The interface pool must not overlap the destination universe: pool IPs
+  // are "provider" addresses, universe IPs are scan targets.  The one
+  // exception is the full-IPv4 universe (prefix_bits == 24), where the pool
+  // has nowhere else to live — as on the real Internet, router interfaces
+  // are then themselves members of scanned /24s.
+  const std::uint64_t pool_first = params.interface_pool_base;
+  const std::uint64_t pool_last =
+      pool_first + (std::uint64_t{1} << 24);  // generous upper bound
+  if (params.prefix_bits < 24 && pool_first <= universe_last &&
+      universe_first <= pool_last) {
+    return "interface pool overlaps the destination universe";
+  }
+  return nullptr;
+}
+
 Topology::Topology(const SimParams& params)
     : params_(params),
       next_pool_ip_(params.interface_pool_base),
@@ -56,29 +82,8 @@ Topology::Topology(const SimParams& params)
       seed_dark_prov_(util::hash_combine(params.seed, kTagDarkProv)),
       seed_dark_back_(util::hash_combine(params.seed, kTagDarkBack)),
       seed_dark_loop_(util::hash_combine(params.seed, kTagDarkLoop)) {
-  if (params_.prefix_bits < 1 || params_.prefix_bits > 24) {
-    throw std::invalid_argument("prefix_bits must be in [1, 24]");
-  }
-  const std::uint64_t universe_first =
-      std::uint64_t{params_.first_prefix} << 8;
-  const std::uint64_t universe_last =
-      (std::uint64_t{params_.last_prefix()} << 8) | 0xFF;
-  if (std::uint64_t{params_.last_prefix()} < params_.first_prefix ||
-      universe_last > 0xFFFFFFFFull) {
-    throw std::invalid_argument("destination universe overflows IPv4 space");
-  }
-  // The interface pool must not overlap the destination universe: pool IPs
-  // are "provider" addresses, universe IPs are scan targets.  The one
-  // exception is the full-IPv4 universe (prefix_bits == 24), where the pool
-  // has nowhere else to live — as on the real Internet, router interfaces
-  // are then themselves members of scanned /24s.
-  const std::uint64_t pool_first = params_.interface_pool_base;
-  const std::uint64_t pool_last =
-      pool_first + (std::uint64_t{1} << 24);  // generous upper bound
-  if (params_.prefix_bits < 24 && pool_first <= universe_last &&
-      universe_first <= pool_last) {
-    throw std::invalid_argument(
-        "interface pool overlaps the destination universe");
+  if (const char* error = universe_error(params_); error != nullptr) {
+    throw std::invalid_argument(error);
   }
 
   util::Xoshiro256 rng(params_.seed);

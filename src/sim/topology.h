@@ -126,8 +126,14 @@ struct Route {
   FR_HOT std::uint32_t loop_b() const noexcept { return hop_at(num_hops - 1); }
 };
 
+/// Why no Topology can be built from `params`, or nullptr when one can:
+/// prefix bits outside [1, 24], a universe past 255.255.255.255, or one
+/// that overlaps the interface pool.
+const char* universe_error(const SimParams& params) noexcept;
+
 class Topology {
  public:
+  /// Throws std::invalid_argument when universe_error(params) is set.
   explicit Topology(const SimParams& params);
 
   /// Resolves the forwarding path for `destination` under flow label `flow`

@@ -58,23 +58,40 @@ Daemon::~Daemon() {
 }
 
 bool Daemon::start() {
+  const auto refuse = [this](const std::string& path, const char* why) {
+    start_error_ = path + ": " + why;
+    return false;
+  };
   archive_ = std::make_unique<io::JobArchive>(options_.archive_path,
                                               options_.durability);
-  if (!archive_->ok()) return false;
+  if (!archive_->ok()) {
+    return refuse(options_.archive_path,
+                  "cannot open, or not a job archive of this format; left "
+                  "untouched");
+  }
   lanes_[0].inc(ids_.archive_corrupt_bytes, archive_->corrupt_bytes());
   // One file opened as both logs would have each overwrite the other's
   // frames.  An empty state dir or journal path fails here as well: there
   // is no unjournaled mode.
-  if (!io::ensure_directory(options_.state_dir) ||
-      io::same_file(options_.journal_path, options_.archive_path)) {
-    return false;
+  if (!io::ensure_directory(options_.state_dir)) {
+    return refuse(options_.state_dir, "cannot create the state directory");
+  }
+  if (io::same_file(options_.journal_path, options_.archive_path)) {
+    return refuse(options_.journal_path, "named as both journal and archive");
   }
   journal_ =
       std::make_unique<JobJournal>(options_.journal_path, options_.durability);
-  if (!journal_->ok()) return false;
+  if (!journal_->ok()) {
+    return refuse(options_.journal_path,
+                  "cannot open, or not a job journal of this format (an "
+                  "older frd's journal is refused, not converted); left "
+                  "untouched");
+  }
   lanes_[0].inc(ids_.journal_corrupt_bytes, journal_->corrupt_bytes());
   auto listener = ListenSocket::bind_and_listen(options_.socket_path);
-  if (!listener.has_value() || !wake_.valid()) return false;
+  if (!listener.has_value() || !wake_.valid()) {
+    return refuse(options_.socket_path, "cannot bind the socket");
+  }
   listener_ = std::move(*listener);
   epoch_ = clock_.now();
   JobEventLog::NowFn event_clock = options_.event_clock;
@@ -210,6 +227,11 @@ void Daemon::recover_from_journal() {
       // a second time.
       state = JobState::kCompleted;
       detail = "archive payload recovered";
+    } else if (const char* invalid = validate_scan(replay.spec)) {
+      // A spec the engine cannot run (admitted by an older, laxer daemon,
+      // say) fails here instead of aborting every boot in its worker.
+      state = JobState::kFailed;
+      detail = invalid;
     } else {
       // Interrupted mid-run or never started: resume from the last
       // published barrier checkpoint, or rerun from scratch — the
@@ -359,6 +381,8 @@ std::string Daemon::handle_request(std::string_view payload) {
   switch (*type) {
     case MsgType::kSubmit:
       return handle_submit(reader);
+    case MsgType::kRetiredSubmit:
+      return error_reply("submit in a retired spec layout; upgrade frctl");
     case MsgType::kStatus:
       return handle_status(reader);
     case MsgType::kList:
@@ -686,6 +710,14 @@ void Daemon::worker_loop(int worker_index) {
       done.worker = worker_index;
       done.slice = slice_no;
       done.probes = slice.probes_total;
+      if (slice.outcome == SliceOutcome::kPreempted &&
+          scheduler_.release_preempted(*id) == JobState::kCancelled) {
+        // A cancel landed between the barrier's verdict and this release:
+        // the scheduler retired the job, and the paused engine ends here
+        // as a cancelled slice's does (release_cancelled below then finds
+        // the job no longer running and leaves it be).
+        slice.outcome = SliceOutcome::kCancelled;
+      }
       switch (slice.outcome) {
         case SliceOutcome::kCompleted:
           if (fail_detail.empty()) {
@@ -700,7 +732,6 @@ void Daemon::worker_loop(int worker_index) {
           }
           break;
         case SliceOutcome::kPreempted:
-          scheduler_.release_preempted(*id);
           lane.inc(ids_.jobs_preempted);
           done.event = "preempted";
           break;

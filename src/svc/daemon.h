@@ -98,8 +98,9 @@ class Daemon {
 
   /// Opens the archive, state dir and journal, recovers from them, binds
   /// the socket and spawns the threads.  False when any of these could not
-  /// be set up.
+  /// be set up; start_error() then names the path and why.
   [[nodiscard]] bool start();
+  const std::string& start_error() const noexcept { return start_error_; }
 
   /// Blocks until shutdown (a kShutdown frame or request_shutdown())
   /// completes, then writes the job_summary line.
@@ -199,6 +200,8 @@ class Daemon {
   std::vector<std::thread> workers_;
   // fr-lint: allow(guarded-member): start()/wait() run on the owner thread
   bool started_ = false;
+  // fr-lint: allow(guarded-member): start() runs on the owner thread
+  std::string start_error_;
   // fr-lint: allow(guarded-member): wait() runs after every join
   bool summary_written_ = false;
 };

@@ -1,21 +1,22 @@
 // Scan jobs: the unit of work of the continuous-scanning service
 // (DESIGN.md §12).
 //
-// A JobSpec describes one sim-backed scan — universe, seeds, engine knobs,
-// and the scheduling inputs (priority, fair-share weight, rate budget).
+// A JobSpec is one sim-backed scan (svc/scan_spec.h's ScanSpec: universe,
+// seeds, engine knobs, faults) plus the scheduling inputs (priority,
+// fair-share weight).  The spec's rate is its admission input, and its
 // checkpoint_interval doubles as the preemption granularity: the scheduler
 // may only stop a job at the deterministic virtual-time checkpoint barriers
 // the spec itself defines, which is what makes a preempted-then-resumed
-// job's output byte-identical to its uncontended run (the PR 5 equivalence
-// contract: the quiesce at every barrier happens whether or not the job is
-// preempted there).
+// job's output byte-identical to its uncontended run (the equivalence
+// contract of DESIGN.md §9: the quiesce at every barrier happens whether or
+// not the job is preempted there).
 
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "util/clock.h"
+#include "svc/scan_spec.h"
 
 namespace flashroute::svc {
 
@@ -72,41 +73,19 @@ inline constexpr char kRejectBadSpec[] = "bad_spec";
 inline constexpr char kRejectDraining[] = "draining";
 
 // Machine-readable failure reason set during daemon recovery when a job's
-// on-disk checkpoint no longer matches its spec (svc/daemon.cc).
+// on-disk checkpoint no longer matches its spec (svc/daemon.cc).  A
+// replayed spec that validate_scan refuses fails with its detail instead.
 inline constexpr char kFailRecoveryCheckpointMismatch[] =
     "recovery_checkpoint_mismatch";
 
-/// One scan job.  Every field participates in the scan's determinism: two
-/// jobs with equal specs produce byte-identical archive payloads no matter
-/// how the scheduler slices them.
-struct JobSpec {
-  std::string name;  ///< client label, echoed in events (not semantic)
-
-  // Universe + seeds.
-  int prefix_bits = 8;
-  std::uint32_t first_prefix = 0x010000;
-  std::uint64_t topology_seed = 1;
-  std::uint64_t scan_seed = 7;
-  std::uint64_t target_seed = 42;
-
-  // Engine knobs.
-  double probes_per_second = 20'000.0;  ///< virtual rate; admission input
-  std::uint8_t split_ttl = 16;
-  std::uint8_t gap_limit = 5;
-  std::uint8_t max_ttl = 32;
-  bool preprobe_random = false;  ///< kRandom preprobing (kNone otherwise)
-  bool collect_routes = true;
-  std::uint8_t max_retransmits = 0;
-  bool adaptive_backoff = false;
-  util::Nanos min_round_duration = 50 * util::kMillisecond;
-
-  // Scheduling inputs.
+/// One scan job: a ScanSpec plus the inputs that schedule it.  Every scan
+/// field participates in the scan's determinism: two jobs with equal scan
+/// fields produce byte-identical archive payloads no matter how the
+/// scheduler slices them, at the checkpoint barriers the spec defines.
+struct JobSpec : ScanSpec {
+  std::string name;     ///< client label, echoed in events (not semantic)
   int priority = 0;     ///< higher dispatches first
   double weight = 1.0;  ///< fair-share weight within a priority class
-  /// Virtual-time distance between checkpoint barriers — the preemption
-  /// granularity.  Must be > 0: a job without barriers cannot be preempted
-  /// or resumed, so the service refuses it.
-  util::Nanos checkpoint_interval = 100 * util::kMillisecond;
 
   /// Optional client-supplied idempotency key.  A journaled daemon
   /// deduplicates submits by this key — across restarts — and replays the
@@ -117,25 +96,16 @@ struct JobSpec {
 
 /// Validates a spec for admission; returns nullptr when acceptable, else a
 /// short human-readable detail (the wire reason stays kRejectBadSpec).
+/// validate_scan's verdict first, then frd's own policy: a universe of at
+/// most 2^20 /24s, checkpoint barriers to preempt at, a positive weight,
+/// and labels of at most 128 bytes.
 inline const char* validate_spec(const JobSpec& spec) {
-  if (spec.prefix_bits < 1 || spec.prefix_bits > 20) {
-    return "prefix_bits out of [1, 20]";
-  }
-  if (!(spec.probes_per_second > 0.0) ||
-      spec.probes_per_second > 1'000'000'000.0) {
-    return "probes_per_second out of (0, 1e9]";
-  }
-  if (!(spec.weight > 0.0)) return "weight must be positive";
+  if (const char* error = validate_scan(spec)) return error;
+  if (spec.prefix_bits > 20) return "prefix_bits above frd's limit of 20";
   if (spec.checkpoint_interval <= 0) {
     return "checkpoint_interval must be positive (preemption granularity)";
   }
-  if (spec.min_round_duration <= 0) {
-    return "min_round_duration must be positive";
-  }
-  if (spec.split_ttl < 1 || spec.split_ttl > spec.max_ttl) {
-    return "split_ttl out of [1, max_ttl]";
-  }
-  if (spec.gap_limit < 1) return "gap_limit must be >= 1";
+  if (!(spec.weight > 0.0)) return "weight must be positive";
   if (spec.name.size() > 128) return "name longer than 128 bytes";
   if (spec.request_key.size() > 128) {
     return "request_key longer than 128 bytes";

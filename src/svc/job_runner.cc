@@ -4,42 +4,9 @@
 
 #include "core/tracer.h"
 #include "sim/network.h"
-#include "sim/params.h"
 #include "sim/runtime.h"
 
 namespace flashroute::svc {
-
-namespace {
-
-sim::SimParams sim_params_for(const JobSpec& spec) {
-  sim::SimParams params;
-  params.seed = spec.topology_seed;
-  params.prefix_bits = spec.prefix_bits;
-  params.first_prefix = spec.first_prefix;
-  return params;
-}
-
-core::TracerConfig tracer_config_for(const JobSpec& spec) {
-  core::TracerConfig config;
-  config.first_prefix = spec.first_prefix;
-  config.prefix_bits = spec.prefix_bits;
-  config.probes_per_second = spec.probes_per_second;
-  config.split_ttl = spec.split_ttl;
-  config.max_ttl = spec.max_ttl;
-  config.gap_limit = spec.gap_limit;
-  config.min_round_duration = spec.min_round_duration;
-  config.preprobe = spec.preprobe_random ? core::PreprobeMode::kRandom
-                                         : core::PreprobeMode::kNone;
-  config.seed = spec.scan_seed;
-  config.target_seed = spec.target_seed;
-  config.collect_routes = spec.collect_routes;
-  config.max_retransmits = spec.max_retransmits;
-  config.adaptive_backoff = spec.adaptive_backoff;
-  config.checkpoint_interval = spec.checkpoint_interval;
-  return config;
-}
-
-}  // namespace
 
 /// What a paused job keeps between slices: the simulator its scan runs
 /// on, the Tracer, and the result the Tracer handed out when it paused.
@@ -59,21 +26,18 @@ struct JobRunner::Engine {
   core::ScanResult paused;
 };
 
-JobRunner::JobRunner(const JobSpec& spec,
+JobRunner::JobRunner(const ScanSpec& spec,
                      std::optional<io::ScanCheckpoint> recovered)
     : spec_(spec), recovered_(std::move(recovered)) {}
 
 JobRunner::~JobRunner() = default;
 
-const sim::Topology& JobRunner::topology() {
-  if (topology_ == nullptr) {
-    topology_ = std::make_unique<sim::Topology>(sim_params_for(spec_));
-  }
-  return *topology_;
-}
-
 std::unique_ptr<JobRunner::Engine> JobRunner::build_engine(util::Nanos start) {
-  core::TracerConfig config = tracer_config_for(spec_);
+  if (setup_ == nullptr) {
+    setup_ = std::make_unique<ScanSetup>(spec_);
+    setup_->build_world();
+  }
+  core::TracerConfig config = setup_->engine;
   config.cancel = &cancel_;
   // Preempt and cancel both stop the scan and leave the checkpoint intact,
   // so the Tracer pauses with its result in place; run_slice tells the
@@ -82,15 +46,7 @@ std::unique_ptr<JobRunner::Engine> JobRunner::build_engine(util::Nanos start) {
     decision_ = (*on_barrier_)(checkpoint);
     return decision_ == BarrierDecision::kContinue;
   };
-  return std::make_unique<Engine>(topology(), config, start);
-}
-
-io::ArchiveHeader JobRunner::archive_header() const {
-  io::ArchiveHeader header;
-  header.first_prefix = spec_.first_prefix;
-  header.prefix_bits = spec_.prefix_bits;
-  header.seed = spec_.scan_seed;
-  return header;
+  return std::make_unique<Engine>(*setup_->topology, config, start);
 }
 
 std::optional<std::uint64_t> JobRunner::resume_probes() const {

@@ -35,8 +35,7 @@
 #include "core/result.h"
 #include "io/checkpoint.h"
 #include "io/scan_archive.h"
-#include "sim/topology.h"
-#include "svc/job.h"
+#include "svc/scan_spec.h"
 #include "svc/scheduler.h"
 
 namespace flashroute::svc {
@@ -59,7 +58,7 @@ class JobRunner {
   /// `recovered` is the job's barrier checkpoint read back from disk, if
   /// any; the job's first slice restores the scan from it.
   explicit JobRunner(
-      const JobSpec& spec,
+      const ScanSpec& spec,
       std::optional<io::ScanCheckpoint> recovered = std::nullopt);
   ~JobRunner();
 
@@ -83,19 +82,18 @@ class JobRunner {
   void request_cancel() { cancel_.store(true, std::memory_order_relaxed); }
 
   /// Archive metadata for this job's results.
-  io::ArchiveHeader archive_header() const;
-
-  const JobSpec& spec() const noexcept { return spec_; }
+  io::ArchiveHeader archive_header() const { return svc::archive_header(spec_); }
 
  private:
   struct Engine;
 
-  const sim::Topology& topology();
   /// A new engine whose runtime clock starts at `start`.
   std::unique_ptr<Engine> build_engine(util::Nanos start);
 
-  JobSpec spec_;
-  std::unique_ptr<sim::Topology> topology_;  ///< lazy; retained across slices
+  ScanSpec spec_;
+  /// The spec's world and engine config, built by the first slice (the
+  /// topology with it) and retained across slices.
+  std::unique_ptr<ScanSetup> setup_;
   std::optional<io::ScanCheckpoint> recovered_;
   /// Built by the slice that starts or restores the scan, kept while the
   /// job is paused, freed when the scan ends.

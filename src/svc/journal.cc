@@ -12,11 +12,16 @@ namespace flashroute::svc {
 
 namespace {
 
+// Only the admission records carry a spec; the rest are a few dozen bytes.
+bool carries_spec(JournalKind kind) {
+  return kind == JournalKind::kAdmitted || kind == JournalKind::kRejected;
+}
+
 std::string encode_record(const JournalRecord& record) {
   io::Writer w;  // journal payloads carry no MsgType byte
   w.put_u8(static_cast<std::uint8_t>(record.kind));
   w.put_u64(record.job_id);
-  encode_spec(w, record.spec);
+  if (carries_spec(record.kind)) encode_spec(w, record.spec);
   w.put_string(record.reason);
   w.put_string(record.detail);
   w.put_u64(record.probes);
@@ -34,9 +39,11 @@ std::optional<JournalRecord> decode_record(std::string_view payload) {
   }
   record.kind = static_cast<JournalKind>(kind);
   record.job_id = r.u64();
-  std::optional<JobSpec> spec = decode_spec(r);
-  if (!spec.has_value()) return std::nullopt;
-  record.spec = std::move(*spec);
+  if (carries_spec(record.kind)) {
+    std::optional<JobSpec> spec = decode_spec(r);
+    if (!spec.has_value()) return std::nullopt;
+    record.spec = std::move(*spec);
+  }
   record.reason = r.string();
   record.detail = r.string();
   record.probes = r.u64();
@@ -48,7 +55,7 @@ std::optional<JournalRecord> decode_record(std::string_view payload) {
 }  // namespace
 
 JobJournal::JobJournal(const std::string& path, Durability durability)
-    : log_(path, "FRWJ", durability, util::crash::kJournalAppend,
+    : log_(path, kJournalMagic, durability, util::crash::kJournalAppend,
            std::numeric_limits<std::size_t>::max(),
            [this](const io::RecordLog::Frame&, std::string_view payload) {
              std::optional<JournalRecord> record = decode_record(payload);

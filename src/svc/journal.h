@@ -10,14 +10,16 @@
 // resume from their last published barrier, and terminal jobs stay
 // terminal (no archive payload is ever appended twice).
 //
-// The file is an io::RecordLog under the "FRWJ" magic; each frame's
+// The file is an io::RecordLog under the kJournalMagic magic; each frame's
 // payload is one record in io/codec.h values: kind, job id, the spec as
-// svc::wire's encode_spec writes it, reason, detail and counters.  Opening
-// is the log's recovery: every frame whose CRC verifies is decoded, a torn
-// tail (a crash mid-append) is cut, and a damaged frame mid-file costs
-// only itself.  A file that is not a journal of this format — an archive
-// passed as --journal, or a journal written before frames carried a CRC —
-// fails ok() and is left untouched.
+// svc::wire's encode_spec writes it (admitted and rejected records only),
+// reason, detail and counters.  Opening is the log's recovery: every frame
+// whose CRC verifies is decoded, a torn tail (a crash mid-append) is cut,
+// and a damaged frame mid-file costs only itself.  A file that is not a
+// journal of this format — an archive passed as --journal, a journal
+// written before frames carried a CRC, or an "FRWJ" journal, whose records
+// all carry the spec layout from before ScanSpec — fails ok() and is left
+// untouched.
 //
 // Durability (io::Durability) is configurable per daemon: flush hands
 // each record to the kernel — surviving process death — and fsync adds
@@ -43,6 +45,11 @@ namespace flashroute::svc {
 
 using io::Durability;
 
+/// The journal's frame magic.  It names the record layout: a new spec
+/// layout (svc/wire.h) takes a new magic, so a journal is never decoded
+/// with a layout it was not written in.  "FRWJ" was the layout before.
+inline constexpr char kJournalMagic[] = "FRJ2";
+
 /// Journal record kinds, in rough lifecycle order.
 enum class JournalKind : std::uint8_t {
   kAdmitted = 1,  ///< job accepted; spec + request key are authoritative
@@ -54,9 +61,10 @@ enum class JournalKind : std::uint8_t {
   kFailed = 7,
 };
 
-/// One journal entry.  `spec` is meaningful only for kAdmitted/kRejected
-/// (the admission records are the durable source of the spec — including
-/// the request key — for replay); the rest carry counters and reasons.
+/// One journal entry.  Only kAdmitted/kRejected records carry `spec` (the
+/// admission records are the durable source of the spec — including the
+/// request key — for replay); the rest carry counters and reasons, and
+/// decode with a default spec.
 struct JournalRecord {
   JournalKind kind = JournalKind::kAdmitted;
   std::uint64_t job_id = 0;

@@ -139,11 +139,19 @@ void Scheduler::retire(Entry& entry, JobState terminal) {
   if (it != live_.end() && *it == entry.id) live_.erase(it);
 }
 
-void Scheduler::release_preempted(std::uint64_t job_id) {
+JobState Scheduler::release_preempted(std::uint64_t job_id) {
   Entry* entry = find(job_id);
-  if (entry == nullptr || entry->state != JobState::kRunning) return;
+  if (entry == nullptr) return JobState::kCancelled;
+  if (entry->state != JobState::kRunning) return entry->state;
   release_running(*entry);
-  entry->state = JobState::kPreempted;
+  // A cancel answered kSignalled while the job ran; pick() would skip the
+  // parked job forever, so the cancel takes effect here.
+  if (entry->cancel_requested) {
+    retire(*entry, JobState::kCancelled);
+  } else {
+    entry->state = JobState::kPreempted;
+  }
+  return entry->state;
 }
 
 void Scheduler::release_completed(std::uint64_t job_id,

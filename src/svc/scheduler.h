@@ -130,7 +130,10 @@ class Scheduler {
 
   // Slice outcomes (the job must be running).  A preempted job's paused
   // engine stays with its runner, not here.
-  void release_preempted(std::uint64_t job_id);
+  /// Parks a job paused at a barrier as kPreempted, or, when a cancel
+  /// arrived after the barrier's verdict, retires it as kCancelled: the
+  /// state it leaves the job in, which the caller must act on.
+  JobState release_preempted(std::uint64_t job_id);
   void release_completed(std::uint64_t job_id, std::uint64_t probes_total,
                          util::Nanos now);
   void release_failed(std::uint64_t job_id, std::string detail);

@@ -31,7 +31,9 @@ namespace flashroute::svc {
 inline constexpr std::uint32_t kMaxFrame = 1u << 20;
 
 enum class MsgType : std::uint8_t {
-  kSubmit = 1,
+  /// A submit carrying the spec layout from before ScanSpec.  The daemon
+  /// answers it with kError and never decodes it.
+  kRetiredSubmit = 1,
   kSubmitReply = 2,
   kStatus = 3,
   kStatusReply = 4,
@@ -46,6 +48,10 @@ enum class MsgType : std::uint8_t {
   kShutdown = 13,
   kOk = 14,
   kError = 15,
+  /// A submit carrying encode_spec's layout.  A new spec layout takes a
+  /// new type, so no daemon ever decodes a spec in a layout it does not
+  /// know.
+  kSubmit = 16,
 };
 
 /// A payload holding only `type`'s byte, for the message's fields to
@@ -55,7 +61,10 @@ io::Writer message(MsgType type);
 /// Reads the MsgType of a framed payload (nullopt when empty/unknown).
 std::optional<MsgType> peek_type(std::string_view payload);
 
-// Field-group codecs shared by daemon and client.
+// Field-group codecs shared by daemon and client.  encode_spec is the one
+// byte codec of a JobSpec: the submit message and the journal's admitted
+// and rejected records (svc/journal.h) both carry a spec in its layout,
+// which their type byte and file magic version.
 void encode_spec(io::Writer& w, const JobSpec& spec);
 std::optional<JobSpec> decode_spec(io::Reader& r);
 

@@ -127,6 +127,12 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return hash;
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 JobSpec quick_spec(const std::string& name, std::uint64_t scan_seed = 7) {
   JobSpec spec;
   spec.name = name;
@@ -321,7 +327,11 @@ TEST(SvcDaemon, RequestAndReplyFramesMatchTheirGoldenBytes) {
         EXPECT_FALSE(client.shutdown());
       });
   ASSERT_EQ(requests.size(), 7u);
-  EXPECT_EQ(frames_digest(requests), 0x0d038958f29b5454ULL)
+  // Re-recorded when JobSpec became a ScanSpec plus its scheduling fields
+  // (it was 0x0d038958f29b5454): the submit frame took a new type byte
+  // and carries the spec's new fields.  The six other frames and every
+  // reply below kept their bytes.
+  EXPECT_EQ(frames_digest(requests), 0xb6f40a018cf65d1bULL)
       << std::hex << frames_digest(requests);
 
   DaemonFixture fixture("frames", /*workers=*/1, /*budget=*/10'000.0);
@@ -338,6 +348,111 @@ TEST(SvcDaemon, RequestAndReplyFramesMatchTheirGoldenBytes) {
   }
   EXPECT_EQ(frames_digest(replies), 0x2d31b9512553cdedULL)
       << std::hex << frames_digest(replies);
+}
+
+// A submit from a client built before ScanSpec: type byte 1 and the older
+// spec layout.  The daemon answers kError without decoding it, and goes on
+// serving.
+TEST(SvcDaemon, ParentFormatSubmitGetsAnErrorReply) {
+  const std::string parent_submit(
+      "\x01\x06\x70\x61\x72\x65\x6e\x74\x06\x00\x00\x00\x00\x00\x01\x00"
+      "\x01\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00"
+      "\x2a\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x88\xd3\x40"
+      "\x10\x05\x20\x00\x01\x00\x00\x80\xf0\xfa\x02\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x00\xf0\x3f\x00\xe1\xf5\x05\x00"
+      "\x00\x00\x00\x0a\x70\x61\x72\x65\x6e\x74\x2d\x6b\x65\x79",
+      94);
+  DaemonFixture fixture("parent_submit", /*workers=*/1);
+  ASSERT_TRUE(fixture.daemon->start());
+  std::optional<Connection> raw = connect_unix(fixture.socket_path);
+  ASSERT_TRUE(raw.has_value());
+  std::string reply;
+  ASSERT_TRUE(raw->write_frame(parent_submit) && raw->read_frame(reply));
+  EXPECT_EQ(peek_type(reply), MsgType::kError);
+  Client client = fixture.connect();
+  const auto views = client.list();
+  ASSERT_TRUE(views.has_value());
+  EXPECT_TRUE(views->empty());
+}
+
+// A universe the simulator cannot build — over its interface pool, or past
+// 255.255.255.255 — is a bad_spec at admission, and the daemon keeps
+// serving.  Admitted, it would abort the worker that built its topology.
+TEST(SvcDaemon, UnbuildableUniverseIsABadSpec) {
+  DaemonFixture fixture("bad_universe", /*workers=*/1);
+  ASSERT_TRUE(fixture.daemon->start());
+  Client client = fixture.connect();
+  for (const std::uint32_t first_prefix : {0xC80000u, 0xFFFFF0u}) {
+    JobSpec spec = quick_spec("poison");
+    spec.first_prefix = first_prefix;
+    const auto rejected = client.submit(spec);
+    ASSERT_TRUE(rejected.has_value());
+    EXPECT_FALSE(rejected->admitted);
+    EXPECT_EQ(rejected->reason, kRejectBadSpec);
+    EXPECT_FALSE(rejected->detail.empty());
+  }
+  const auto fine = client.submit(quick_spec("fine"));
+  ASSERT_TRUE(fine.has_value() && fine->admitted);
+  const auto done = client.wait_job(fine->job_id, 2);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->state, JobState::kCompleted);
+}
+
+// A journal can hold an admitted spec that validate_scan refuses: an older
+// daemon admitted it, say.  Boot fails that job with the validator's detail
+// and runs the others; before, its worker aborted the daemon at every boot.
+TEST(SvcDaemon, RecoveryFailsAJournaledSpecTheValidatorRefuses) {
+  DaemonFixture fixture("poison_journal", /*workers=*/1);
+  JobSpec poison = quick_spec("poison");
+  poison.first_prefix = 0xC80000;  // over the simulator's interface pool
+  JobSpec fine = quick_spec("fine");
+  {
+    JobJournal journal(fixture.journal_path, Durability::kFlush);
+    JournalRecord record;
+    record.kind = JournalKind::kAdmitted;
+    record.job_id = 1;
+    record.spec = poison;
+    ASSERT_TRUE(journal.append(record));
+    record.job_id = 2;
+    record.spec = fine;
+    ASSERT_TRUE(journal.append(record));
+  }
+  ASSERT_TRUE(fixture.daemon->start());
+  Client client = fixture.connect();
+  ASSERT_TRUE(client.wait_all());
+  const auto failed = client.status(1);
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(failed->state, JobState::kFailed);
+  EXPECT_EQ(failed->detail, validate_scan(poison));
+  const auto completed = client.status(2);
+  ASSERT_TRUE(completed.has_value());
+  EXPECT_EQ(completed->state, JobState::kCompleted);
+}
+
+// A journal written before ScanSpec ("FRWJ" frames, the older spec layout)
+// is refused at boot with a message that names it, and left byte for byte.
+TEST(SvcDaemon, ParentFormatJournalIsRefusedAtBootAndLeftUntouched) {
+  const std::string parent_journal(
+      "\x46\x52\x57\x4a\x78\x00\x00\x00\x01\x01\x00\x00\x00\x00\x00\x00"
+      "\x00\x06\x70\x61\x72\x65\x6e\x74\x06\x00\x00\x00\x00\x00\x01\x00"
+      "\x01\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00"
+      "\x2a\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x88\xd3\x40"
+      "\x10\x05\x20\x00\x01\x00\x00\x80\xf0\xfa\x02\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x00\xf0\x3f\x00\xe1\xf5\x05\x00"
+      "\x00\x00\x00\x0a\x70\x61\x72\x65\x6e\x74\x2d\x6b\x65\x79\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x64\x7c\x3b\x1e",
+      132);
+  DaemonFixture fixture("parent_journal");
+  {
+    std::ofstream out(fixture.journal_path, std::ios::binary);
+    out << parent_journal;
+  }
+  EXPECT_FALSE(fixture.daemon->start());
+  EXPECT_NE(fixture.daemon->start_error().find(fixture.journal_path),
+            std::string::npos)
+      << fixture.daemon->start_error();
+  EXPECT_EQ(read_file(fixture.journal_path), parent_journal);
 }
 
 // A list reply declaring more views than its bytes hold is refused before
@@ -591,12 +706,6 @@ TEST(SvcDaemon, JournaledDrainPreservesWaitingJobsAndRestartFinishesThem) {
   ASSERT_TRUE(verify.has_value() && verify->found);
   EXPECT_EQ(verify->payload_size, control_size);
   EXPECT_EQ(verify->payload_fnv1a, control_fnv);
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
 }
 
 void write_file(const std::string& path, const std::string& bytes) {

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "svc/wire.h"
+
 namespace flashroute::svc {
 namespace {
 
@@ -45,16 +47,19 @@ JournalRecord sample_record(JournalKind kind, std::uint64_t job_id) {
   return record;
 }
 
+std::string spec_bytes(const JobSpec& spec) {
+  io::Writer w;
+  encode_spec(w, spec);
+  return w.str();
+}
+
+/// `a` is `b` read back, with `b`'s spec only when its kind carries one.
 void expect_records_equal(const JournalRecord& a, const JournalRecord& b) {
   EXPECT_EQ(a.kind, b.kind);
+  const bool carries_spec =
+      b.kind == JournalKind::kAdmitted || b.kind == JournalKind::kRejected;
+  EXPECT_EQ(spec_bytes(a.spec), spec_bytes(carries_spec ? b.spec : JobSpec{}));
   EXPECT_EQ(a.job_id, b.job_id);
-  EXPECT_EQ(a.spec.name, b.spec.name);
-  EXPECT_EQ(a.spec.prefix_bits, b.spec.prefix_bits);
-  EXPECT_EQ(a.spec.first_prefix, b.spec.first_prefix);
-  EXPECT_EQ(a.spec.scan_seed, b.spec.scan_seed);
-  EXPECT_EQ(a.spec.probes_per_second, b.spec.probes_per_second);
-  EXPECT_EQ(a.spec.priority, b.spec.priority);
-  EXPECT_EQ(a.spec.request_key, b.spec.request_key);
   EXPECT_EQ(a.reason, b.reason);
   EXPECT_EQ(a.detail, b.detail);
   EXPECT_EQ(a.probes, b.probes);
@@ -153,8 +158,13 @@ TEST(JobJournal, DurabilityModesAllProduceReadableJournals) {
   }
 }
 
-// Pins every byte of the FRWJ format: one record of each kind, each
-// carrying a spec whose every field differs from JobSpec's default.
+// Pins every byte of the journal format: one record of each kind, the
+// admission ones carrying a spec whose every field differs from JobSpec's
+// default.  Re-recorded when JobSpec became a ScanSpec plus its scheduling
+// fields (it was 0x6e085276e51689c5): the magic went from "FRWJ" to
+// "FRJ2", the spec gained the preprobe mode, proximity span, extra scans,
+// redundancy removal, forward probing, retransmit timeout and the eight
+// faults, and only admitted and rejected records carry it.
 TEST(JobJournal, FileOfEveryKindMatchesItsGoldenBytes) {
   const std::string path = temp_path("golden");
   std::remove(path.c_str());
@@ -168,14 +178,27 @@ TEST(JobJournal, FileOfEveryKindMatchesItsGoldenBytes) {
       spec.split_ttl = 12;
       spec.gap_limit = 3;
       spec.max_ttl = 24;
-      spec.preprobe_random = true;
+      spec.preprobe = core::PreprobeMode::kRandom;
+      spec.proximity_span = 4;
+      spec.extra_scans = 1;
+      spec.redundancy_removal = false;
+      spec.forward_probing = false;
       spec.collect_routes = false;
-      spec.max_retransmits = 2;
-      spec.adaptive_backoff = true;
       spec.min_round_duration = 7 * util::kMillisecond;
+      spec.max_retransmits = 2;
+      spec.retransmit_timeout = 90 * util::kMillisecond;
+      spec.adaptive_backoff = true;
+      spec.checkpoint_interval = 300 * util::kMillisecond;
+      spec.fault_probe_loss = 0.01;
+      spec.fault_response_loss = 0.02;
+      spec.fault_duplicate = 0.03;
+      spec.fault_reorder = 0.04;
+      spec.fault_corrupt = 0.05;
+      spec.fault_blackhole = 0.06;
+      spec.fault_flap = 0.07;
+      spec.fault_send_fail = 0.08;
       spec.priority = 1 + static_cast<int>(record.job_id);
       spec.weight = 0.5 + static_cast<double>(record.job_id);
-      spec.checkpoint_interval = 300 * util::kMillisecond;
       ASSERT_TRUE(journal.append(record));
     }
   }
@@ -186,7 +209,44 @@ TEST(JobJournal, FileOfEveryKindMatchesItsGoldenBytes) {
   for (const char c : bytes) {
     digest = (digest ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
   }
-  EXPECT_EQ(digest, 0x6e085276e51689c5ULL) << std::hex << digest;
+  EXPECT_EQ(digest, 0x5bb7cfbf47c53a48ULL) << std::hex << digest;
+  std::remove(path.c_str());
+}
+
+// A started, barrier or terminal record carries its counters, reason and
+// detail, and no spec: the frame's payload is 27 bytes plus the two
+// strings, where a spec-carrying payload once took 104 for an empty pair.
+TEST(JobJournal, OnlyAdmissionRecordsCarryTheSpec) {
+  const std::string path = temp_path("per_kind");
+  for (const JournalKind kind :
+       {JournalKind::kAdmitted, JournalKind::kStarted, JournalKind::kBarrier,
+        JournalKind::kCompleted, JournalKind::kFailed}) {
+    std::remove(path.c_str());
+    JournalRecord record;
+    record.kind = kind;
+    record.job_id = 5;
+    record.probes = 1234;
+    record.slices = 2;
+    record.detail = "why";
+    {
+      JobJournal journal(path, Durability::kFlush);
+      ASSERT_TRUE(journal.append(record));
+    }
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    const std::size_t payload = bytes.size() - 12;  // magic, size, CRC
+    io::Writer spec;
+    encode_spec(spec, record.spec);
+    const std::size_t expected =
+        27 + record.detail.size() +
+        (kind == JournalKind::kAdmitted ? spec.str().size() : 0);
+    EXPECT_EQ(payload, expected) << static_cast<int>(kind);
+    JobJournal reopened(path, Durability::kFlush);
+    const std::vector<JournalRecord> records = reopened.take_records();
+    ASSERT_EQ(records.size(), 1u);
+    expect_records_equal(records[0], record);
+  }
   std::remove(path.c_str());
 }
 

@@ -307,6 +307,30 @@ TEST(SvcCancel, OutcomesFollowJobState) {
   EXPECT_TRUE(scheduler.idle());
 }
 
+// The lost cancel: a cancel that lands between a barrier's kPreempt
+// verdict and the worker's release (frd drops its lock in between) was
+// answered kSignalled, yet the job was parked as kPreempted and, with its
+// cancel requested, never dispatched again: idle() stayed false forever.
+// The release now retires it as cancelled and says so.
+TEST(SvcCancel, CancelBetweenPreemptVerdictAndReleaseCancelsTheJob) {
+  SchedulerConfig config;
+  config.num_workers = 1;
+  Scheduler scheduler(config);
+  const Submission job = scheduler.submit(small_spec("job"), 0);
+  const Submission peer = scheduler.submit(small_spec("peer"), 0);
+  ASSERT_EQ(scheduler.acquire(0), job.job_id);
+  EXPECT_EQ(scheduler.on_barrier(job.job_id, 10, 0),
+            BarrierDecision::kPreempt);
+  EXPECT_EQ(scheduler.cancel(job.job_id), CancelOutcome::kSignalled);
+  EXPECT_EQ(scheduler.release_preempted(job.job_id), JobState::kCancelled);
+  EXPECT_EQ(scheduler.view(job.job_id)->state, JobState::kCancelled);
+
+  ASSERT_EQ(scheduler.acquire(0), peer.job_id);
+  scheduler.release_completed(peer.job_id, 20, 0);
+  EXPECT_FALSE(scheduler.acquire(0).has_value());
+  EXPECT_TRUE(scheduler.idle());
+}
+
 TEST(SvcDrain, RunningJobsPreemptAndNothingDispatches) {
   Scheduler scheduler(SchedulerConfig{});
   const Submission job = scheduler.submit(small_spec("job"), 0);

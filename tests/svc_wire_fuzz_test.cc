@@ -34,14 +34,27 @@ JobSpec sample_spec() {
   spec.split_ttl = 14;
   spec.gap_limit = 4;
   spec.max_ttl = 30;
-  spec.preprobe_random = true;
+  spec.preprobe = core::PreprobeMode::kHitlist;
+  spec.proximity_span = 3;
+  spec.extra_scans = 2;
+  spec.redundancy_removal = false;
+  spec.forward_probing = false;
   spec.collect_routes = false;
-  spec.max_retransmits = 2;
-  spec.adaptive_backoff = true;
   spec.min_round_duration = 9 * util::kMillisecond;
+  spec.max_retransmits = 2;
+  spec.retransmit_timeout = 300 * util::kMillisecond;
+  spec.adaptive_backoff = true;
+  spec.checkpoint_interval = 250 * util::kMillisecond;
+  spec.fault_probe_loss = 0.125;
+  spec.fault_response_loss = 0.25;
+  spec.fault_duplicate = 0.0625;
+  spec.fault_reorder = 0.5;
+  spec.fault_corrupt = 0.03125;
+  spec.fault_blackhole = 0.75;
+  spec.fault_flap = 0.375;
+  spec.fault_send_fail = 0.015625;
   spec.priority = 3;
   spec.weight = 2.5;
-  spec.checkpoint_interval = 250 * util::kMillisecond;
   spec.request_key = "fuzz-request-key";
   return spec;
 }
@@ -60,21 +73,12 @@ JobView sample_view() {
   return view;
 }
 
-bool specs_equal(const JobSpec& a, const JobSpec& b) {
-  return a.name == b.name && a.prefix_bits == b.prefix_bits &&
-         a.first_prefix == b.first_prefix &&
-         a.topology_seed == b.topology_seed && a.scan_seed == b.scan_seed &&
-         a.target_seed == b.target_seed &&
-         a.probes_per_second == b.probes_per_second &&
-         a.split_ttl == b.split_ttl && a.gap_limit == b.gap_limit &&
-         a.max_ttl == b.max_ttl && a.preprobe_random == b.preprobe_random &&
-         a.collect_routes == b.collect_routes &&
-         a.max_retransmits == b.max_retransmits &&
-         a.adaptive_backoff == b.adaptive_backoff &&
-         a.min_round_duration == b.min_round_duration &&
-         a.priority == b.priority && a.weight == b.weight &&
-         a.checkpoint_interval == b.checkpoint_interval &&
-         a.request_key == b.request_key;
+/// A spec's bytes in encode_spec's layout: what two specs must share to
+/// be the same spec on the wire and in the journal.
+std::string spec_bytes(const JobSpec& spec) {
+  io::Writer w;
+  encode_spec(w, spec);
+  return w.str();
 }
 
 std::string valid_submit_payload() {
@@ -98,9 +102,14 @@ std::uint64_t fnv1a(std::string_view bytes) {
 }
 
 // Pins every byte of the two field groups the daemon and the client share:
-// every field of the corpus spec and view differs from its default.
+// every field of the corpus spec and view differs from its default.  The
+// submit digest was re-recorded when JobSpec became a ScanSpec plus its
+// scheduling fields: the submit took a new type byte (kSubmit, 16), and
+// the spec gained the preprobe mode, proximity span, extra scans,
+// redundancy removal, forward probing, retransmit timeout and the eight
+// faults (it was 0x24bed5456e790040).  The view digest did not move.
 TEST(SvcWireFuzz, CorpusEncodesToItsGoldenBytes) {
-  EXPECT_EQ(fnv1a(valid_submit_payload()), 0x24bed5456e790040ULL)
+  EXPECT_EQ(fnv1a(valid_submit_payload()), 0xe47f0099e1a91b34ULL)
       << std::hex << fnv1a(valid_submit_payload());
   EXPECT_EQ(fnv1a(valid_view_payload()), 0xb98ec133d5c7bf16ULL)
       << std::hex << fnv1a(valid_view_payload());
@@ -127,7 +136,7 @@ void exercise_payload(std::string_view payload, const std::string& context) {
       r2.u8();
       const std::optional<JobSpec> again = decode_spec(r2);
       ASSERT_TRUE(again.has_value());
-      EXPECT_TRUE(specs_equal(*spec, *again));
+      EXPECT_EQ(spec_bytes(*spec), spec_bytes(*again));
     }
   }
   {
